@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteresis import play_apply
+from .hysteresis import _SEED_SLACK, play_apply
 from .signals import (
     DomainError,
     PolylineSignal,
@@ -22,8 +22,6 @@ from .signals import (
     derivative,
     sup_distance,
 )
-
-_SEED_SLACK = 1e-12
 
 
 def _sign(x: float) -> int:

@@ -2,11 +2,15 @@
 
 Five flavours: plain (no hysteresis), play in the controls, play in the state
 (triangular/chain), delayed-relay switching, and relay-bank systems.  The base
-scheme is fixed-step classical RK4 with mandatory sub-steps at every control,
-play-output, and relay-event breakpoint; relay events are localized by
-bisection inside a step.  For triangular systems the x coordinates and the
+scheme is fixed-step classical RK4 with mandatory sub-steps at every control
+and play-output breakpoint.  For triangular systems the x coordinates and the
 play outputs are computed in closed form and only the output integrals are
 quadratures (Simpson, exact on piecewise-affine integrands).
+
+Switching and bank systems share one event-driven loop over delayed relays on
+the projections z.xi_j: a switching axis carries one relay, a bank axis k of
+them.  Each step is checked against the nearest pending threshold of each
+axis in each direction, and the first crossing is localized by bisection.
 """
 
 from __future__ import annotations
@@ -14,15 +18,21 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .hysteresis import RelayBank, play_apply
-from .signals import DomainError, antiderivative, merge_times, sample
+from .hysteresis import RelayState, play_apply
+from .signals import DomainError, antiderivative, breakpoints, merge_times, sample
 
 NORM_CAP = 1e6
 EVENT_TOL = 1e-12
+# Relative slack when controls must share a horizon and when a piece is cut
+# into steps (a piece a hair longer than whole steps gets no sliver step).
+_PIECE_SLACK = 1e-9
+# Relative slack below a piece's end at which the event loop stops stepping.
+_END_SLACK = 1e-15
 
 
 class DivergenceError(RuntimeError):
@@ -90,6 +100,14 @@ class SwitchingSpec:
         for v in self.xi:
             if abs(math.sqrt(sum(c * c for c in v)) - 1.0) > 1e-9:
                 raise DomainError("xi must be unit vectors")
+        if self.thresholds is not None and (
+            len(self.thresholds) != m or any(len(pair) != 2 for pair in self.thresholds)
+        ):
+            raise DomainError("need one (lo, hi) threshold pair per axis")
+        for i in range(m):
+            lo, hi = self.axis_thresholds(i)
+            if not lo < hi:
+                raise DomainError(f"axis {i + 1} needs thresholds lo < hi, got ({lo}, {hi})")
 
     @property
     def m(self) -> int:
@@ -180,59 +198,63 @@ def events_to_csv(events, path: str) -> None:
 # ---------------------------------------------------------------------------
 # core stepping
 
-_ZEROS = {n: (0.0,) * n for n in range(1, 16)}
-
-
-def _rk4(rhs, z, h):
-    k1 = rhs(z)
-    k2 = rhs(tuple(zi + 0.5 * h * ki for zi, ki in zip(z, k1)))
-    k3 = rhs(tuple(zi + 0.5 * h * ki for zi, ki in zip(z, k2)))
-    k4 = rhs(tuple(zi + h * ki for zi, ki in zip(z, k3)))
-    return tuple(
-        zi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
-    )
-
-
-def _rk4_t(rhs, t, z, h):
+def _rk4(rhs, t, z, h):
+    """One classical RK4 step of z' = rhs(t, z) from (t, z) with step h."""
+    hh = 0.5 * h
+    tm = t + hh
     k1 = rhs(t, z)
-    k2 = rhs(t + 0.5 * h, tuple(zi + 0.5 * h * ki for zi, ki in zip(z, k1)))
-    k3 = rhs(t + 0.5 * h, tuple(zi + 0.5 * h * ki for zi, ki in zip(z, k2)))
+    k2 = rhs(tm, tuple(zi + hh * ki for zi, ki in zip(z, k1)))
+    k3 = rhs(tm, tuple(zi + hh * ki for zi, ki in zip(z, k2)))
     k4 = rhs(t + h, tuple(zi + h * ki for zi, ki in zip(z, k3)))
+    h6 = h / 6.0
     return tuple(
-        zi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        zi + h6 * (a + 2.0 * b + 2.0 * c + d)
         for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
     )
 
 
 def _check_cap(z, cap):
-    if max(abs(c) for c in z) > cap:
-        raise DivergenceError(f"state norm exceeded cap {cap}")
+    """DivergenceError unless every coordinate is finite and within the cap."""
+    for c in z:
+        if not -cap <= c <= cap:
+            raise DivergenceError(f"state left the cap {cap} or is not finite")
 
 
-def _common_horizon(signals, T):
-    horizons = [s.horizon for s in signals]
+def _pieces(step, T, signals):
+    """Pieces (a, b, nsteps) between the merged breakpoints of the signals.
+
+    The signals must share the horizon T (the first signal's if T is None);
+    each piece gets the fewest equal steps that are no longer than step.
+    """
+    if step <= 0.0:
+        raise DomainError("step must be positive")
     if T is None:
-        T = horizons[0]
-    for h in horizons:
-        if abs(h - T) > 1e-9 * max(1.0, T):
+        T = signals[0].horizon
+    for s in signals:
+        if abs(s.horizon - T) > _PIECE_SLACK * max(1.0, T):
             raise DomainError("controls must share the horizon [0, T]")
-    return T
+    breaks = merge_times(*(breakpoints(s) for s in signals))
+    return [
+        (a, b, max(1, math.ceil((b - a) / step - _PIECE_SLACK)))
+        for a, b in zip(breaks, breaks[1:])
+    ]
 
 
 def _combined_rhs(fields, u, n):
+    """rhs(t, z) = sum_i u_i g_i(z) over the fields with a nonzero control."""
     active = [(ui, g) for ui, g in zip(u, fields) if ui != 0.0]
     if not active:
-        return lambda z: _ZEROS[n]
+        zeros = (0.0,) * n
+        return lambda t, z: zeros
     if len(active) == 1:
         u0, g0 = active[0]
 
-        def rhs1(z):
+        def rhs1(t, z):
             return tuple(u0 * c for c in g0(z))
 
         return rhs1
 
-    def rhs(z):
+    def rhs(t, z):
         acc = [0.0] * n
         for ui, g in active:
             gz = g(z)
@@ -243,6 +265,24 @@ def _combined_rhs(fields, u, n):
     return rhs
 
 
+def _rk4_pieces(pieces, rhs_of, z0, cap):
+    """Equal RK4 steps across each piece (a, b, nsteps), with rhs_of(a, b)."""
+    z = tuple(float(c) for c in z0)
+    times = [pieces[0][0]]
+    states = [z]
+    for a, b, nsteps in pieces:
+        rhs = rhs_of(a, b)
+        h = (b - a) / nsteps
+        t = a
+        for q in range(nsteps):
+            z = _rk4(rhs, t, z, h)
+            t = b if q == nsteps - 1 else a + (q + 1) * h
+            _check_cap(z, cap)
+            times.append(t)
+            states.append(z)
+    return np.asarray(times), np.asarray(states)
+
+
 # ---------------------------------------------------------------------------
 # plain and play-in-controls systems
 
@@ -250,24 +290,11 @@ def integrate_plain(sys: FieldSet, controls, z0, T=None, step=1e-3, cap=NORM_CAP
     """Fixed-step RK4 with sub-steps aligned to every control breakpoint."""
     if len(controls) != sys.m:
         raise DomainError("one control per field required")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    _common_horizon(controls, T)
-    breaks = merge_times(*(c.grid.points for c in controls))
-    z = tuple(float(c) for c in z0)
-    times = [breaks[0]]
-    states = [z]
-    for a, b in zip(breaks, breaks[1:]):
-        u = [c(0.5 * (a + b)) for c in controls]
-        rhs = _combined_rhs(sys.fields, u, sys.n)
-        nsteps = max(1, math.ceil((b - a) / step - 1e-9))
-        h = (b - a) / nsteps
-        for q in range(nsteps):
-            z = _rk4(rhs, z, h)
-            _check_cap(z, cap)
-            times.append(b if q == nsteps - 1 else a + (q + 1) * h)
-            states.append(z)
-    return Trajectory(np.asarray(times), np.asarray(states))
+
+    def rhs_of(a, b):
+        return _combined_rhs(sys.fields, [c(0.5 * (a + b)) for c in controls], sys.n)
+
+    return Trajectory(*_rk4_pieces(_pieces(step, T, controls), rhs_of, z0, cap))
 
 
 def integrate_play_controls(
@@ -276,18 +303,12 @@ def integrate_play_controls(
     """System driven by the play outputs of the inputs v (exact polylines)."""
     if len(v) != sys.m or len(w0) != sys.m:
         raise DomainError("one input and one seed per field required")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
     plays = [play_apply(vi, wi, rho) for vi, wi in zip(v, w0)]
-    _common_horizon(plays, T)
-    breaks = merge_times(*(p.times for p in plays))
-    z = tuple(float(c) for c in z0)
-    times = [breaks[0]]
-    states = [z]
     fields = sys.fields
     m = sys.m
     n = sys.n
-    for a, b in zip(breaks, breaks[1:]):
+
+    def rhs_of(a, b):
         p0 = [p(a) for p in plays]
         sl = [(p(b) - q) / (b - a) for p, q in zip(plays, p0)]
 
@@ -303,18 +324,11 @@ def integrate_play_controls(
                     acc[q] += ui * gz[q]
             return acc
 
-        nsteps = max(1, math.ceil((b - a) / step - 1e-9))
-        h = (b - a) / nsteps
-        t = a
-        for q in range(nsteps):
-            z = _rk4_t(rhs, t, z, h)
-            t = b if q == nsteps - 1 else a + (q + 1) * h
-            _check_cap(z, cap)
-            times.append(t)
-            states.append(z)
-    times = np.asarray(times)
+        return rhs
+
+    times, states = _rk4_pieces(_pieces(step, T, plays), rhs_of, z0, cap)
     log = {f"play{i + 1}": sample(p, times) for i, p in enumerate(plays)}
-    return Trajectory(times, np.asarray(states), hysteresis_log=log)
+    return Trajectory(times, states, hysteresis_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +351,15 @@ def integrate_play_state(
     m = spec.m
     if len(controls) != m or len(z0) != 2 * m - 1:
         raise DomainError("control/state dimensions inconsistent with spec")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    _common_horizon(controls, T)
     x_polys = [antiderivative(controls[i], float(z0[i])) for i in range(m)]
     plays = [play_apply(x_polys[i], float(spec.w0[i]), spec.rho) for i in range(m - 1)]
-    breaks = merge_times(*(c.grid.points for c in controls), *(p.times for p in plays))
+    pieces = _pieces(step, T, [*controls, *plays])
 
     y0 = np.array([float(c) for c in z0[m:]])
-    tgrid_parts = [np.array([breaks[0]])]
+    tgrid_parts = [np.array([pieces[0][0]])]
     y_parts = [y0[None, :]]
     y = y0
-    for a, b in zip(breaks, breaks[1:]):
-        nsub = max(1, math.ceil((b - a) / step - 1e-9))
+    for a, b, nsub in pieces:
         ts = np.linspace(a, b, 2 * nsub + 1)
         p_samp = [sample(p, ts) for p in plays]
         h = (b - a) / (2 * nsub)
@@ -368,20 +378,24 @@ def integrate_play_state(
     y_all = np.vstack(y_parts)
     x_cols = [sample(p, tgrid) for p in x_polys]
     states = np.column_stack(x_cols + [y_all[:, i] for i in range(m - 1)])
-    _check_cap(tuple(np.abs(states).max(axis=0)), cap)
+    _check_cap(np.abs(states).max(axis=0), cap)
     log = {f"play{i + 1}": sample(p, tgrid) for i, p in enumerate(plays)}
     return Trajectory(tgrid, states, hysteresis_log=log)
 
 
 # ---------------------------------------------------------------------------
-# switching and bank systems
+# switching and bank systems: one event-driven loop over delayed relays
+
+def _proj(z, xi):
+    return sum(c * x for c, x in zip(z, xi))
+
 
 def sector_index(z, spec: SwitchingSpec) -> set:
     """All m-strings compatible with z under closure semantics."""
     options = []
     for i, xi in enumerate(spec.xi):
         lo, hi = spec.axis_thresholds(i)
-        proj = sum(c * x for c, x in zip(z, xi))
+        proj = _proj(z, xi)
         allowed = []
         if proj >= lo:
             allowed.append(1)
@@ -391,22 +405,110 @@ def sector_index(z, spec: SwitchingSpec) -> set:
     return set(itertools.product(*options))
 
 
-def _bisect_event(rhs, z, h, crossed, proj_of):
-    """Smallest step fraction at which `crossed(projection)` first holds.
+def _pending(relays, outs):
+    """Nearest pending thresholds of one axis, as (lo, i_lo, hi, i_hi).
 
-    Assumes crossed(proj_of(rk4(z, h))) is true; returns (s, z_s) with the
-    crossing bracketed to EVENT_TOL and z_s strictly past the threshold.
+    lo is the highest lo among the relays now at +1 and hi the lowest hi
+    among those at -1 (ties to the lowest index); -inf / +inf if there is none.
+    """
+    lo, i_lo, hi, i_hi = -math.inf, None, math.inf, None
+    for i, (r, out) in enumerate(zip(relays, outs)):
+        if out == 1:
+            if r.lo > lo:
+                lo, i_lo = r.lo, i
+        elif r.hi < hi:
+            hi, i_hi = r.hi, i
+    return lo, i_lo, hi, i_hi
+
+
+def _bisect_event(rhs, t, z, h, z_hi, xi, thr, rising):
+    """Smallest step fraction at which z.xi first passes thr.
+
+    z_hi is the RK4 state after the full step h, which is past thr; returns
+    (s, z_s) with the crossing bracketed to EVENT_TOL and z_s strictly past
+    the threshold.
     """
     lo, hi = 0.0, h
-    z_hi = _rk4(rhs, z, h)
     while hi - lo > EVENT_TOL:
         mid = 0.5 * (lo + hi)
-        z_mid = _rk4(rhs, z, mid)
-        if crossed(proj_of(z_mid)):
+        z_mid = _rk4(rhs, t, z, mid)
+        p = _proj(z_mid, xi)
+        if (p > thr) if rising else (p < thr):
             hi, z_hi = mid, z_mid
         else:
             lo = mid
     return hi, z_hi
+
+
+def _integrate_relays(xi, relays, select, log_key, label, controls, z0, T, step, cap):
+    """RK4 with delayed-relay events on the projections z.xi_j.
+
+    relays[j] holds the RelayStates of axis j.  select(outs) maps the current
+    outputs (one list per axis) to (fields, log entry); the fields are
+    combined with the controls as in a plain system.  The log entry of every
+    step goes to hysteresis_log[log_key], and label(j, i) names the events
+    of relay i on axis j.
+
+    A step ends at the earliest crossing, ties going to the lowest axis.  Only
+    the nearest pending threshold of each axis in each direction is bisected:
+    a farther relay's crossing implies the nearer one's, so its bisection can
+    never end earlier (if it ends at the same fraction, the nearer relay
+    switches first and the farther one on the next step).
+    """
+    z = tuple(float(c) for c in z0)
+    for j, v in enumerate(xi):
+        p = _proj(z, v)
+        if not all(r.consistent_with(p) for r in relays[j]):
+            raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
+    pieces = _pieces(step, T, controls)
+    n = len(z)
+    outs = [[r.out for r in rs] for rs in relays]
+    pending = [_pending(rs, os) for rs, os in zip(relays, outs)]
+    fields, entry = select(outs)
+    times = [pieces[0][0]]
+    states = [z]
+    log = [entry]
+    events = []
+    for a, b, nsteps in pieces:
+        u = [c(0.5 * (a + b)) for c in controls]
+        rhs = _combined_rhs(fields, u, n)
+        t = a
+        h_nom = (b - a) / nsteps
+        while t < b - _END_SLACK * max(1.0, b):
+            h = min(h_nom, b - t)
+            z_new = _rk4(rhs, t, z, h)
+            hit = None
+            for j, v in enumerate(xi):
+                p = _proj(z_new, v)
+                lo, i_lo, hi, i_hi = pending[j]
+                # lo <= hi holds at the consistent start and after every switch
+                # (a relay's lo is below its own hi): one direction at most
+                if p < lo:
+                    i, thr, rising = i_lo, lo, False
+                elif p > hi:
+                    i, thr, rising = i_hi, hi, True
+                else:
+                    continue
+                s, z_s = _bisect_event(rhs, t, z, h, z_new, v, thr, rising)
+                if hit is None or s < hit[0]:
+                    hit = (s, z_s, j, i)
+            if hit is None:
+                z = z_new
+                t = t + h
+            else:
+                s, z, j, i = hit
+                t = t + s
+                old = outs[j][i]
+                outs[j][i] = -old
+                events.append(Event(t, label(j, i), old, -old))
+                pending[j] = _pending(relays[j], outs[j])
+                fields, entry = select(outs)
+                rhs = _combined_rhs(fields, u, n)
+            _check_cap(z, cap)
+            times.append(t)
+            states.append(z)
+            log.append(entry)
+    return Trajectory(np.asarray(times), np.asarray(states), {log_key: log}, tuple(events))
 
 
 def integrate_switching(
@@ -417,63 +519,17 @@ def integrate_switching(
     string = tuple(int(w) for w in w0_string)
     if len(string) != m or any(w not in (-1, 1) for w in string):
         raise DomainError("initial string must be in {-1,+1}^m")
-    z = tuple(float(c) for c in z0)
-    for i, xi in enumerate(spec.xi):
-        lo, hi = spec.axis_thresholds(i)
-        proj = sum(c * x for c, x in zip(z, xi))
-        if (string[i] == 1 and proj < lo) or (string[i] == -1 and proj > hi):
-            raise DomainError(f"initial string inconsistent with z0 on axis {i + 1}")
     if len(controls) != spec.field_table[string].m:
         raise DomainError("one control per field required")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    _common_horizon(controls, T)
-    breaks = merge_times(*(c.grid.points for c in controls))
-    times = [breaks[0]]
-    states = [z]
-    strings = [string]
-    events: list[Event] = []
-    for a, b in zip(breaks, breaks[1:]):
-        u = [c(0.5 * (a + b)) for c in controls]
-        fs = spec.field_table[string]
-        rhs = _combined_rhs(fs.fields, u, fs.n)
-        t = a
-        h_nom = (b - a) / max(1, math.ceil((b - a) / step - 1e-9))
-        while t < b - 1e-15 * max(1.0, b):
-            h = min(h_nom, b - t)
-            z_new = _rk4(rhs, z, h)
-            hit = None
-            for i, xi in enumerate(spec.xi):
-                lo, hi = spec.axis_thresholds(i)
-                if string[i] == 1:
-                    thr, crossed = lo, (lambda p, lo=lo: p < lo)
-                else:
-                    thr, crossed = hi, (lambda p, hi=hi: p > hi)
-                proj_of = lambda zz, xi=xi: sum(c * x for c, x in zip(zz, xi))
-                if crossed(proj_of(z_new)):
-                    s, z_s = _bisect_event(rhs, z, h, crossed, proj_of)
-                    if hit is None or s < hit[0]:
-                        hit = (s, z_s, i)
-            if hit is None:
-                z = z_new
-                t = t + h
-            else:
-                s, z, i = hit
-                t = t + s
-                old = string[i]
-                string = string[:i] + (-old,) + string[i + 1 :]
-                events.append(Event(t, f"axis{i + 1}", old, -old))
-                fs = spec.field_table[string]
-                rhs = _combined_rhs(fs.fields, u, fs.n)
-            _check_cap(z, cap)
-            times.append(t)
-            states.append(z)
-            strings.append(string)
-    return Trajectory(
-        np.asarray(times),
-        np.asarray(states),
-        hysteresis_log={"string": strings},
-        events=tuple(events),
+    relays = [(RelayState(*spec.axis_thresholds(i), w),) for i, w in enumerate(string)]
+
+    def select(outs):
+        s = tuple(o[0] for o in outs)
+        return spec.field_table[s].fields, s
+
+    return _integrate_relays(
+        spec.xi, relays, select, "string", lambda j, i: f"axis{j + 1}",
+        controls, z0, T, step, cap,
     )
 
 
@@ -487,79 +543,12 @@ def integrate_bank(
         raise DomainError("one k-relay bank per axis required")
     if len(controls) != m:
         raise DomainError("one control per field required")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    z = tuple(float(c) for c in z0)
-    relays = [list(bk.relays) for bk in banks]
-    for j, xi in enumerate(spec.xi):
-        proj = sum(c * x for c, x in zip(z, xi))
-        if not RelayBank(tuple(relays[j])).consistent_with(proj):
-            raise DomainError(f"bank on axis {j + 1} inconsistent with z0")
-    _common_horizon(controls, T)
-    breaks = merge_times(*(c.grid.points for c in controls))
-    n = len(z)
 
-    def make_rhs(u):
-        wk = [sum(r.out for r in rl) / spec.k for rl in relays]
+    def select(outs):
+        fields = tuple(partial(g, sum(o) / spec.k) for g, o in zip(spec.fields, outs))
+        return fields, tuple(map(tuple, outs))
 
-        def rhs(zz):
-            acc = [0.0] * n
-            for j in range(m):
-                if u[j] == 0.0:
-                    continue
-                gz = spec.fields[j](wk[j], zz)
-                for q in range(n):
-                    acc[q] += u[j] * gz[q]
-            return acc
-
-        return rhs
-
-    def k_string():
-        return tuple(tuple(r.out for r in rl) for rl in relays)
-
-    times = [breaks[0]]
-    states = [z]
-    strings = [k_string()]
-    events: list[Event] = []
-    for a, b in zip(breaks, breaks[1:]):
-        u = [c(0.5 * (a + b)) for c in controls]
-        rhs = make_rhs(u)
-        t = a
-        h_nom = (b - a) / max(1, math.ceil((b - a) / step - 1e-9))
-        while t < b - 1e-15 * max(1.0, b):
-            h = min(h_nom, b - t)
-            z_new = _rk4(rhs, z, h)
-            hit = None
-            for j, xi in enumerate(spec.xi):
-                proj_of = lambda zz, xi=xi: sum(c * x for c, x in zip(zz, xi))
-                pj = proj_of(z_new)
-                for idx, r in enumerate(relays[j]):
-                    if r.out == 1 and pj < r.lo:
-                        crossed = lambda p, lo=r.lo: p < lo
-                    elif r.out == -1 and pj > r.hi:
-                        crossed = lambda p, hi=r.hi: p > hi
-                    else:
-                        continue
-                    s, z_s = _bisect_event(rhs, z, h, crossed, proj_of)
-                    if hit is None or s < hit[0]:
-                        hit = (s, z_s, j, idx)
-            if hit is None:
-                z = z_new
-                t = t + h
-            else:
-                s, z, j, idx = hit
-                t = t + s
-                old = relays[j][idx].out
-                relays[j][idx] = replace(relays[j][idx], out=-old)
-                events.append(Event(t, f"axis{j + 1}.relay{idx + 1}", old, -old))
-                rhs = make_rhs(u)
-            _check_cap(z, cap)
-            times.append(t)
-            states.append(z)
-            strings.append(k_string())
-    return Trajectory(
-        np.asarray(times),
-        np.asarray(states),
-        hysteresis_log={"strings": strings},
-        events=tuple(events),
+    return _integrate_relays(
+        spec.xi, [bk.relays for bk in banks], select, "strings",
+        lambda j, i: f"axis{j + 1}.relay{i + 1}", controls, z0, T, step, cap,
     )

@@ -158,25 +158,28 @@ def evaluate(s, t: float) -> float:
 
 
 def sample(s, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation (same conventions as scalar evaluation)."""
+    """Vectorized evaluation (same conventions as scalar evaluation).
+
+    Times may stray outside the horizon by KNOT_TOL only (they are clamped).
+    """
     ts = np.asarray(ts, dtype=float)
-    if isinstance(s, StepSignal):
-        pts = np.asarray(s.grid.points)
-        idx = np.searchsorted(pts, ts, side="right") - 1
-        idx = np.clip(idx, 0, s.grid.n_intervals - 1)
-        return np.asarray(s.values)[idx]
+    knots = np.asarray(breakpoints(s))
+    t0, T = knots[0], knots[-1]
+    if ts.size and not (
+        t0 - KNOT_TOL * max(1.0, abs(t0)) <= ts.min()
+        and ts.max() <= T + KNOT_TOL * max(1.0, abs(T))
+    ):
+        raise DomainError(f"sample times outside [{t0}, {T}]")
     if isinstance(s, PolylineSignal):
-        times = np.asarray(s.times)
         vals = np.asarray([v for _, v in s.knots])
-        return np.interp(ts, times, vals)
-    if isinstance(s, PiecewiseAffine):
-        idx = np.searchsorted(np.asarray(s.breaks), ts, side="right") - 1
-        idx = np.clip(idx, 0, len(s.breaks) - 2)
-        lv = np.asarray([p[0] for p in s.pieces])
-        sl = np.asarray([p[1] for p in s.pieces])
-        t0 = np.asarray(s.breaks)[idx]
-        return lv[idx] + sl[idx] * (ts - t0)
-    raise TypeError(f"not a signal: {type(s)}")
+        return np.interp(ts, knots, vals)
+    idx = np.searchsorted(knots, ts, side="right") - 1
+    idx = np.clip(idx, 0, len(knots) - 2)
+    if isinstance(s, StepSignal):
+        return np.asarray(s.values)[idx]
+    lv = np.asarray([p[0] for p in s.pieces])
+    sl = np.asarray([p[1] for p in s.pieces])
+    return lv[idx] + sl[idx] * (ts - knots[idx])
 
 
 def signal_to_json(s) -> dict:

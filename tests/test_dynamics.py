@@ -80,6 +80,12 @@ def test_divergence_cap():
         integrate_plain(blowup, (const(2.0, 1.0),), (1.0,), step=1e-3)
 
 
+def test_divergence_cap_catches_nan():
+    nan_field = FieldSet(1, 1, (lambda z: (math.nan,),))
+    with pytest.raises(DivergenceError):
+        integrate_plain(nan_field, (const(1.0, 1.0),), (1.0,), step=0.25)
+
+
 def test_control_count_mismatch():
     with pytest.raises(DomainError):
         integrate_plain(heisenberg_fields(), (const(1.0, 1.0),), (0.0, 0.0, 0.0))
@@ -134,6 +140,12 @@ def test_play_state_closed_form():
     # the play path is logged and exact
     idx = np.searchsorted(traj.times, 0.6)
     assert traj.hysteresis_log["play1"][idx] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_play_state_cap_catches_nan():
+    spec = TriangularSpec(2, (lambda x: math.nan,), 0.2, (0.0,))
+    with pytest.raises(DivergenceError):
+        integrate_play_state(spec, (const(1.0, 1.0), const(1.0, 1.0)), (0.0, 0.0, 0.0))
 
 
 def test_play_state_dimension_checks():
@@ -215,6 +227,17 @@ def test_switching_incompatible_string():
     with pytest.raises(DomainError):
         integrate_switching(spec, (const(1.0, 0.0), const(1.0, 0.0)),
                             (-1.0, 0.0), (1, 1))
+
+
+def test_switching_spec_threshold_validation():
+    for eta in (0.0, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            SwitchingSpec(xi=((1.0, 0.0), (0.0, 1.0)), eta=eta,
+                          field_table=demo_spec().field_table)
+    for thresholds in (((0.2, -0.2), (-0.3, 0.3)), ((-0.3, 0.3),), ((-0.3,), (-0.3, 0.3))):
+        with pytest.raises(DomainError):
+            demo_spec(thresholds)
+    assert demo_spec(((-0.1, 0.4), (0.0, 0.2))).axis_thresholds(1) == (0.0, 0.2)
 
 
 def test_events_csv(tmp_path):
@@ -311,6 +334,25 @@ def test_bank_staircase_preserved_along_trajectory():
     for pair in traj.hysteresis_log["strings"]:
         for s in pair:
             assert all(a >= b for a, b in zip(s, s[1:]))
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_bank_several_crossings_in_one_step(direction):
+    # z = -1.1 + t sweeps the whole 8-relay bank up (z = 1.1 - t down);
+    # relay i has thresholds (-1 + i/8, i/8), so with step 0.5 one step
+    # crosses up to four relays, which must still switch one by one, each
+    # at the time z passes its own threshold
+    spec = BankSpec(xi=((1.0,),), k=8, fields=(lambda w, z: (1.0,),))
+    bank = RelayBank.staircase(8, 0 if direction == 1 else 8)
+    z0 = -1.1 * direction
+    traj = integrate_bank(spec, (const(2.2, float(direction)),), (z0,), (bank,), step=0.5)
+    order = range(1, 9) if direction == 1 else range(8, 0, -1)
+    assert [e.operator for e in traj.events] == [f"axis1.relay{i}" for i in order]
+    for i, ev in zip(order, traj.events):
+        assert (ev.old, ev.new) == (-direction, direction)
+        thr = i / 8 if direction == 1 else -1.0 + i / 8
+        assert abs(ev.time - abs(thr - z0)) < 1e-9
+    assert traj.hysteresis_log["strings"][-1] == ((direction,) * 8,)
 
 
 def test_bank_inconsistent_seed():

@@ -106,6 +106,20 @@ def test_sample_matches_scalar_evaluation():
         assert max(abs(v - s(t)) for t, v in zip(ts, vals)) < 1e-12
 
 
+def test_sample_rejects_times_outside_horizon():
+    # all three kinds: a time beyond [0, 1] is a DomainError, as for scalar
+    # evaluation, except for a KNOT_TOL-sized stray, which is clamped
+    poly = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+    st = step([0.0, 0.5, 1.0], [1.0, 2.0])
+    mixed = subtract(poly, st)
+    for s in (poly, st, mixed):
+        for t in (2.0, -0.5, 1.0 + 1e-9, float("nan")):
+            with pytest.raises(DomainError):
+                sample(s, [0.5, t])
+        assert sample(s, [1.0 + 1e-14])[0] == pytest.approx(s(1.0))
+    assert sample(poly, []).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # calculus
 
