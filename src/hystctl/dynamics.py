@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .hysteresis import RelayState, play_apply
-from .signals import DomainError, antiderivative, breakpoints, merge_times, sample
+from .signals import DomainError, StepSignal, antiderivative, breakpoints, merge_times, sample
 
 NORM_CAP = 1e6
 EVENT_TOL = 1e-12
@@ -220,14 +220,19 @@ def _check_cap(z, cap):
             raise DivergenceError(f"state left the cap {cap} or is not finite")
 
 
-def _pieces(step, T, signals):
+def _pieces(step, T, controls, plays=()):
     """Pieces (a, b, nsteps) between the merged breakpoints of the signals.
 
-    The signals must share the horizon T (the first signal's if T is None);
+    The controls must be step signals, since the integrators hold each one
+    at its midpoint value on a piece; the plays are polyline outputs.  All
+    signals must share the horizon T (the first signal's if T is None);
     each piece gets the fewest equal steps that are no longer than step.
     """
     if step <= 0.0:
         raise DomainError("step must be positive")
+    if not all(isinstance(c, StepSignal) for c in controls):
+        raise DomainError("controls must be step signals")
+    signals = [*controls, *plays]
     if T is None:
         T = signals[0].horizon
     for s in signals:
@@ -326,7 +331,7 @@ def integrate_play_controls(
 
         return rhs
 
-    times, states = _rk4_pieces(_pieces(step, T, plays), rhs_of, z0, cap)
+    times, states = _rk4_pieces(_pieces(step, T, (), plays), rhs_of, z0, cap)
     log = {f"play{i + 1}": sample(p, times) for i, p in enumerate(plays)}
     return Trajectory(times, states, hysteresis_log=log)
 
@@ -353,7 +358,7 @@ def integrate_play_state(
         raise DomainError("control/state dimensions inconsistent with spec")
     x_polys = [antiderivative(controls[i], float(z0[i])) for i in range(m)]
     plays = [play_apply(x_polys[i], float(spec.w0[i]), spec.rho) for i in range(m - 1)]
-    pieces = _pieces(step, T, [*controls, *plays])
+    pieces = _pieces(step, T, controls, plays)
 
     y0 = np.array([float(c) for c in z0[m:]])
     tgrid_parts = [np.array([pieces[0][0]])]

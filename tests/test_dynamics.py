@@ -86,6 +86,17 @@ def test_divergence_cap_catches_nan():
         integrate_plain(nan_field, (const(1.0, 1.0),), (1.0,), step=0.25)
 
 
+def test_polyline_control_rejected():
+    # the integrators hold a control at its midpoint value on each piece,
+    # which is exact only for step signals; a ramp must not become 0.5
+    ramp = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(DomainError):
+        integrate_plain(EXP_FIELD, (ramp,), (1.0,), step=0.25)
+    spec = BankSpec(xi=((1.0,),), k=2, fields=(lambda w, z: (1.0,),))
+    with pytest.raises(DomainError):
+        integrate_bank(spec, (ramp,), (0.0,), (RelayBank.staircase(2, 1),), step=0.25)
+
+
 def test_control_count_mismatch():
     with pytest.raises(DomainError):
         integrate_plain(heisenberg_fields(), (const(1.0, 1.0),), (0.0, 0.0, 0.0))
