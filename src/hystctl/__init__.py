@@ -2,6 +2,10 @@
 systems with rate-independent hysteresis (play operator, delayed relays,
 relay banks)."""
 
+# Set before the submodule imports: experiments reads it while the package
+# is still initialising.
+__version__ = "0.1.0"
+
 from .signals import (
     DomainError,
     PolylineSignal,
@@ -9,7 +13,6 @@ from .signals import (
     TimeGrid,
     antiderivative,
     derivative,
-    evaluate,
     l1_distance,
     sample,
     sup_distance,
@@ -60,5 +63,3 @@ from .dynamics import (
     sector_index,
 )
 from .experiments import ExperimentReport, convergence_fit, run_experiment
-
-__version__ = "0.1.0"

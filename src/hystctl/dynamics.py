@@ -24,7 +24,9 @@ from functools import partial
 import numpy as np
 
 from .hysteresis import RelayState, play_apply
-from .signals import DomainError, StepSignal, antiderivative, breakpoints, merge_times, sample
+from .signals import (
+    DomainError, StepSignal, antiderivative, breakpoints, check_times, merge_times, sample,
+)
 
 NORM_CAP = 1e6
 EVENT_TOL = 1e-12
@@ -165,7 +167,9 @@ class Trajectory:
         return self.states[-1]
 
     def sample(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+        """States at the times ts, linear between steps; DomainError for
+        times outside [t0, T] by more than KNOT_TOL."""
+        ts = check_times(ts, self.times[0], self.times[-1])
         return np.column_stack(
             [np.interp(ts, self.times, self.states[:, i]) for i in range(self.states.shape[1])]
         )
@@ -211,6 +215,11 @@ def _rk4(rhs, t, z, h):
         zi + h6 * (a + 2.0 * b + 2.0 * c + d)
         for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
     )
+
+
+def _check_dim(z0, n):
+    if len(z0) != n:
+        raise DomainError(f"z0 has {len(z0)} coordinates, the system {n}")
 
 
 def _check_cap(z, cap):
@@ -295,6 +304,7 @@ def integrate_plain(sys: FieldSet, controls, z0, T=None, step=1e-3, cap=NORM_CAP
     """Fixed-step RK4 with sub-steps aligned to every control breakpoint."""
     if len(controls) != sys.m:
         raise DomainError("one control per field required")
+    _check_dim(z0, sys.n)
 
     def rhs_of(a, b):
         return _combined_rhs(sys.fields, [c(0.5 * (a + b)) for c in controls], sys.n)
@@ -308,6 +318,7 @@ def integrate_play_controls(
     """System driven by the play outputs of the inputs v (exact polylines)."""
     if len(v) != sys.m or len(w0) != sys.m:
         raise DomainError("one input and one seed per field required")
+    _check_dim(z0, sys.n)
     plays = [play_apply(vi, wi, rho) for vi, wi in zip(v, w0)]
     fields = sys.fields
     m = sys.m
@@ -462,6 +473,7 @@ def _integrate_relays(xi, relays, select, log_key, label, controls, z0, T, step,
     """
     z = tuple(float(c) for c in z0)
     for j, v in enumerate(xi):
+        _check_dim(z, len(v))
         p = _proj(z, v)
         if not all(r.consistent_with(p) for r in relays[j]):
             raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
@@ -526,6 +538,7 @@ def integrate_switching(
         raise DomainError("initial string must be in {-1,+1}^m")
     if len(controls) != spec.field_table[string].m:
         raise DomainError("one control per field required")
+    _check_dim(z0, spec.field_table[string].n)
     relays = [(RelayState(*spec.axis_thresholds(i), w),) for i, w in enumerate(string)]
 
     def select(outs):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .constructions import (
     build_uk,
     build_vj,
@@ -46,8 +47,6 @@ from .signals import (
     l1_distance,
     sup_distance,
 )
-
-__version__ = "0.1.0"
 
 # default scenario constants, shared by the table experiments
 FIG3_GRID = (0.0, 1.0, 2.0, 3.0, 4.0)

@@ -5,13 +5,18 @@ of these two signal kinds, so the whole toolkit can work with closed-form
 piecewise arithmetic instead of sampling.  Step signals use the half-open
 convention (value of [t_{j-1}, t_j) at t, last interval closed), which makes
 evaluation single-valued without changing any integral.
+
+Step signals, polylines and the PiecewiseAffine results of mixed combinations
+share one view, affine_view() -> (breaks, left, slope) as numpy arrays: the
+signal is left[j] + slope[j]*(t - breaks[j]) on [breaks[j], breaks[j+1]).
+Sampling, breakpoints, combination and the metrics are written once on that
+view; the binary operations read both operands on their merged grid.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +87,10 @@ class StepSignal:
     def __call__(self, t: float) -> float:
         return self.values[self.grid.interval_of(t)]
 
+    def affine_view(self):
+        vals = np.asarray(self.values)
+        return np.asarray(self.grid.points), vals, np.zeros_like(vals)
+
     def to_json(self) -> dict:
         return {"grid": list(self.grid.points), "values": list(self.values)}
 
@@ -99,28 +108,23 @@ class PolylineSignal:
     """Continuous piecewise-linear signal given by its knots."""
 
     knots: tuple[tuple[float, float], ...]
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kn = tuple((float(t), float(v)) for t, v in self.knots)
         object.__setattr__(self, "knots", kn)
         if len(kn) < 2:
             raise DomainError("polyline needs at least 2 knots")
-        times = [t for t, _ in kn]
+        times = tuple(t for t, _ in kn)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError("polyline knot times must be strictly increasing")
         if not all(np.isfinite(t) and np.isfinite(v) for t, v in kn):
             raise DomainError("polyline knots must be finite")
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.knots)
+        object.__setattr__(self, "times", times)
 
     @property
     def horizon(self) -> float:
         return self.knots[-1][0]
-
-    def initial_value(self) -> float:
-        return self.knots[0][1]
 
     def final_value(self) -> float:
         return self.knots[-1][1]
@@ -133,11 +137,12 @@ class PolylineSignal:
         (t0, v0), (t1, v1) = self.knots[j], self.knots[j + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
+    def affine_view(self):
+        t, v = np.array(self.times), np.array([v for _, v in self.knots])
+        return t, v[:-1], (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+
     def slopes(self) -> tuple[float, ...]:
-        return tuple(
-            (v1 - v0) / (t1 - t0)
-            for (t0, v0), (t1, v1) in zip(self.knots, self.knots[1:])
-        )
+        return tuple(self.affine_view()[2].tolist())
 
     def to_json(self) -> dict:
         return {"knots": [[t, v] for t, v in self.knots]}
@@ -150,51 +155,34 @@ class PolylineSignal:
         return list(self.knots)
 
 
-Signal = StepSignal | PolylineSignal
-
-
-def evaluate(s, t: float) -> float:
-    return s(t)
-
-
-def sample(s, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation (same conventions as scalar evaluation).
-
-    Times may stray outside the horizon by KNOT_TOL only (they are clamped).
-    """
+def check_times(ts, t0: float, T: float) -> np.ndarray:
+    """ts as a float array; DomainError if a time (or NaN) strays outside
+    [t0, T] by more than KNOT_TOL."""
     ts = np.asarray(ts, dtype=float)
-    knots = np.asarray(breakpoints(s))
-    t0, T = knots[0], knots[-1]
     if ts.size and not (
         t0 - KNOT_TOL * max(1.0, abs(t0)) <= ts.min()
         and ts.max() <= T + KNOT_TOL * max(1.0, abs(T))
     ):
         raise DomainError(f"sample times outside [{t0}, {T}]")
-    if isinstance(s, PolylineSignal):
-        vals = np.asarray([v for _, v in s.knots])
-        return np.interp(ts, knots, vals)
-    idx = np.searchsorted(knots, ts, side="right") - 1
-    idx = np.clip(idx, 0, len(knots) - 2)
-    if isinstance(s, StepSignal):
-        return np.asarray(s.values)[idx]
-    lv = np.asarray([p[0] for p in s.pieces])
-    sl = np.asarray([p[1] for p in s.pieces])
-    return lv[idx] + sl[idx] * (ts - knots[idx])
+    return ts
 
 
-def signal_to_json(s) -> dict:
-    return s.to_json()
+def sample(s, ts: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation (same conventions as scalar evaluation).
+
+    Times outside the horizon raise DomainError, except strays within
+    KNOT_TOL, which are evaluated on the nearest piece.
+    """
+    breaks, left, slope = s.affine_view()
+    ts = check_times(ts, breaks[0], breaks[-1])
+    j = np.searchsorted(breaks[1:-1], ts, side="right")
+    return left[j] + slope[j] * (ts - breaks[j])
 
 
 def signal_from_json(data: dict):
     if "knots" in data:
         return PolylineSignal.from_json(data)
     return StepSignal.from_json(data)
-
-
-def load_signal(path: str):
-    with open(path) as fh:
-        return signal_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +228,13 @@ class PiecewiseAffine:
         lv, sl = self.pieces[j]
         return lv + sl * (t - self.breaks[j])
 
+    def affine_view(self):
+        pieces = np.asarray(self.pieces).reshape(-1, 2)
+        return np.asarray(self.breaks), pieces[:, 0], pieces[:, 1]
+
 
 def breakpoints(s) -> tuple[float, ...]:
-    if isinstance(s, StepSignal):
-        return s.grid.points
-    if isinstance(s, PolylineSignal):
-        return s.times
-    if isinstance(s, PiecewiseAffine):
-        return s.breaks
-    raise TypeError(f"not a signal: {type(s)}")
+    return tuple(s.affine_view()[0].tolist())
 
 
 def merge_times(*time_lists) -> tuple[float, ...]:
@@ -260,26 +246,33 @@ def merge_times(*time_lists) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _piece_on(s, t0: float, t1: float) -> tuple[float, float]:
-    """(value at t0+, slope) of s on a subinterval of one of its pieces."""
-    tm = 0.5 * (t0 + t1)
-    if isinstance(s, StepSignal):
-        return s(tm), 0.0
-    if isinstance(s, PolylineSignal):
-        v0, v1 = s(t0), s(t1)
-        return v0, (v1 - v0) / (t1 - t0)
-    if isinstance(s, PiecewiseAffine):
-        j = min(bisect_right(s.breaks, tm) - 1, len(s.breaks) - 2)
-        lv, sl = s.pieces[j]
-        return lv + sl * (t0 - s.breaks[j]), sl
-    raise TypeError(f"not a signal: {type(s)}")
-
-
 def _check_common_horizon(a, b) -> None:
     if not _times_equal(a.horizon, b.horizon):
         raise DomainError(
             f"signals live on different horizons: {a.horizon} vs {b.horizon}"
         )
+
+
+def _merged(a, b, ca: float, cb: float):
+    """ca*a + cb*b on the merged grid: (times, left, slope).
+
+    times are the merged breaks as floats; left and slope hold the value at
+    the start and the slope of the sum on each merged interval.  Each
+    operand's piece on an interval is the one containing its midpoint, so a
+    break merged away within KNOT_TOL extends its neighbour's line.
+    """
+    _check_common_horizon(a, b)
+    views = a.affine_view(), b.affine_view()
+    times = merge_times(views[0][0].tolist(), views[1][0].tolist())
+    grid = np.asarray(times)
+    t0 = grid[:-1]
+    mid = 0.5 * (t0 + grid[1:])
+    left, slope = np.zeros(len(mid)), np.zeros(len(mid))
+    for c, (breaks, lv, sl) in zip((ca, cb), views):
+        j = np.searchsorted(breaks[1:-1], mid, side="right")
+        left += c * (lv[j] + sl[j] * (t0 - breaks[j]))
+        slope += c * sl[j]
+    return times, left, slope
 
 
 def combine(a, b, ca: float = 1.0, cb: float = 1.0):
@@ -288,22 +281,13 @@ def combine(a, b, ca: float = 1.0, cb: float = 1.0):
     Same-kind operands stay in their kind; a mixed pair is returned as a
     PiecewiseAffine since a polyline minus a step is discontinuous.
     """
-    _check_common_horizon(a, b)
-    times = merge_times(breakpoints(a), breakpoints(b))
+    times, left, slope = _merged(a, b, ca, cb)
     if isinstance(a, StepSignal) and isinstance(b, StepSignal):
-        vals = tuple(
-            ca * a(0.5 * (t0 + t1)) + cb * b(0.5 * (t0 + t1))
-            for t0, t1 in zip(times, times[1:])
-        )
-        return StepSignal(TimeGrid(times), vals)
+        return StepSignal(TimeGrid(times), left.tolist())
     if isinstance(a, PolylineSignal) and isinstance(b, PolylineSignal):
-        return PolylineSignal(tuple((t, ca * a(t) + cb * b(t)) for t in times))
-    pieces = []
-    for t0, t1 in zip(times, times[1:]):
-        va, sa = _piece_on(a, t0, t1)
-        vb, sb = _piece_on(b, t0, t1)
-        pieces.append((ca * va + cb * vb, ca * sa + cb * sb))
-    return PiecewiseAffine(times, tuple(pieces))
+        end = left[-1] + slope[-1] * (times[-1] - times[-2])
+        return PolylineSignal(tuple(zip(times, left.tolist() + [float(end)])))
+    return PiecewiseAffine(times, tuple(zip(left.tolist(), slope.tolist())))
 
 
 def add(a, b):
@@ -320,32 +304,19 @@ def l1_distance(a, b) -> float:
     Each merged interval carries an affine difference, integrated in closed
     form with a split at its sign change.
     """
-    _check_common_horizon(a, b)
-    times = merge_times(breakpoints(a), breakpoints(b))
-    total = 0.0
-    for t0, t1 in zip(times, times[1:]):
-        va, sa = _piece_on(a, t0, t1)
-        vb, sb = _piece_on(b, t0, t1)
-        c, m = va - vb, sa - sb
-        tau = t1 - t0
-        d0, d1 = c, c + m * tau
-        if m != 0.0:
-            r = -c / m
-            if 0.0 < r < tau:
-                total += 0.5 * (abs(d0) * r + abs(d1) * (tau - r))
-                continue
-        total += 0.5 * (abs(d0) + abs(d1)) * tau
-    return total
+    times, c, m = _merged(a, b, 1.0, -1.0)
+    tau = np.diff(times)
+    d0, d1 = np.abs(c), np.abs(c + m * tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = -c / m  # inf or nan where m == 0, and then no split
+    split = (0.0 < r) & (r < tau)
+    r = np.where(split, r, 0.0)
+    pieces = np.where(split, 0.5 * (d0 * r + d1 * (tau - r)), 0.5 * (d0 + d1) * tau)
+    return float(pieces.sum())
 
 
 def sup_distance(a, b) -> float:
     """Exact sup of |a - b|, attained at merged breakpoints (one-sided)."""
-    _check_common_horizon(a, b)
-    times = merge_times(breakpoints(a), breakpoints(b))
-    best = 0.0
-    for t0, t1 in zip(times, times[1:]):
-        va, sa = _piece_on(a, t0, t1)
-        vb, sb = _piece_on(b, t0, t1)
-        c, m = va - vb, sa - sb
-        best = max(best, abs(c), abs(c + m * (t1 - t0)))
-    return best
+    times, c, m = _merged(a, b, 1.0, -1.0)
+    d1 = c + m * np.diff(times)
+    return float(max(np.abs(c).max(initial=0.0), np.abs(d1).max(initial=0.0)))

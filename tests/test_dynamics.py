@@ -102,6 +102,41 @@ def test_control_count_mismatch():
         integrate_plain(heisenberg_fields(), (const(1.0, 1.0),), (0.0, 0.0, 0.0))
 
 
+def test_trajectory_sample_rejects_times_outside_horizon():
+    traj = integrate_plain(EXP_FIELD, (const(1.0, 1.0),), (1.0,), step=0.25)
+    for t in (5.0, -3.0, 1.0 + 1e-9, float("nan")):
+        with pytest.raises(DomainError):
+            traj.sample([0.5, t])
+    assert traj.sample([1.0 + 1e-14])[0] == pytest.approx(traj.final_state)
+
+
+def _bank_heisenberg():
+    spec = BankSpec(xi=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), k=2,
+                    fields=(lambda w, z: (1.0, 0.0, 0.0), lambda w, z: (0.0, 1.0, z[0])))
+    return spec, (RelayBank.staircase(2, 1),) * 2
+
+
+@pytest.mark.parametrize("integrator", ["plain", "play_controls", "switching", "bank"])
+def test_state_dimension_mismatch(integrator):
+    # Heisenberg fields act on R^3; a 2-coordinate z0 must not be truncated
+    c, z0 = const(1.0, 1.0), (0.0, 0.0)
+    heis = heisenberg_fields()
+    with pytest.raises(DomainError):
+        if integrator == "plain":
+            integrate_plain(heis, (c, c), z0, step=0.25)
+        elif integrator == "play_controls":
+            v = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+            integrate_play_controls(heis, (v, v), (0.0, 0.0), 0.2, z0, step=0.25)
+        elif integrator == "switching":
+            table = {(s1, s2): heis for s1 in (-1, 1) for s2 in (-1, 1)}
+            spec = SwitchingSpec(xi=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), eta=0.3,
+                                 field_table=table)
+            integrate_switching(spec, (c, c), z0, (1, 1), step=0.25)
+        else:
+            spec, banks = _bank_heisenberg()
+            integrate_bank(spec, (c, c), z0, banks, step=0.25)
+
+
 def test_trajectory_csv(tmp_path):
     traj = integrate_plain(EXP_FIELD, (const(1.0, 1.0),), (1.0,), step=0.25)
     path = tmp_path / "traj.csv"

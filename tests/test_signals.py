@@ -4,9 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hystctl.signals import (
+    KNOT_TOL,
     DomainError,
+    PiecewiseAffine,
     PolylineSignal,
     StepSignal,
     TimeGrid,
@@ -15,11 +19,10 @@ from hystctl.signals import (
     breakpoints,
     combine,
     derivative,
-    evaluate,
     l1_distance,
+    merge_times,
     sample,
     signal_from_json,
-    signal_to_json,
     subtract,
     sup_distance,
 )
@@ -72,7 +75,7 @@ def test_grid_validation():
 
 def test_step_evaluation_convention():
     s = step([0.0, 1.0, 2.0], [1.0, -1.0])
-    assert evaluate(s, 0.5) == 1.0
+    assert s(0.5) == 1.0
     assert s(1.0) == -1.0  # half-open: knot belongs to the right interval
     assert s(2.0) == -1.0  # last interval closed
     with pytest.raises(DomainError):
@@ -108,7 +111,7 @@ def test_sample_matches_scalar_evaluation():
 
 def test_sample_rejects_times_outside_horizon():
     # all three kinds: a time beyond [0, 1] is a DomainError, as for scalar
-    # evaluation, except for a KNOT_TOL-sized stray, which is clamped
+    # evaluation, except for a KNOT_TOL-sized stray, which takes the end piece
     poly = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
     st = step([0.0, 0.5, 1.0], [1.0, 2.0])
     mixed = subtract(poly, st)
@@ -235,7 +238,7 @@ def test_json_roundtrip():
     s = step([0.0, 1.0, 2.0], [1.0, -1.0])
     p = PolylineSignal(((0.0, 0.5), (2.0, -1.5)))
     for sig in (s, p):
-        blob = json.dumps(signal_to_json(sig))
+        blob = json.dumps(sig.to_json())
         back = signal_from_json(json.loads(blob))
         assert back == sig
 
@@ -245,3 +248,104 @@ def test_csv_rows():
     assert s.csv_rows() == [(0.0, 1.0), (1.0, -1.0), (2.0, -1.0)]
     p = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
     assert p.csv_rows() == [(0.0, 0.0), (1.0, 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# randomized properties of the merged-grid core
+
+HORIZON = 4.0
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+values = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def signals(draw):
+    """A step signal or a polyline on [0, HORIZON] with 1 to 12 pieces."""
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=12))
+    pts = np.cumsum([0.0] + gaps) * (HORIZON / sum(gaps))
+    pts[-1] = HORIZON
+    if draw(st.booleans()):
+        return step(pts, draw(st.lists(values, min_size=len(gaps), max_size=len(gaps))))
+    vals = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
+    return PolylineSignal(tuple(zip(pts, vals)))
+
+
+def merged_grid(a, b):
+    return np.asarray(merge_times(breakpoints(a), breakpoints(b)))
+
+
+def interior_probes(a, b, theta):
+    """One time inside each merged interval, at the fraction theta of it."""
+    grid = merged_grid(a, b)
+    return grid[:-1] + theta * np.diff(grid)
+
+
+def float_fields(s):
+    if isinstance(s, StepSignal):
+        return [*s.grid.points, *s.values]
+    if isinstance(s, PolylineSignal):
+        return [x for knot in s.knots for x in knot]
+    assert isinstance(s, PiecewiseAffine)
+    return [*s.breaks, *(x for piece in s.pieces for x in piece)]
+
+
+def shifted(s, eps, vals=None):
+    """s with every knot time t moved to t*(1 + eps), optionally new values."""
+    if isinstance(s, StepSignal):
+        vals = s.values if vals is None else vals[: len(s.values)]
+        return step([t * (1.0 + eps) for t in s.grid.points], vals)
+    vals = [v for _, v in s.knots] if vals is None else vals[: len(s.knots)]
+    return PolylineSignal(tuple((t * (1.0 + eps), v) for t, v in zip(s.times, vals)))
+
+
+@PROPERTY
+@given(signals(), signals(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.01, 0.99))
+def test_combine_pointwise_randomized(a, b, ca, cb, theta):
+    c = combine(a, b, ca, cb)
+    for t in [0.0, HORIZON, *interior_probes(a, b, theta)]:
+        assert abs(c(t) - (ca * a(t) + cb * b(t))) < 1e-12
+    # numpy scalars leaking into a signal slow every later scalar evaluation
+    assert all(type(x) is float for x in [*breakpoints(c), *float_fields(c)])
+
+
+@PROPERTY
+@given(signals(), signals(), st.floats(0.01, 0.99))
+def test_sup_distance_attained_at_a_merged_break(a, b, theta):
+    sup = sup_distance(a, b)
+    for t in [0.0, HORIZON, *interior_probes(a, b, theta)]:
+        assert abs(a(t) - b(t)) <= sup + 1e-12
+    # a - b is affine inside each merged interval, so two interior values
+    # give its one-sided limits at both ends of the interval
+    limits = []
+    grid = merged_grid(a, b)
+    for lo, hi in zip(grid, grid[1:]):
+        p = a(lo + (hi - lo) / 3) - b(lo + (hi - lo) / 3)
+        q = a(lo + 2 * (hi - lo) / 3) - b(lo + 2 * (hi - lo) / 3)
+        limits += [abs(2 * p - q), abs(2 * q - p)]
+    assert sup == pytest.approx(max(limits), abs=1e-12)
+
+
+@PROPERTY
+@given(signals(), signals(), signals())
+def test_l1_distance_symmetric_and_triangle(a, b, c):
+    ab = l1_distance(a, b)
+    assert abs(ab - l1_distance(b, a)) <= 1e-12 * max(1.0, ab)
+    assert l1_distance(a, c) <= ab + l1_distance(b, c) + 1e-12
+
+
+@PROPERTY
+@given(signals(), st.floats(1e-14, 0.2 * KNOT_TOL), st.lists(values, min_size=13, max_size=13),
+       st.floats(0.01, 0.99))
+def test_knots_closer_than_knot_tol_merge(a, eps, vals, theta):
+    # every knot of b but t = 0 differs from a's by a few ulps to KNOT_TOL/4;
+    # the merged grid keeps a's knots and extends b's pieces over the gaps,
+    # which moves a value by at most the steepest slope times the shift
+    b = shifted(a, eps, vals)
+    c = combine(a, b, 1.0, -1.0)
+    assert len(breakpoints(c)) == len(breakpoints(a))
+    steepest = max(map(abs, b.slopes())) if isinstance(b, PolylineSignal) else 0.0
+    for t in interior_probes(a, b, theta):
+        assert abs(c(t) - (a(t) - b(t))) < 1e-12 + steepest * eps * HORIZON
+    twin = shifted(a, eps)
+    assert sup_distance(a, twin) < 1e-9
+    assert l1_distance(a, twin) < 1e-9
