@@ -1,48 +1,32 @@
 """Command-line front end.
 
 One subcommand per experiment, small operator utilities (play / relay / bank),
-and a free-form `sim` runner driven by a JSON config.  Exit codes: 0 all
-verdicts pass, 1 domain error or failed verdict, 2 usage error.
+and a free-form `sim` runner driven by a JSON config.  Experiment flags come
+from the registry in experiments.py, and flag strings and config values go
+through its parse_param, so a value it rejects is a usage error.  Exit codes:
+0 all verdicts pass, 1 domain error or failed verdict, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
-from .dynamics import events_to_csv, heisenberg_fields, integrate_plain
-from .experiments import EXPERIMENTS, run_experiment
+from .dynamics import heisenberg_fields, integrate_plain
+from .experiments import (
+    EXPERIMENTS,
+    PARAMS,
+    experiment_params,
+    parse_param,
+    parse_params,
+    run_experiment,
+)
 from .hysteresis import RelayBank, RelayState, bank_trace, play_apply, relay_advance
 from .signals import DomainError, PolylineSignal, StepSignal, signal_from_json
-
-# flags each experiment accepts (mirrors the experiment param checks)
-EXP_PARAMS = {
-    "fig3_surjectivity": ("k", "rho", "w0"),
-    "thm2_convergence": ("k", "rho", "step"),
-    "fig5_density": ("j", "rho"),
-    "thm3_convergence": ("j", "rho", "step", "seed"),
-    "heis_exact": ("cases", "rho", "step", "seed"),
-    "switching_demo": ("step",),
-    "bank_vs_truncated": ("k", "cases", "seed"),
-    "chain_demo": ("j", "rho", "step"),
-}
-
-
-def _int_list(s):
-    return [int(x) for x in str(s).split(",") if x != ""]
-
-FLAG_TYPES = {
-    "k": _int_list,
-    "j": _int_list,
-    "rho": float,
-    "w0": float,
-    "step": float,
-    "seed": int,
-    "cases": int,
-}
-
 
 @dataclass
 class RunConfig:
@@ -86,20 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="CSV of the macroscopic output")
     sp.add_argument("--events", help="CSV of relay switch events")
 
-    def add_exp_flags(parser, names):
-        for name in names:
-            parser.add_argument(f"--{name}", type=FLAG_TYPES[name])
+    def add_exp_flags(parser, defaults):
+        for name, default in defaults.items():
+            parser.add_argument(f"--{name}", help=f"default: {default}")
         parser.add_argument("--out", help="CSV table path")
         parser.add_argument("--manifest", help="JSON manifest path")
         parser.add_argument("--config", help="JSON config file (flags override it)")
 
     sp = sub.add_parser("sim", help="run an experiment or a config-driven simulation")
     sp.add_argument("experiment", nargs="?", help="experiment id (unique prefix ok)")
-    add_exp_flags(sp, sorted(FLAG_TYPES))
+    add_exp_flags(sp, dict.fromkeys(sorted(PARAMS), "the experiment's"))
 
     for exp_id in EXPERIMENTS:
         sp = sub.add_parser(exp_id, help=f"run the {exp_id} experiment")
-        add_exp_flags(sp, EXP_PARAMS[exp_id])
+        add_exp_flags(sp, experiment_params(exp_id))
     return p
 
 
@@ -129,55 +113,47 @@ def parse_config(argv) -> RunConfig:
             raise _UsageError("need k >= 1")
         return cfg
 
-    # experiment-style commands
-    cfg.out = args.pop("out", None)
-    cfg.manifest = args.pop("manifest", None)
-    config_path = args.pop("config", None)
-    exp = command if command in EXPERIMENTS else args.pop("experiment", None)
-
-    file_params: dict = {}
+    # experiment-style commands: the flags given override the config's values
+    config_path = args.pop("config")
+    raw: dict = {}
     if config_path:
         with open(config_path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise _UsageError("config file must hold a JSON object")
-        file_exp = raw.pop("experiment", None)
-        if exp is None:
-            exp = file_exp
-        cfg.out = cfg.out or raw.pop("out", None)
-        cfg.manifest = cfg.manifest or raw.pop("manifest", None)
-        cfg.extra = {k: raw.pop(k) for k in ("system", "controls", "z0", "step", "T")
-                     if k in raw and exp is None}
-        file_params = raw
+    given = {**raw, **{key: val for key, val in args.items() if val is not None}}
+    exp = given.pop("experiment", None)
+    exp = command if command in EXPERIMENTS else exp
+    cfg.out, cfg.manifest = given.pop("out", None), given.pop("manifest", None)
+    if not all(path is None or isinstance(path, str) for path in (cfg.out, cfg.manifest)):
+        raise _UsageError("out and manifest must be path strings")
 
-    if command == "sim" and exp is None:
-        if cfg.extra.get("system"):
-            if not cfg.out:
-                raise _UsageError("config-driven sim needs an --out path")
+    try:  # what the parsers reject is a usage error here
+        if exp is not None:
+            cfg.experiment = _resolve_experiment(str(exp))
+            cfg.params = parse_params(cfg.experiment, given)
             return cfg
-        raise _UsageError("sim needs an experiment id or a config with one")
-    if exp is None:
-        raise _UsageError("no experiment selected")
-    exp = _resolve_experiment(str(exp))
-    cfg.experiment = exp
-
-    allowed = set(EXP_PARAMS[exp])
-    params = {}
-    for key, val in file_params.items():
-        if key not in allowed:
-            raise _UsageError(f"unknown config key for {exp}: {key!r}")
-        params[key] = val
-    for key in FLAG_TYPES:
-        if key in args and args[key] is not None:
-            if key not in allowed:
-                raise _UsageError(f"--{key} is not a parameter of {exp}")
-            params[key] = args[key]
-    if "rho" in params and not params["rho"] > 0.0:
-        raise _UsageError("rho must be positive")
-    if "step" in params and not params["step"] > 0.0:
-        raise _UsageError("step must be positive")
-    cfg.params = params
+        cfg.extra = _sim_extra(given)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
+    if not cfg.out:
+        raise _UsageError("config-driven sim needs an --out path")
     return cfg
+
+
+def _sim_extra(raw: dict) -> dict:
+    """The parsed inputs of a config-driven sim (a config with no experiment)."""
+    if not {"system", "controls", "z0"} <= set(raw) <= {"system", "controls", "z0", "step", "T"}:
+        raise DomainError(f"sim needs an experiment id, or a config with the keys "
+                          f"system, controls, z0 and optional step, T (got {sorted(raw)})")
+    if not isinstance(raw["controls"], list):
+        raise DomainError("config controls must be a JSON list of signals")
+    return {
+        **raw,
+        "z0": tuple(parse_param("z0", raw["z0"], (float, -math.inf, True))),
+        "step": parse_param("step", raw.get("step", 1e-3)),
+        "T": None if raw.get("T") is None else parse_param("T", raw["T"], PARAMS["step"]),
+    }
 
 
 def _load_polyline(path: str) -> PolylineSignal:
@@ -190,8 +166,6 @@ def _load_polyline(path: str) -> PolylineSignal:
 
 def _write_or_print(rows, header, out):
     if out:
-        import csv
-
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -203,14 +177,13 @@ def _write_or_print(rows, header, out):
 
 
 def dispatch(cfg: RunConfig) -> int:
+    a = cfg.extra
     if cfg.command == "play":
-        a = cfg.extra
         out_sig = play_apply(_load_polyline(a["input"]), a["w0"], a["rho"])
         _write_or_print(out_sig.csv_rows(), ["t", "w"], a.get("out"))
         return 0
 
     if cfg.command == "relay":
-        a = cfg.extra
         sig = _load_polyline(a["input"])
         state = RelayState(a["lo"], a["hi"], a["out0"])
         rows = []
@@ -222,7 +195,6 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "bank":
-        a = cfg.extra
         sig = _load_polyline(a["input"])
         bank = RelayBank.staircase(a["k"], a["nplus"])
         output, events, _ = bank_trace(bank, sig)
@@ -233,24 +205,15 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "sim" and cfg.experiment is None:
-        e = cfg.extra
-        if e.get("system") != "heisenberg":
+        if a["system"] != "heisenberg":
             raise DomainError("config-driven sim supports system 'heisenberg'")
-        controls = tuple(signal_from_json(c) for c in e["controls"])
-        traj = integrate_plain(
-            heisenberg_fields(), controls, tuple(e["z0"]), step=e.get("step", 1e-3)
-        )
+        controls = tuple(signal_from_json(c) for c in a["controls"])
+        traj = integrate_plain(heisenberg_fields(), controls, a["z0"], T=a["T"], step=a["step"])
         traj.to_csv(cfg.out)
         return 0
 
     report = run_experiment(cfg.experiment, cfg.params)
-    if cfg.out:
-        report.to_csv(cfg.out)
-    else:
-        keys = list(report.rows[0].keys())
-        print(",".join(keys))
-        for r in report.rows:
-            print(",".join(str(r[k]) for k in keys))
+    _write_or_print([r.values() for r in report.rows], list(report.rows[0]), cfg.out)
     if cfg.manifest:
         report.to_manifest(cfg.manifest)
     print(f"{report.id}: {'pass' if report.verdict else 'fail'} ({report.runtime:.3f}s)")
@@ -260,18 +223,16 @@ def dispatch(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = parse_config(argv)
+        return dispatch(parse_config(argv))
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return dispatch(cfg)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

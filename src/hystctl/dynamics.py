@@ -375,9 +375,12 @@ def integrate_play_state(
     tgrid_parts = [np.array([pieces[0][0]])]
     y_parts = [y0[None, :]]
     y = y0
-    for a, b, nsub in pieces:
-        ts = np.linspace(a, b, 2 * nsub + 1)
-        p_samp = [sample(p, ts) for p in plays]
+    # Simpson nodes of every piece, and each play sampled on all of them at once
+    nodes = [np.linspace(a, b, 2 * nsub + 1) for a, b, nsub in pieces]
+    ends = np.cumsum([len(ts) for ts in nodes])
+    p_all = [sample(p, np.concatenate(nodes)) for p in plays]
+    for (a, b, nsub), ts, end in zip(pieces, nodes, ends):
+        p_samp = [ps[end - len(ts):end] for ps in p_all]
         h = (b - a) / (2 * nsub)
         incs = np.zeros((nsub, m - 1))
         for i in range(2, m + 1):

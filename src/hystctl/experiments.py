@@ -3,6 +3,10 @@
 Each experiment binds constructions + dynamics into a pass/fail check with a
 metric table; verdicts depend only on the declared tolerances, and runs are
 deterministic given the same params (randomized ones take explicit seeds).
+
+EXPERIMENTS is the registry: an experiment's parameters are the keyword
+defaults of its `_exp_*` function, and every value, from the API or the CLI,
+goes through parse_param (one rule per name).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -100,14 +105,50 @@ def convergence_fit(rows, xkey: str, ykey: str) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _get(params, key, default):
-    return params[key] if key in params else default
+# ---------------------------------------------------------------------------
+# parameters: one rule per name, read by run_experiment and by the CLI
+
+def _number(value, kind, name):
+    """value (a string, or a JSON or Python number) as a finite `kind`;
+    DomainError for a bool, an unparsable string, a non-finite number or, for
+    an int, a non-integral one."""
+    try:
+        if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+            x = kind(value)
+            if math.isfinite(x) and (isinstance(value, str) or x == value):
+                return x
+    except (ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a finite {kind.__name__}, got {value!r}")
 
 
-def _check_keys(params, allowed):
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise DomainError(f"unknown params: {sorted(unknown)}")
+# name -> rule (type, bound, list?): an int must be >= its bound, a float > it
+PARAMS = {
+    "k": (int, 1, True),
+    "j": (int, 1, True),
+    "rho": (float, 0.0, False),
+    "step": (float, 0.0, False),
+    "w0": (float, -math.inf, False),
+    "seed": (int, 0, False),
+    "cases": (int, 1, False),
+}
+
+
+def parse_param(name: str, value, rule=None):
+    """value of the experiment parameter `name` under its PARAMS rule (or under
+    `rule`, for a value of that form), from a flag string ("10,20,40" for a
+    list), a JSON value or a Python value.  Idempotent; DomainError otherwise."""
+    kind, bound, is_list = rule or PARAMS[name]
+    items = [value]
+    if is_list:
+        items = [s for s in value.split(",") if s.strip()] if isinstance(value, str) else value
+        if not isinstance(items, (list, tuple)) or not items:
+            raise DomainError(f"{name} must be a non-empty list, got {value!r}")
+    xs = [_number(v, kind, name) for v in items]
+    for x in xs:
+        if not (x >= bound if kind is int else x > bound):
+            raise DomainError(f"{name} must be {'>=' if kind is int else '>'} {bound}, got {x}")
+    return xs if is_list else xs[0]
 
 
 def _fig3_ubar():
@@ -117,27 +158,19 @@ def _fig3_ubar():
 # ---------------------------------------------------------------------------
 # experiments
 
-def _exp_fig3_surjectivity(params):
-    _check_keys(params, {"k", "rho", "w0"})
-    ks = _get(params, "k", [10, 20, 40])
-    rho = _get(params, "rho", DEFAULT_RHO)
-    w0 = _get(params, "w0", FIG3_W0)
+def _exp_fig3_surjectivity(*, k=(10, 20, 40), rho=DEFAULT_RHO, w0=FIG3_W0):
     ubar = _fig3_ubar()
     rows = []
-    for k in ks:
-        uk = build_uk(ubar, w0, k)
-        vk = build_vk(ubar, w0, rho, k)
+    for ki in k:
+        uk = build_uk(ubar, w0, ki)
+        vk = build_vk(ubar, w0, rho, ki)
         gap = sup_distance(play_apply(vk, w0, rho), uk)
-        rows.append({"k": k, "knot_gap": gap, "l1_uk_ubar": l1_distance(uk, ubar)})
+        rows.append({"k": ki, "knot_gap": gap, "l1_uk_ubar": l1_distance(uk, ubar)})
     verdict = all(r["knot_gap"] < 1e-10 for r in rows)
     return rows, verdict
 
 
-def _exp_thm2_convergence(params):
-    _check_keys(params, {"k", "rho", "step"})
-    ks = _get(params, "k", [10, 20, 40, 80])
-    rho = _get(params, "rho", DEFAULT_RHO)
-    step = _get(params, "step", 1e-3)
+def _exp_thm2_convergence(*, k=(10, 20, 40, 80), rho=DEFAULT_RHO, step=1e-3):
     u1bar = _fig3_ubar()
     u2bar = StepSignal(TimeGrid(FIG3_GRID), (-1.0, 0.5, 2.0, 1.0))
     w0s = (FIG3_W0, -1.0)
@@ -150,11 +183,11 @@ def _exp_thm2_convergence(params):
     rows = []
     hull_x = [np.abs(ref.states[:, 0]).max()]
     trajs = []
-    for k in ks:
-        v1 = build_vk(u1bar, w0s[0], rho, k)
-        v2 = build_vk(u2bar, w0s[1], rho, k)
+    for ki in k:
+        v1 = build_vk(u1bar, w0s[0], rho, ki)
+        v2 = build_vk(u2bar, w0s[1], rho, ki)
         traj = integrate_play_controls(sysf, (v1, v2), w0s, rho, z0, step=step)
-        trajs.append((k, traj))
+        trajs.append((ki, traj))
         hull_x.append(np.abs(traj.states[:, 0]).max())
     # field bound on the (inflated) hull of all sampled states
     M_prime = 1.1 * math.sqrt(1.0 + max(hull_x) ** 2)
@@ -165,14 +198,14 @@ def _exp_thm2_convergence(params):
         abs(w0s[1]),
     )
     L = sysf.lipschitz
-    for k, traj in trajs:
+    for ki, traj in trajs:
         gap = float(np.linalg.norm(traj.sample(ts) - ref_s, axis=1).max())
         C_k = M_prime * (
-            l1_distance(build_uk(u1bar, w0s[0], k), u1bar)
-            + l1_distance(build_uk(u2bar, w0s[1], k), u2bar)
+            l1_distance(build_uk(u1bar, w0s[0], ki), u1bar)
+            + l1_distance(build_uk(u2bar, w0s[1], ki), u2bar)
         )
         bound = gronwall_bound(C_k, 2.0, M, L, T)
-        rows.append({"k": k, "sup_gap": gap, "C_k": C_k, "gronwall_bound": bound})
+        rows.append({"k": ki, "sup_gap": gap, "C_k": C_k, "gronwall_bound": bound})
     gaps = [r["sup_gap"] for r in rows]
     verdict = (
         all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -182,17 +215,14 @@ def _exp_thm2_convergence(params):
     return rows, verdict
 
 
-def _exp_fig5_density(params):
-    _check_keys(params, {"j", "rho"})
-    js = _get(params, "j", [10, 20, 40])
-    rho = _get(params, "rho", DEFAULT_RHO)
+def _exp_fig5_density(*, j=(10, 20, 40), rho=DEFAULT_RHO):
     x = PolylineSignal(FIG5_KNOTS)
     rows = []
-    for j in js:
-        v = build_vj(x, rho, j)
+    for ji in j:
+        v = build_vj(x, rho, ji)
         sup = sup_distance(play_apply(v, x.knots[0][1], rho), x)
-        expected = reversal_sup_error(x, j)
-        rows.append({"j": j, "sup_error": sup, "expected": expected})
+        expected = reversal_sup_error(x, ji)
+        rows.append({"j": ji, "sup_error": sup, "expected": expected})
     verdict = all(abs(r["sup_error"] - r["expected"]) < 1e-10 for r in rows)
     return rows, verdict
 
@@ -201,12 +231,7 @@ def _thm3_bound(u2bar, xbar_slopes, L, T, j):
     return L * T * max(abs(v) for v in u2bar.values) * max(abs(s) for s in xbar_slopes) / j
 
 
-def _exp_thm3_convergence(params):
-    _check_keys(params, {"j", "rho", "step", "seed"})
-    js = _get(params, "j", [10, 20, 40])
-    rho = _get(params, "rho", DEFAULT_RHO)
-    step = _get(params, "step", 1e-3)
-    seed = _get(params, "seed", 7)
+def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7):
     rng = np.random.default_rng(seed)
     cases = {"id": (lambda x: x, 1.0), "sin": (np.sin, 1.0)}
     rows = []
@@ -220,12 +245,12 @@ def _exp_thm3_convergence(params):
         xbar_slopes = ubar[0].values
         T = ubar[0].horizon
         ez_prev = None
-        for j in js:
-            sched = thm3_schedule(ubar, tuple(A), rho, w0, j)
+        for ji in j:
+            sched = thm3_schedule(ubar, tuple(A), rho, w0, ji)
             traj = integrate_play_state(spec, sched.concatenated(), tuple(A), step=step)
             ex, ey, ez = (abs(float(c)) for c in traj.final_state - B)
-            bound = _thm3_bound(ubar[1], xbar_slopes, L, T, j)
-            rows.append({"f": name, "j": j, "ex": ex, "ey": ey, "ez": ez, "bound": bound})
+            bound = _thm3_bound(ubar[1], xbar_slopes, L, T, ji)
+            rows.append({"f": name, "j": ji, "ex": ex, "ey": ey, "ez": ez, "bound": bound})
             verdict &= ex < 1e-8 and ey < 1e-8 and ez <= bound
             if ez_prev is not None:
                 verdict &= ez < ez_prev
@@ -233,15 +258,10 @@ def _exp_thm3_convergence(params):
     return rows, verdict
 
 
-def _exp_heis_exact(params):
-    _check_keys(params, {"cases", "rho", "step", "seed"})
-    n_cases = _get(params, "cases", 20)
-    rho = _get(params, "rho", DEFAULT_RHO)
-    step = _get(params, "step", 1e-3)
-    seed = _get(params, "seed", 11)
+def _exp_heis_exact(*, cases=20, rho=DEFAULT_RHO, step=1e-3, seed=11):
     rng = np.random.default_rng(seed)
     rows = []
-    for c in range(n_cases):
+    for c in range(cases):
         A = rng.uniform(-1.0, 1.0, 3)
         B = rng.uniform(-1.0, 1.0, 3)
         w0 = float(A[0] + rng.uniform(-rho, rho))
@@ -284,9 +304,7 @@ def _switching_controls():
     return (StepSignal(grid, (-1.0, 0.0, 1.0)), StepSignal(grid, (0.0, -1.0, 0.0)))
 
 
-def _exp_switching_demo(params):
-    _check_keys(params, {"step"})
-    step = _get(params, "step", 1e-3)
+def _exp_switching_demo(*, step=1e-3):
     spec = demo_switching_spec()
     controls = _switching_controls()
     z0 = (0.5, 0.5)
@@ -336,28 +354,24 @@ def _staircase_seed(zeta0: float, k: int) -> int:
     return max(0, min(k, math.ceil(k * zeta0)))
 
 
-def _exp_bank_vs_truncated(params):
-    _check_keys(params, {"k", "cases", "seed"})
-    ks = _get(params, "k", [4, 16, 64])
-    n_cases = _get(params, "cases", 100)
-    seed = _get(params, "seed", 3)
+def _exp_bank_vs_truncated(*, k=(4, 16, 64), cases=100, seed=3):
     rows = []
     verdict = True
-    for k in ks:
-        rng = np.random.default_rng(seed + k)
+    for ki in k:
+        rng = np.random.default_rng(seed + ki)
         worst = 0.0
-        for _ in range(n_cases):
+        for _ in range(cases):
             zeta = _random_zeta(rng)
             zeta0 = zeta.knots[0][1]
-            n_plus = _staircase_seed(zeta0, k)
-            bank = RelayBank.staircase(k, n_plus)
-            w0 = 2.0 * n_plus / k - 1.0
+            n_plus = _staircase_seed(zeta0, ki)
+            bank = RelayBank.staircase(ki, n_plus)
+            w0 = 2.0 * n_plus / ki - 1.0
             wk, _, final = bank_trace(bank, zeta)
             tr = truncated_play_apply(zeta, w0)
             worst = max(worst, sup_distance(wk, tr))
             verdict &= final.is_staircase()
-        rows.append({"k": k, "max_gap": worst, "budget": 2.0 / k})
-        verdict &= worst <= 2.0 / k + 1e-12
+        rows.append({"k": ki, "max_gap": worst, "budget": 2.0 / ki})
+        verdict &= worst <= 2.0 / ki + 1e-12
     # rising sweep past all upper thresholds of the k=4 bank
     sweep = PolylineSignal(((0.0, -1.25), (1.0, 1.25)))
     _, events, _ = bank_trace(RelayBank.staircase(4, 0), sweep)
@@ -370,11 +384,7 @@ def _exp_bank_vs_truncated(params):
     return rows, verdict
 
 
-def _exp_chain_demo(params):
-    _check_keys(params, {"j", "rho", "step"})
-    js = _get(params, "j", [10, 20, 40])
-    rho = _get(params, "rho", DEFAULT_RHO)
-    step = _get(params, "step", 1e-3)
+def _exp_chain_demo(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3):
     f2 = lambda x1: x1
     f3 = lambda x1, x2: x1 + x2
     A = (0.0, 0.0, 0.0, 0.0, 0.0)
@@ -383,12 +393,12 @@ def _exp_chain_demo(params):
     rows = []
     verdict = True
     prev4 = prev5 = None
-    for j in js:
-        sched = chain_schedule(spec, A, B, rho, j)
+    for ji in j:
+        sched = chain_schedule(spec, A, B, rho, ji)
         traj = integrate_play_state(spec, sched.concatenated(), A, step=step)
         err = np.abs(traj.final_state - np.asarray(B))
         rows.append({
-            "j": j,
+            "j": ji,
             "ex1": float(err[0]), "ex2": float(err[1]), "ex3": float(err[2]),
             "ey4": float(err[3]), "ey5": float(err[4]),
         })
@@ -411,11 +421,27 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(id: str, params: dict | None = None) -> ExperimentReport:
+def experiment_params(id: str) -> dict:
+    """The parameters of experiment `id`, each with its (parsed) default."""
     if id not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment id: {id!r}")
-    params = dict(params or {})
+        raise DomainError(f"unknown experiment id: {id!r}")
+    return {name: parse_param(name, d) for name, d in EXPERIMENTS[id].__kwdefaults__.items()}
+
+
+def parse_params(id: str, params: dict) -> dict:
+    """params of experiment `id`, each parsed by parse_param; DomainError for
+    an unknown id or key, or a value parse_param rejects."""
+    unknown = sorted(set(params) - set(experiment_params(id)))
+    if unknown:
+        raise DomainError(f"unknown params for {id}: {unknown}")
+    return {name: parse_param(name, value) for name, value in params.items()}
+
+
+def run_experiment(id: str, params: dict | None = None) -> ExperimentReport:
+    """Run experiment `id` with `params` over its defaults; the report records
+    every effective value."""
+    resolved = {**experiment_params(id), **parse_params(id, params or {})}
     start = time.perf_counter()
-    rows, verdict = EXPERIMENTS[id](params)
+    rows, verdict = EXPERIMENTS[id](**resolved)
     runtime = time.perf_counter() - start
-    return ExperimentReport(id, params, rows, bool(verdict), runtime)
+    return ExperimentReport(id, resolved, rows, bool(verdict), runtime)

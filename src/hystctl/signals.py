@@ -179,10 +179,17 @@ def sample(s, ts: np.ndarray) -> np.ndarray:
     return left[j] + slope[j] * (ts - breaks[j])
 
 
-def signal_from_json(data: dict):
-    if "knots" in data:
-        return PolylineSignal.from_json(data)
-    return StepSignal.from_json(data)
+def signal_from_json(data):
+    """The signal whose to_json() equals data; DomainError for any other value."""
+    kinds = {("knots",): PolylineSignal, ("grid", "values"): StepSignal}
+    try:
+        sig = kinds[tuple(sorted(data))].from_json(data)
+        if sig.to_json() != data:
+            raise ValueError("times and values must be JSON numbers")
+        return sig
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"not a signal ({type(exc).__name__}: {exc}); expected "
+                          "{'knots': [[t, v], ...]} or {'grid': [...], 'values': [...]}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,37 @@ def test_usage_error_flag_not_allowed(capsys):
     assert main(["sim", "fig5_density", "--seed", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig3_surjectivity", "--k", ""],  # no cases: an empty table
+    ["heis_exact", "--cases", "0"],
+    ["sim", "heis", "--seed", "-1"],
+    ["fig3_surjectivity", "--w0", "nan"],
+], ids=["k-empty", "cases-0", "seed-negative", "w0-nan"])
+def test_usage_error_flag_value(argv, capsys):
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    {"experiment": "fig3_surjectivity", "k": 10},
+    {"experiment": "fig5_density", "rho": "abc"},
+    {"experiment": "fig5_density", "rho": True},
+    {"experiment": "fig5_density", "rho": 0.0},
+    {"experiment": "heis_exact", "cases": 2.5},
+    {"experiment": "fig5_density", "out": 5},
+], ids=["k-int", "rho-text", "rho-bool", "rho-zero", "cases-fraction", "out-int"])
+def test_usage_error_config_value(tmp_path, body, capsys):
+    path = write_json(tmp_path / "cfg.json", body)
+    assert main(["sim", "--config", path]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_config_values_use_the_flag_parsers(tmp_path):
+    path = write_json(tmp_path / "cfg.json",
+                      {"experiment": "fig5_density", "j": "10,20", "rho": "0.3"})
+    assert parse_config(["sim", "--config", path]).params == {"j": [10, 20], "rho": 0.3}
+
+
 def test_domain_error_exit_1(tmp_path, capsys):
     sig = write_json(tmp_path / "u.json", {"knots": [[0.0, 0.0], [1.0, 1.0]]})
     # seed outside the admissible strip
@@ -77,6 +108,32 @@ def test_domain_error_exit_1(tmp_path, capsys):
 def test_missing_file_exit_1(capsys):
     assert main(["play", "--input", "/nonexistent.json",
                  "--w0", "0.0", "--rho", "0.2"]) == 1
+
+
+@pytest.mark.parametrize("command,data", [
+    (["play", "--w0", "0.0", "--rho", "0.2"], {"foo": 1}),
+    (["bank", "--k", "4"], [1, 2]),
+    (["relay", "--lo", "-0.5", "--hi", "0.5", "--out0", "1"], {"knots": 5}),
+    (["play", "--w0", "0.0", "--rho", "0.2"], {"knots": [[0.0, "a"], [1.0, 1.0]]}),
+    (["play", "--w0", "0.0", "--rho", "0.2"], {"knots": [[0.0], [1.0, 1.0]]}),
+    (["bank", "--k", "4"], {"grid": [0.0, 1.0]}),
+    (["play", "--w0", "1.0", "--rho", "0.2"], {"knots": [["0", "1"], ["1", "2"]]}),
+    (["bank", "--k", "4"], {"knots": [[0.0, 10**400], [1.0, 1.0]]}),
+], ids=["play-dict", "bank-list", "relay-knots-int", "play-knot-text",
+        "play-knot-short", "bank-no-values", "play-knot-numeric-text", "bank-knot-huge-int"])
+def test_malformed_signal_exit_1(tmp_path, command, data, capsys):
+    sig = write_json(tmp_path / "u.json", data)
+    assert main(command + ["--input", sig]) == 1
+    assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid"])
+def test_config_file_error_exit_1(tmp_path, text, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["sim", "--config", str(path)]) == 1
+    assert "error" in capsys.readouterr().err
 
 
 def test_experiment_pass_exit_0(tmp_path, capsys):
@@ -141,6 +198,44 @@ def test_config_driven_sim(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "z1", "z2", "z3"]
     assert float(rows[-1][3]) == pytest.approx(0.5, abs=1e-9)
+
+
+HEIS_SIM = {
+    "system": "heisenberg",
+    "controls": [{"grid": [0.0, 1.0], "values": [1.0]},
+                 {"grid": [0.0, 1.0], "values": [1.0]}],
+    "z0": [0.0, 0.0, 0.0],
+    "step": 1e-2,
+}
+
+
+@pytest.mark.parametrize("edit,flags", [
+    ({"banana": 3}, []),
+    ({"controls": None}, []),
+    ({"z0": None}, []),
+    ({}, ["--rho", "7"]),
+    ({"z0": 0.0}, []),
+    ({"z0": [0.0, "a", 0.0]}, []),
+    ({"step": "abc"}, []),
+    ({"T": "x"}, []),
+], ids=["unknown-key", "no-controls", "no-z0", "experiment-flag", "z0-scalar",
+        "z0-text", "step-text", "T-text"])
+def test_config_driven_sim_usage_error(tmp_path, edit, flags, capsys):
+    body = {k: v for k, v in {**HEIS_SIM, **edit}.items() if v is not None}
+    path = write_json(tmp_path / "sim.json", body)
+    out = str(tmp_path / "traj.csv")
+    assert main(["sim", "--config", path, "--out", out] + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"T": 5.0},  # the controls end at 1.0
+    {"controls": [{"foo": 1}, {"grid": [0.0, 1.0], "values": [1.0]}]},
+], ids=["T-past-horizon", "bad-control"])
+def test_config_driven_sim_domain_error(tmp_path, edit, capsys):
+    path = write_json(tmp_path / "sim.json", {**HEIS_SIM, **edit})
+    assert main(["sim", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
+    assert "domain error" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -60,6 +60,27 @@ def test_unknown_param_rejected():
         run_experiment("fig5_density", {"k": [10]})
 
 
+@pytest.mark.parametrize("exp_id,params", [
+    ("heis_exact", {"cases": 0}),
+    ("heis_exact", {"cases": 2.5}),
+    ("fig3_surjectivity", {"rho": 0.0}),
+    ("fig3_surjectivity", {"k": []}),
+    ("thm3_convergence", {"seed": True}),
+    ("switching_demo", {"step": float("inf")}),
+], ids=["cases-0", "cases-fraction", "rho-zero", "k-empty", "seed-bool", "step-inf"])
+def test_bad_param_value_rejected(exp_id, params):
+    with pytest.raises(DomainError):
+        run_experiment(exp_id, params)
+
+
+def test_manifest_records_effective_params():
+    assert run_experiment("fig5_density").manifest()["params"] == {
+        "j": [10, 20, 40], "rho": 0.2}
+    # flag strings parse like the values they spell
+    assert run_experiment("fig5_density", {"j": "10,20"}).params == {
+        "j": [10, 20], "rho": 0.2}
+
+
 def test_reproducibility():
     a = run_experiment("bank_vs_truncated", {"cases": 10, "seed": 5})
     b = run_experiment("bank_vs_truncated", {"cases": 10, "seed": 5})
