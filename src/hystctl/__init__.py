@@ -21,8 +21,6 @@ from .hysteresis import (
     PlayState,
     RelayBank,
     RelayState,
-    TruncatedPlayState,
-    bank_apply,
     bank_trace,
     play_apply,
     play_update,
@@ -49,7 +47,6 @@ from .dynamics import (
     DivergenceError,
     Event,
     FieldSet,
-    GronwallReport,
     SwitchingSpec,
     Trajectory,
     TriangularSpec,

@@ -105,8 +105,8 @@ def parse_config(argv) -> RunConfig:
 
     if command in ("play", "relay", "bank"):
         cfg.extra = args
-        if command == "play" and args["rho"] < 0.0:
-            raise _UsageError("rho must be >= 0")
+        if command == "play" and not 0.0 <= args["rho"] < math.inf:
+            raise _UsageError("rho must be finite and >= 0")
         if command == "relay" and not args["lo"] < args["hi"]:
             raise _UsageError("need lo < hi")
         if command == "bank" and args["k"] < 1:

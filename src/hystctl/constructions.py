@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hysteresis import _SEED_SLACK, play_apply
+from .hysteresis import _play_bounds, _seed, play_apply
 from .signals import (
     DomainError,
     PolylineSignal,
@@ -150,8 +150,7 @@ def play_inverse_exact(
     preceded by a plateau, whose final `ramp_width` hosts the 2*rho swing that
     carries the pair across the dead band without moving the output.
     """
-    if rho < 0.0:
-        raise DomainError("rho must be >= 0")
+    _play_bounds(rho)  # checks rho
     signs = [_sign(s) for s in target.slopes()]
     first = next((s for s in signs if s), 0)
     t0, y0 = target.knots[0]
@@ -182,8 +181,7 @@ def play_inverse_exact(
 
 def build_vk(ubar: StepSignal, w0: float, rho: float, k: int) -> PolylineSignal:
     """Input whose play output is exactly build_uk(ubar, w0, k)."""
-    if rho < 0.0:
-        raise DomainError("rho must be >= 0")
+    _play_bounds(rho)  # checks rho
     target = build_uk(ubar, w0, k)
     try:
         return play_inverse_exact(target, rho, 1.0 / k)
@@ -258,11 +256,6 @@ def heisenberg_loop(alpha: float, beta: float, T: float) -> ControlSchedule:
     )
 
 
-def _check_seed(xA: float, w0: float, rho: float) -> None:
-    if abs(w0 - xA) > rho + _SEED_SLACK * max(1.0, abs(w0), abs(xA)):
-        raise DomainError(f"seed w0={w0} outside the play strip around x_A={xA}")
-
-
 def align_schedule(xA: float, w0: float, rho: float, direction: int) -> ControlSchedule:
     """Place the pair (x, w) exactly at (xA + direction*rho, xA) in unit time.
 
@@ -272,7 +265,7 @@ def align_schedule(xA: float, w0: float, rho: float, direction: int) -> ControlS
     """
     if direction not in (-1, 1):
         raise DomainError("direction must be -1 or +1")
-    _check_seed(xA, w0, rho)
+    _seed(xA, w0, *_play_bounds(rho))
     legs = ((0.5, -2.0 * rho * direction), (0.5, 4.0 * rho * direction))
     return ControlSchedule(
         tuple(Phase(d, (_const(d, s), _const(d, 0.0)), "align") for d, s in legs)
@@ -300,7 +293,6 @@ def thm3_schedule(
     if abs(u1b.horizon - u2b.horizon) > 1e-9 * max(1.0, u1b.horizon):
         raise DomainError("reference controls must share a horizon")
     xA = float(A[0])
-    _check_seed(xA, w0, rho)
     xbar = antiderivative(u1b, xA)
     signs = [_sign(s) for s in xbar.slopes()]
     sigma = next((s for s in signs if s), 0) or 1
@@ -327,7 +319,7 @@ def heis_exact_schedule(
     """
     xA, yA, zA = (float(c) for c in A)
     xB, yB, zB = (float(c) for c in B)
-    _check_seed(xA, w0, rho)
+    _seed(xA, w0, *_play_bounds(rho))
     phases: list[Phase] = []
     dy = yB - yA
     phases.append(Phase(1.0, (_const(1.0, 0.0), _const(1.0, dy)), "ymove"))

@@ -142,13 +142,6 @@ class Event:
     new: float
 
 
-@dataclass(frozen=True)
-class GronwallReport:
-    C_k: float
-    bound: float
-    observed: float
-
-
 def gronwall_bound(C_k: float, m: float, M: float, L: float, T: float) -> float:
     if min(C_k, m, M, L, T) < 0.0:
         raise DomainError("Gronwall inputs must be nonnegative")
@@ -189,14 +182,6 @@ class Trajectory:
                     else:
                         row.append(val)
                 w.writerow(row)
-
-
-def events_to_csv(events, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "operator", "old", "new"])
-        for e in events:
-            w.writerow([e.time, e.operator, e.old, e.new])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,86 @@
-"""Scalar play operator, delayed relays, relay banks and the truncated play.
+"""Scalar play operator, truncated play, delayed relays and relay banks.
 
 All operators are exact on piecewise-monotone inputs, which is the only class
-we ever feed them (polylines are piecewise monotone).  States are small frozen
-value types; updates return new states.
+we ever feed them (polylines are piecewise monotone).  The play and the
+truncated play are front ends of one generalized play: its output is clamped
+between two nondecreasing piecewise-affine boundary curves of the input, each
+given as (breaks, pieces), its sorted kinks and one (intercept, slope) per
+piece.  States are small frozen value types; updates return new states.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .signals import DomainError, PolylineSignal, StepSignal, TimeGrid
 
 _SEED_SLACK = 1e-12
+
+
+def _clamp(w: float, lo: float, hi: float) -> float:
+    """min(hi, max(lo, w)) for lo <= hi."""
+    return lo if w < lo else hi if w > hi else w
+
+
+def _curve(boundary, xs) -> list:
+    """The boundary's values at the inputs xs."""
+    breaks, pieces = boundary
+    return [a + b * x for x in xs for a, b in (pieces[bisect_right(breaks, x)],)]
+
+
+def _seed(u0: float, w0: float, lower, upper) -> float:
+    """w0 clamped into [lower(u0), upper(u0)]; DomainError unless it is finite
+    and lies there up to _SEED_SLACK * max(1, |u0|, |w0|)."""
+    (lo,), (hi,) = _curve(lower, [u0]), _curve(upper, [u0])
+    slack = _SEED_SLACK * max(1.0, abs(u0), abs(w0))
+    if not (math.isfinite(w0) and lo - slack <= w0 <= hi + slack):
+        raise DomainError(f"seed w0={w0} outside [{lo}, {hi}] at input {u0}")
+    return _clamp(float(w0), lo, hi)
+
+
+def _play_bounds(rho: float):
+    """The play's boundaries u - rho and u + rho."""
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"play half-width rho must be finite and >= 0, got {rho}")
+    return ((), ((-float(rho), 1.0),)), ((), ((float(rho), 1.0),))
+
+
+def _generalized_play(u: PolylineSignal, w0: float, lower, upper) -> PolylineSignal:
+    """Exact output along u of the play between the boundaries lower <= upper.
+
+    w is frozen strictly between them; a rising input drags it up along lower,
+    a falling one down along upper, and such a segment ends in the one clamp.
+    A knot goes where w meets the boundary it is about to ride and at every
+    kink of that boundary while w rides it, so there is no sampling error.
+    """
+    rides = {}  # direction s -> (kinks, pieces), in the order u passes them
+    for s, (breaks, pieces) in ((1, lower), (-1, upper)):
+        rides[s] = list(zip(breaks, _curve((breaks, pieces), breaks)))[::s], pieces[::s]
+    knots = u.knots
+    us = [v for _, v in knots]
+    lo, hi = _curve(lower, us), _curve(upper, us)
+    w = _seed(knots[0][1], w0, lower, upper)
+    out = [(knots[0][0], w)]
+
+    def emit(t, v):
+        if t > out[-1][0]:
+            out.append((t, v))
+
+    for (t0, u0), (t1, u1), lo0, lo1, hi0, hi1 in zip(knots, knots[1:], lo, lo[1:], hi, hi[1:]):
+        s, r0, r1 = (1, lo0, lo1) if u1 > u0 else (-1, -hi0, -hi1)  # pushing boundary, times s
+        if r0 < r1 and s * w <= r1:  # it moves and reaches w within this segment
+            kinks, pieces = rides[s]
+            if r0 < s * w < r1:  # frozen first, then dragged, on the piece after the kinks below w
+                a, b = pieces[sum(s * v < s * w for _, v in kinks)]
+                emit(t0 + ((w - a) / b - u0) * (t1 - t0) / (u1 - u0), w)
+            for x, v in kinks:
+                if s * u0 < s * x < s * u1 and s * v >= s * w:
+                    emit(t0 + (x - u0) * (t1 - t0) / (u1 - u0), v)
+            w = _clamp(w, lo1, hi1)
+        emit(t1, w)
+    return PolylineSignal(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -22,61 +91,32 @@ class PlayState:
     w: float
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise DomainError("play half-width rho must be >= 0")
+        _play_bounds(self.rho)  # checks rho
 
 
 def play_update(state: PlayState, u_next: float) -> PlayState:
     """Advance the play across one monotone input move ending at u_next.
 
-    The clamp w' = min(u+rho, max(u-rho, w)) is the unique rule matching the
-    phase portrait: frozen inside the strip, dragged along w = u -+ rho on its
-    boundary.
+    The clamp between u - rho and u + rho is the unique rule matching the
+    phase portrait: frozen inside the strip, dragged along its boundary.
     """
-    w = min(u_next + state.rho, max(u_next - state.rho, state.w))
-    return replace(state, w=w)
-
-
-def _check_play_seed(u0: float, w0: float, rho: float) -> None:
-    if abs(u0 - w0) > rho + _SEED_SLACK * max(1.0, abs(u0), abs(w0)):
-        raise DomainError(
-            f"seed (u(0)={u0}, w0={w0}) outside the closed strip of width rho={rho}"
-        )
+    return replace(state, w=_clamp(state.w, u_next - state.rho, u_next + state.rho))
 
 
 def play_apply(u: PolylineSignal, w0: float, rho: float) -> PolylineSignal:
-    """Output polyline of the play operator driven by the polyline u.
+    """Exact output polyline of the play operator driven by the polyline u."""
+    return _generalized_play(u, w0, *_play_bounds(rho))
 
-    Exact: a knot is inserted wherever the pair (u, w) passes between the
-    frozen (interior) and dragged (boundary) regimes, so the output is
-    genuinely piecewise linear with no sampling error.
-    """
-    _check_play_seed(u.knots[0][1], w0, rho)
-    w = float(w0)
-    out = [(u.knots[0][0], w)]
 
-    def emit(t, v):
-        if t > out[-1][0]:
-            out.append((t, v))
+_TRUNCATED_BOUNDS = (
+    ((0.0, 1.0), ((-1.0, 0.0), (-1.0, 2.0), (1.0, 0.0))),
+    ((-1.0, 0.0), ((-1.0, 0.0), (1.0, 2.0), (1.0, 0.0))),
+)
 
-    for (t0, u0), (t1, u1) in zip(u.knots, u.knots[1:]):
-        if u1 > u0:  # rising: only the lower boundary w = u - rho can drag
-            if u1 - rho > w:
-                if u0 - rho < w:  # frozen first, then dragged
-                    tc = t0 + (w + rho - u0) * (t1 - t0) / (u1 - u0)
-                    emit(tc, w)
-                w = u1 - rho
-            emit(t1, w)
-        elif u1 < u0:  # falling: upper boundary w = u + rho
-            if u1 + rho < w:
-                if u0 + rho > w:
-                    tc = t0 + (w - rho - u0) * (t1 - t0) / (u1 - u0)
-                    emit(tc, w)
-                w = u1 + rho
-            emit(t1, w)
-        else:
-            emit(t1, w)
-    return PolylineSignal(tuple(out))
+
+def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
+    """Exact truncated-play (continuum relay bank) output, between clip(2*zeta -+ 1, -1, 1)."""
+    return _generalized_play(zeta, w0, *_TRUNCATED_BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +262,6 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     return output, events, RelayBank(tuple(relays))
 
 
-def bank_apply(bank: RelayBank, zeta: PolylineSignal) -> StepSignal:
-    """Macroscopic staircase output w_k = (1/k) * sum of relay outputs."""
-    return bank_trace(bank, zeta)[0]
-
-
 def saturation_prefix(
     zeta: PolylineSignal, lead: float = 1.0, direction: int = 1
 ) -> PolylineSignal:
@@ -245,62 +280,3 @@ def saturation_prefix(
     knots.extend((t + lead, v) for t, v in zeta.knots[1:])
     return PolylineSignal(tuple(knots))
 
-
-# ---------------------------------------------------------------------------
-# truncated play (continuum relay average, slope 2, width 1)
-
-@dataclass(frozen=True)
-class TruncatedPlayState:
-    """Output of the continuum relay bank once the staircase condition holds."""
-
-    w: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.w <= 1.0:
-            raise DomainError("truncated play output must lie in [-1, 1]")
-
-
-def _trunc_bounds(zeta: float) -> tuple[float, float]:
-    lo = min(max(2.0 * zeta - 1.0, -1.0), 1.0)
-    hi = max(min(2.0 * zeta + 1.0, 1.0), -1.0)
-    return lo, hi
-
-
-def truncated_play_update(state: TruncatedPlayState, zeta_next: float) -> TruncatedPlayState:
-    lo, hi = _trunc_bounds(zeta_next)
-    return TruncatedPlayState(min(hi, max(lo, state.w)))
-
-
-def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
-    """Exact truncated-play output: rides w = 2*zeta -+ 1, saturates at +-1."""
-    lo0, hi0 = _trunc_bounds(zeta.knots[0][1])
-    slack = _SEED_SLACK
-    if not lo0 - slack <= w0 <= hi0 + slack:
-        raise DomainError(f"seed w0={w0} outside [{lo0}, {hi0}] at zeta(0)")
-    w = min(hi0, max(lo0, float(w0)))
-    out = [(zeta.knots[0][0], w)]
-
-    def emit(t, v):
-        if t > out[-1][0]:
-            out.append((t, v))
-
-    for (t0, z0), (t1, z1) in zip(zeta.knots, zeta.knots[1:]):
-        if z1 > z0:
-            # dragged by the lower branch 2*zeta - 1 once it reaches w,
-            # saturating at +1 when zeta passes 1
-            for zc in ((w + 1.0) / 2.0, 1.0):
-                if z0 < zc < z1:
-                    tc = t0 + (zc - z0) * (t1 - t0) / (z1 - z0)
-                    emit(tc, min(1.0, max(2.0 * zc - 1.0, w)))
-            w = min(1.0, max(2.0 * z1 - 1.0, w))
-            emit(t1, w)
-        elif z1 < z0:
-            for zc in ((w - 1.0) / 2.0, -1.0):
-                if z1 < zc < z0:
-                    tc = t0 + (zc - z0) * (t1 - t0) / (z1 - z0)
-                    emit(tc, max(-1.0, min(2.0 * zc + 1.0, w)))
-            w = max(-1.0, min(2.0 * z1 + 1.0, w))
-            emit(t1, w)
-        else:
-            emit(t1, w)
-    return PolylineSignal(tuple(out))

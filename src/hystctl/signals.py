@@ -179,12 +179,16 @@ def sample(s, ts: np.ndarray) -> np.ndarray:
     return left[j] + slope[j] * (ts - breaks[j])
 
 
+def _has_bool(x) -> bool:
+    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
+
+
 def signal_from_json(data):
-    """The signal whose to_json() equals data; DomainError for any other value."""
+    """The signal whose to_json() equals data, with no JSON bools; else DomainError."""
     kinds = {("knots",): PolylineSignal, ("grid", "values"): StepSignal}
     try:
         sig = kinds[tuple(sorted(data))].from_json(data)
-        if sig.to_json() != data:
+        if sig.to_json() != data or any(map(_has_bool, data.values())):
             raise ValueError("times and values must be JSON numbers")
         return sig
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -295,14 +299,6 @@ def combine(a, b, ca: float = 1.0, cb: float = 1.0):
         end = left[-1] + slope[-1] * (times[-1] - times[-2])
         return PolylineSignal(tuple(zip(times, left.tolist() + [float(end)])))
     return PiecewiseAffine(times, tuple(zip(left.tolist(), slope.tolist())))
-
-
-def add(a, b):
-    return combine(a, b, 1.0, 1.0)
-
-
-def subtract(a, b):
-    return combine(a, b, 1.0, -1.0)
 
 
 def l1_distance(a, b) -> float:

@@ -52,6 +52,13 @@ def test_usage_error_negative_rho(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_usage_error_play_nonfinite_rho(tmp_path, rho, capsys):
+    sig = write_json(tmp_path / "u.json", {"knots": [[0.0, 0.0], [1.0, 1.0]]})
+    assert main(["play", "--input", sig, "--w0", "0.0", "--rho", rho]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_usage_error_unknown_experiment(capsys):
     assert main(["sim", "not_an_experiment"]) == 2
 
@@ -119,8 +126,11 @@ def test_missing_file_exit_1(capsys):
     (["bank", "--k", "4"], {"grid": [0.0, 1.0]}),
     (["play", "--w0", "1.0", "--rho", "0.2"], {"knots": [["0", "1"], ["1", "2"]]}),
     (["bank", "--k", "4"], {"knots": [[0.0, 10**400], [1.0, 1.0]]}),
+    (["play", "--w0", "1.0", "--rho", "0.2"], {"knots": [[0, True], [1, 2]]}),
+    (["bank", "--k", "4"], {"grid": [0, 1], "values": [False]}),
 ], ids=["play-dict", "bank-list", "relay-knots-int", "play-knot-text",
-        "play-knot-short", "bank-no-values", "play-knot-numeric-text", "bank-knot-huge-int"])
+        "play-knot-short", "bank-no-values", "play-knot-numeric-text", "bank-knot-huge-int",
+        "play-knot-bool", "bank-values-bool"])
 def test_malformed_signal_exit_1(tmp_path, command, data, capsys):
     sig = write_json(tmp_path / "u.json", data)
     assert main(command + ["--input", sig]) == 1

@@ -10,10 +10,8 @@ from hystctl.dynamics import (
     BankSpec,
     DivergenceError,
     FieldSet,
-    GronwallReport,
     SwitchingSpec,
     TriangularSpec,
-    events_to_csv,
     gronwall_bound,
     heisenberg_fields,
     integrate_bank,
@@ -286,18 +284,6 @@ def test_switching_spec_threshold_validation():
     assert demo_spec(((-0.1, 0.4), (0.0, 0.2))).axis_thresholds(1) == (0.0, 0.2)
 
 
-def test_events_csv(tmp_path):
-    spec = demo_spec()
-    traj = integrate_switching(spec, (const(1.0, -1.0), const(1.0, 0.0)),
-                               (0.5, 0.5), (1, 1), step=1e-3)
-    path = tmp_path / "events.csv"
-    events_to_csv(traj.events, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "operator", "old", "new"]
-    assert rows[1][1] == "axis1"
-
-
 # ---------------------------------------------------------------------------
 # bank systems
 
@@ -418,5 +404,3 @@ def test_gronwall_values():
     assert gronwall_bound(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(math.e)
     with pytest.raises(DomainError):
         gronwall_bound(-1.0, 1.0, 1.0, 1.0, 1.0)
-    rep = GronwallReport(C_k=0.5, bound=2.0, observed=0.1)
-    assert rep.observed <= rep.bound

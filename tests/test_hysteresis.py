@@ -5,20 +5,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hystctl.hysteresis import (
+    _SEED_SLACK,
     PlayState,
     RelayBank,
     RelayState,
-    TruncatedPlayState,
-    bank_apply,
     bank_trace,
     play_apply,
     play_update,
     relay_advance,
     saturation_prefix,
     truncated_play_apply,
-    truncated_play_update,
 )
 from hystctl.signals import DomainError, PolylineSignal, sample, sup_distance
 
@@ -28,15 +28,26 @@ def random_polyline(rng, n_knots=8, lo=-2.0, hi=2.0):
     return PolylineSignal(tuple(zip(ts, rng.uniform(lo, hi, n_knots))))
 
 
-def dense_play_oracle(u, w0, rho, dt=1e-4):
-    """Brute-force clamp recursion on a dense sampling of u."""
-    ts = np.arange(0.0, u.horizon + dt / 2, dt)
-    ts[-1] = u.horizon
+def play_bounds(rho):
+    return (lambda x: x - rho), (lambda x: x + rho)
+
+
+def truncated_bounds(_rho=None):
+    return (lambda x: np.clip(2.0 * x - 1.0, -1.0, 1.0),
+            lambda x: np.clip(2.0 * x + 1.0, -1.0, 1.0))
+
+
+def dense_oracle(u, w0, lower, upper, dt=1e-4):
+    """Brute-force clamp recursion w <- min(upper(u), max(lower(u), w)) on a
+    dense sampling of u that includes its knots.  u is monotone between
+    samples, so the recursion is exact at every sample up to rounding."""
+    ts = np.union1d(np.arange(0.0, u.horizon, dt), [t for t, _ in u.knots])
     us = sample(u, ts)
+    lo, hi = lower(us), upper(us)
     w = float(w0)
     out = []
-    for uv in us:
-        w = min(uv + rho, max(uv - rho, w))
+    for a, b in zip(lo, hi):
+        w = min(b, max(a, w))
         out.append(w)
     return ts, np.array(out)
 
@@ -63,6 +74,14 @@ def test_play_update_confinement():
 def test_play_negative_rho_rejected():
     with pytest.raises(DomainError):
         PlayState(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf], ids=["nan", "inf"])
+def test_play_nonfinite_rho_rejected(rho):
+    with pytest.raises(DomainError):
+        PlayState(rho, 0.0)
+    with pytest.raises(DomainError):
+        play_apply(PolylineSignal(((0.0, 0.0), (1.0, 1.0))), 0.0, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +124,7 @@ def test_play_apply_matches_dense_oracle():
         u = random_polyline(rng)
         w0 = float(u.knots[0][1] + rng.uniform(-rho, rho))
         w = play_apply(u, w0, rho)
-        ts, ref = dense_play_oracle(u, w0, rho)
+        ts, ref = dense_oracle(u, w0, *play_bounds(rho))
         assert np.abs(sample(w, ts) - ref).max() < 5e-4
 
 
@@ -267,7 +286,7 @@ def test_bank_update_order_independence():
         times = [events[i].time for i in order]
         assert sorted(times) == [e.time for e in events]
         ts = np.linspace(0.0, zeta.horizon, 200)
-        again = bank_apply(RelayBank.staircase(k, n_plus), zeta)
+        again = bank_trace(RelayBank.staircase(k, n_plus), zeta)[0]
         assert np.abs(sample(out, ts) - sample(again, ts)).max() == 0.0
 
 
@@ -297,10 +316,11 @@ def test_bank_serialization():
 # truncated play
 
 def test_truncated_state_bounds():
+    zeta = PolylineSignal(((0.0, 0.0), (1.0, 0.9)))
     with pytest.raises(DomainError):
-        TruncatedPlayState(1.5)
-    s = truncated_play_update(TruncatedPlayState(0.0), 0.9)
-    assert s.w == pytest.approx(0.8)  # dragged by the lower branch 2*zeta - 1
+        truncated_play_apply(zeta, 1.5)  # outside [-1, 1]
+    w = truncated_play_apply(zeta, 0.0)
+    assert w.final_value() == pytest.approx(0.8)  # dragged by the lower branch 2*zeta - 1
 
 
 def test_truncated_ascending_branch():
@@ -331,6 +351,72 @@ def test_bank_approximates_truncated_play():
             zeta = random_polyline(rng, n_knots=6, lo=-1.2, hi=1.2)
             z0 = zeta.knots[0][1]
             n_plus = max(0, min(k, math.ceil(k * z0)))
-            wk = bank_apply(RelayBank.staircase(k, n_plus), zeta)
+            wk = bank_trace(RelayBank.staircase(k, n_plus), zeta)[0]
             tr = truncated_play_apply(zeta, 2.0 * n_plus / k - 1.0)
             assert sup_distance(wk, tr) <= 2.0 / k + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# both front ends of the one generalized-play kernel
+
+OPERATORS = {
+    "play": (play_apply, play_bounds),
+    "truncated": (lambda u, w0, rho: truncated_play_apply(u, w0), truncated_bounds),
+}
+
+
+@st.composite
+def polylines(draw):
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return PolylineSignal(tuple(zip(np.concatenate([[0.0], np.cumsum(gaps)]), values)))
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(u=polylines(), frac=st.floats(0.0, 1.0), rho=st.floats(0.0, 1.0))
+def test_generalized_play_properties(name, u, frac, rho):
+    apply, bounds = OPERATORS[name]
+    lower, upper = bounds(rho)
+    u0 = u.knots[0][1]
+    w0 = float(lower(u0) + frac * (upper(u0) - lower(u0)))
+    w = apply(u, w0, rho)
+    # matches the clamp recursion at the knots of u and dense samples between them
+    ts, ref = dense_oracle(u, w0, lower, upper, dt=1e-2)
+    assert np.abs(sample(w, ts) - ref).max() < 1e-9
+    # every knot lies within the strip / band; consecutive knots strictly
+    # inside it carry the frozen value exactly
+    times, vals = np.array(w.knots).T
+    lo, hi = lower(sample(u, times)), upper(sample(u, times))
+    assert np.all(lo - 1e-12 <= vals) and np.all(vals <= hi + 1e-12)
+    inside = (lo + 1e-9 < vals) & (vals < hi - 1e-9)
+    pairs = inside[:-1] & inside[1:]
+    assert np.all(vals[:-1][pairs] == vals[1:][pairs])
+
+
+def test_truncated_crossing_knot_carries_frozen_value():
+    # frozen at 0.1 until 2*zeta - 1 reaches it at zeta = 0.55
+    w = truncated_play_apply(PolylineSignal(((0.0, 0.0), (1.0, 1.0))), 0.1)
+    assert (0.55, 0.1) in w.knots
+
+
+def test_play_segment_starting_on_boundary_adds_no_crossing_knot():
+    # (u0 - rho) + rho rounds above u0 here, so a crossing test in input space
+    # (u0 < w + rho) would add a knot just after t = 0
+    u0, rho = 0.9, 0.3
+    assert (u0 - rho) + rho > u0
+    w = play_apply(PolylineSignal(((0.0, u0), (1.0, 2.0))), u0 - rho, rho)
+    assert w.knots == ((0.0, u0 - rho), (1.0, 2.0 - rho))
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_seed_slack_snaps_and_far_seed_raises(name):
+    apply, bounds = OPERATORS[name]
+    rho = 0.2
+    u = PolylineSignal(((0.0, 0.9), (1.0, 0.0)))
+    lo = float(bounds(rho)[0](0.9))
+    w = apply(u, lo - 0.5 * _SEED_SLACK, rho)
+    assert w.knots[0][1] == lo  # snapped into the strip / band
+    with pytest.raises(DomainError):
+        apply(u, lo - 1e-9, rho)

@@ -14,7 +14,6 @@ from hystctl.signals import (
     PolylineSignal,
     StepSignal,
     TimeGrid,
-    add,
     antiderivative,
     breakpoints,
     combine,
@@ -23,7 +22,6 @@ from hystctl.signals import (
     merge_times,
     sample,
     signal_from_json,
-    subtract,
     sup_distance,
 )
 
@@ -114,7 +112,7 @@ def test_sample_rejects_times_outside_horizon():
     # evaluation, except for a KNOT_TOL-sized stray, which takes the end piece
     poly = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
     st = step([0.0, 0.5, 1.0], [1.0, 2.0])
-    mixed = subtract(poly, st)
+    mixed = combine(poly, st, 1.0, -1.0)
     for s in (poly, st, mixed):
         for t in (2.0, -0.5, 1.0 + 1e-9, float("nan")):
             with pytest.raises(DomainError):
@@ -172,19 +170,19 @@ def test_combine_pointwise_property():
 def test_add_subtract_same_kind_closure():
     a = step([0.0, 1.0, 2.0], [1.0, 2.0])
     b = step([0.0, 0.5, 2.0], [3.0, 4.0])
-    s = add(a, b)
+    s = combine(a, b)
     assert isinstance(s, StepSignal)
     assert s(0.25) == 4.0 and s(0.75) == 5.0 and s(1.5) == 6.0
     pa = PolylineSignal(((0.0, 0.0), (2.0, 2.0)))
     pb = PolylineSignal(((0.0, 1.0), (1.0, 0.0), (2.0, 1.0)))
-    d = subtract(pa, pb)
+    d = combine(pa, pb, 1.0, -1.0)
     assert isinstance(d, PolylineSignal)
     assert d(1.0) == pytest.approx(1.0)
 
 
 def test_combine_horizon_mismatch():
     with pytest.raises(DomainError):
-        add(step([0.0, 1.0], [1.0]), step([0.0, 2.0], [1.0]))
+        combine(step([0.0, 1.0], [1.0]), step([0.0, 2.0], [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +239,15 @@ def test_json_roundtrip():
         blob = json.dumps(sig.to_json())
         back = signal_from_json(json.loads(blob))
         assert back == sig
+
+
+@pytest.mark.parametrize("data", [
+    {"knots": [[0, True], [1, 2]]},
+    {"grid": [0, 1], "values": [False]},
+], ids=["polyline", "step"])
+def test_signal_from_json_rejects_bools(data):
+    with pytest.raises(DomainError):
+        signal_from_json(data)
 
 
 def test_csv_rows():
