@@ -24,7 +24,6 @@ from .hysteresis import (
     bank_trace,
     play_apply,
     play_update,
-    relay_advance,
     saturation_prefix,
     truncated_play_apply,
 )

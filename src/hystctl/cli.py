@@ -25,7 +25,7 @@ from .experiments import (
     parse_params,
     run_experiment,
 )
-from .hysteresis import RelayBank, RelayState, bank_trace, play_apply, relay_advance
+from .hysteresis import RelayBank, RelayState, bank_trace, play_apply
 from .signals import DomainError, PolylineSignal, StepSignal, signal_from_json
 
 @dataclass
@@ -107,8 +107,10 @@ def parse_config(argv) -> RunConfig:
         cfg.extra = args
         if command == "play" and not 0.0 <= args["rho"] < math.inf:
             raise _UsageError("rho must be finite and >= 0")
-        if command == "relay" and not args["lo"] < args["hi"]:
-            raise _UsageError("need lo < hi")
+        if command == "play" and not math.isfinite(args["w0"]):
+            raise _UsageError("w0 must be finite")
+        if command == "relay" and not -math.inf < args["lo"] < args["hi"] < math.inf:
+            raise _UsageError("need finite lo < hi")
         if command == "bank" and args["k"] < 1:
             raise _UsageError("need k >= 1")
         return cfg
@@ -184,13 +186,9 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "relay":
-        sig = _load_polyline(a["input"])
-        state = RelayState(a["lo"], a["hi"], a["out0"])
-        rows = []
-        for (t0, z0), (t1, z1) in zip(sig.knots, sig.knots[1:]):
-            state, ev = relay_advance(state, z0, z1, t0, t1)
-            if ev is not None:
-                rows.append((ev.time, ev.old, ev.new))
+        relay = RelayBank((RelayState(a["lo"], a["hi"], a["out0"]),))
+        _, events, _ = bank_trace(relay, _load_polyline(a["input"]))
+        rows = [(e.time, e.old, e.new) for e in events]
         _write_or_print(rows, ["time", "old", "new"], a.get("out"))
         return 0
 

@@ -7,10 +7,11 @@ and play-output breakpoint.  For triangular systems the x coordinates and the
 play outputs are computed in closed form and only the output integrals are
 quadratures (Simpson, exact on piecewise-affine integrands).
 
-Switching and bank systems share one event-driven loop over delayed relays on
-the projections z.xi_j: a switching axis carries one relay, a bank axis k of
-them.  Each step is checked against the nearest pending threshold of each
-axis in each direction, and the first crossing is localized by bisection.
+Switching and bank systems share one event-driven loop over relay banks on
+the projections z.xi_j: a switching axis carries a one-relay bank, a bank
+axis k relays.  Each step is checked against the next relay to switch on
+each axis in each direction, one index each way as hysteresis keeps it, and
+the first crossing is localized by bisection.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .hysteresis import RelayState, play_apply
+from .hysteresis import RelayBank, RelayState, _Walk, play_apply
 from .signals import (
     DomainError, StepSignal, antiderivative, breakpoints, check_times, merge_times, sample,
 )
@@ -107,9 +108,7 @@ class SwitchingSpec:
         ):
             raise DomainError("need one (lo, hi) threshold pair per axis")
         for i in range(m):
-            lo, hi = self.axis_thresholds(i)
-            if not lo < hi:
-                raise DomainError(f"axis {i + 1} needs thresholds lo < hi, got ({lo}, {hi})")
+            RelayState(*self.axis_thresholds(i), 1)  # checks the thresholds
 
     @property
     def m(self) -> int:
@@ -398,35 +397,14 @@ def sector_index(z, spec: SwitchingSpec) -> set:
     """All m-strings compatible with z under closure semantics."""
     options = []
     for i, xi in enumerate(spec.xi):
-        lo, hi = spec.axis_thresholds(i)
-        proj = _proj(z, xi)
-        allowed = []
-        if proj >= lo:
-            allowed.append(1)
-        if proj <= hi:
-            allowed.append(-1)
-        options.append(allowed)
+        proj, lo_hi = _proj(z, xi), spec.axis_thresholds(i)
+        options.append([w for w in (1, -1) if RelayState(*lo_hi, w).consistent_with(proj)])
     return set(itertools.product(*options))
 
 
-def _pending(relays, outs):
-    """Nearest pending thresholds of one axis, as (lo, i_lo, hi, i_hi).
-
-    lo is the highest lo among the relays now at +1 and hi the lowest hi
-    among those at -1 (ties to the lowest index); -inf / +inf if there is none.
-    """
-    lo, i_lo, hi, i_hi = -math.inf, None, math.inf, None
-    for i, (r, out) in enumerate(zip(relays, outs)):
-        if out == 1:
-            if r.lo > lo:
-                lo, i_lo = r.lo, i
-        elif r.hi < hi:
-            hi, i_hi = r.hi, i
-    return lo, i_lo, hi, i_hi
-
-
-def _bisect_event(rhs, t, z, h, z_hi, xi, thr, rising):
-    """Smallest step fraction at which z.xi first passes thr.
+def _bisect_event(rhs, t, z, h, z_hi, xi, thr, d):
+    """Smallest step fraction at which z.xi first passes thr, rising for
+    d = 1 and falling for d = -1.
 
     z_hi is the RK4 state after the full step h, which is past thr; returns
     (s, z_s) with the crossing bracketed to EVENT_TOL and z_s strictly past
@@ -436,39 +414,37 @@ def _bisect_event(rhs, t, z, h, z_hi, xi, thr, rising):
     while hi - lo > EVENT_TOL:
         mid = 0.5 * (lo + hi)
         z_mid = _rk4(rhs, t, z, mid)
-        p = _proj(z_mid, xi)
-        if (p > thr) if rising else (p < thr):
+        if d * _proj(z_mid, xi) > d * thr:
             hi, z_hi = mid, z_mid
         else:
             lo = mid
     return hi, z_hi
 
 
-def _integrate_relays(xi, relays, select, log_key, label, controls, z0, T, step, cap):
+def _integrate_relays(xi, banks, select, log_key, label, controls, z0, T, step, cap):
     """RK4 with delayed-relay events on the projections z.xi_j.
 
-    relays[j] holds the RelayStates of axis j.  select(outs) maps the current
+    banks[j] is the RelayBank of axis j.  select(outs) maps the current
     outputs (one list per axis) to (fields, log entry); the fields are
     combined with the controls as in a plain system.  The log entry of every
     step goes to hysteresis_log[log_key], and label(j, i) names the events
     of relay i on axis j.
 
     A step ends at the earliest crossing, ties going to the lowest axis.  Only
-    the nearest pending threshold of each axis in each direction is bisected:
+    the next relay to switch on each axis in each direction is bisected:
     a farther relay's crossing implies the nearer one's, so its bisection can
     never end earlier (if it ends at the same fraction, the nearer relay
     switches first and the farther one on the next step).
     """
     z = tuple(float(c) for c in z0)
-    for j, v in enumerate(xi):
+    walks = [_Walk(bank) for bank in banks]
+    for j, (v, walk) in enumerate(zip(xi, walks)):
         _check_dim(z, len(v))
-        p = _proj(z, v)
-        if not all(r.consistent_with(p) for r in relays[j]):
+        if walk.crossed(_proj(z, v)):
             raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
     pieces = _pieces(step, T, controls)
     n = len(z)
-    outs = [[r.out for r in rs] for rs in relays]
-    pending = [_pending(rs, os) for rs, os in zip(relays, outs)]
+    outs = [walk.outs for walk in walks]  # the walks switch these lists in place
     fields, entry = select(outs)
     times = [pieces[0][0]]
     states = [z]
@@ -483,30 +459,20 @@ def _integrate_relays(xi, relays, select, log_key, label, controls, z0, T, step,
             h = min(h_nom, b - t)
             z_new = _rk4(rhs, t, z, h)
             hit = None
-            for j, v in enumerate(xi):
-                p = _proj(z_new, v)
-                lo, i_lo, hi, i_hi = pending[j]
-                # lo <= hi holds at the consistent start and after every switch
-                # (a relay's lo is below its own hi): one direction at most
-                if p < lo:
-                    i, thr, rising = i_lo, lo, False
-                elif p > hi:
-                    i, thr, rising = i_hi, hi, True
-                else:
-                    continue
-                s, z_s = _bisect_event(rhs, t, z, h, z_new, v, thr, rising)
-                if hit is None or s < hit[0]:
-                    hit = (s, z_s, j, i)
+            for j, (v, walk) in enumerate(zip(xi, walks)):
+                crossed = walk.crossed(_proj(z_new, v))
+                if crossed:
+                    d, thr = crossed
+                    s, z_s = _bisect_event(rhs, t, z, h, z_new, v, thr, d)
+                    if hit is None or s < hit[0]:
+                        hit = (s, z_s, j, d)
             if hit is None:
                 z = z_new
                 t = t + h
             else:
-                s, z, j, i = hit
+                s, z, j, d = hit
                 t = t + s
-                old = outs[j][i]
-                outs[j][i] = -old
-                events.append(Event(t, label(j, i), old, -old))
-                pending[j] = _pending(relays[j], outs[j])
+                events.append(Event(t, label(j, walks[j].switch(d)), -d, d))
                 fields, entry = select(outs)
                 rhs = _combined_rhs(fields, u, n)
             _check_cap(z, cap)
@@ -527,14 +493,14 @@ def integrate_switching(
     if len(controls) != spec.field_table[string].m:
         raise DomainError("one control per field required")
     _check_dim(z0, spec.field_table[string].n)
-    relays = [(RelayState(*spec.axis_thresholds(i), w),) for i, w in enumerate(string)]
+    banks = [RelayBank((RelayState(*spec.axis_thresholds(i), w),)) for i, w in enumerate(string)]
 
     def select(outs):
         s = tuple(o[0] for o in outs)
         return spec.field_table[s].fields, s
 
     return _integrate_relays(
-        spec.xi, relays, select, "string", lambda j, i: f"axis{j + 1}",
+        spec.xi, banks, select, "string", lambda j, i: f"axis{j + 1}",
         controls, z0, T, step, cap,
     )
 
@@ -555,6 +521,6 @@ def integrate_bank(
         return fields, tuple(map(tuple, outs))
 
     return _integrate_relays(
-        spec.xi, [bk.relays for bk in banks], select, "strings",
+        spec.xi, banks, select, "strings",
         lambda j, i: f"axis{j + 1}.relay{i + 1}", controls, z0, T, step, cap,
     )

@@ -5,7 +5,11 @@ we ever feed them (polylines are piecewise monotone).  The play and the
 truncated play are front ends of one generalized play: its output is clamped
 between two nondecreasing piecewise-affine boundary curves of the input, each
 given as (breaks, pieces), its sorted kinks and one (intercept, slope) per
-piece.  States are small frozen value types; updates return new states.
+piece.  A delayed relay is a one-relay bank.  A bank's thresholds strictly
+increase with the relay index, so the next relay to switch is one index each
+way (wiping-out); _Walk keeps that pair, and bank_trace and the relay core of
+dynamics both read it.  States are small frozen value types; updates return
+new states.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
 
 
 # ---------------------------------------------------------------------------
-# delayed relay
+# delayed relays and relay banks (a delayed relay is a one-relay bank)
 
 @dataclass(frozen=True)
 class RelayState:
@@ -131,8 +135,8 @@ class RelayState:
     out: int
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError("relay needs lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise DomainError(f"relay needs finite thresholds lo < hi, got ({self.lo}, {self.hi})")
         if self.out not in (-1, 1):
             raise DomainError("relay output must be -1 or +1")
 
@@ -148,43 +152,25 @@ class SwitchEvent:
     new: int
 
 
-def relay_advance(
-    state: RelayState,
-    z_prev: float,
-    z_next: float,
-    t_prev: float = 0.0,
-    t_next: float = 1.0,
-    index: int = 0,
-):
-    """Advance a relay across one affine input move; at most one switch.
-
-    Strict inequalities at the thresholds (no switch on touching them); the
-    crossing time is affinely interpolated, exact for polyline inputs.
-    """
-    if not state.consistent_with(z_prev):
-        raise DomainError(
-            f"relay output {state.out} inconsistent with input {z_prev} "
-            f"(thresholds {state.lo}, {state.hi})"
-        )
-    if state.out == 1 and z_next < state.lo:
-        thr, new = state.lo, -1
-    elif state.out == -1 and z_next > state.hi:
-        thr, new = state.hi, 1
-    else:
-        return state, None
-    frac = (thr - z_prev) / (z_next - z_prev)
-    event = SwitchEvent(t_prev + frac * (t_next - t_prev), index, state.out, new)
-    return replace(state, out=new), event
-
-
-# ---------------------------------------------------------------------------
-# relay bank (finite Preisach superposition)
-
 @dataclass(frozen=True)
 class RelayBank:
-    """Ordered bank of k relays, relay i with thresholds (-1+i/k, i/k)."""
+    """Finite Preisach superposition: relays whose lo and hi both strictly
+    increase with the index; its output is the mean of theirs.
+
+    A delayed relay is the one-relay bank.  With sorted thresholds the next
+    relay to switch is one index each way (wiping-out): the lowest-index
+    relay at -1 on a rise, at its hi, and the highest-index one at +1 on a
+    fall, at its lo.  make and staircase give relay i thresholds (-1+i/k, i/k).
+    """
 
     relays: tuple[RelayState, ...]
+
+    def __post_init__(self):
+        if not self.relays:
+            raise DomainError("bank needs at least one relay")
+        for a, b in zip(self.relays, self.relays[1:]):
+            if not (a.lo < b.lo and a.hi < b.hi):
+                raise DomainError("bank thresholds must strictly increase with the index")
 
     @property
     def k(self) -> int:
@@ -218,48 +204,92 @@ class RelayBank:
         return all(a >= b for a, b in zip(outs, outs[1:]))
 
     def consistent_with(self, zeta: float) -> bool:
-        return all(r.consistent_with(zeta) for r in self.relays)
+        return _Walk(self).crossed(zeta) is None
 
     def to_json(self):
         return [{"lo": r.lo, "hi": r.hi, "out": r.out} for r in self.relays]
 
 
+class _Walk:
+    """A bank's outputs while it switches, and its next switch each way: up,
+    the lowest index at -1, and down, the highest at +1.  They are k and -1
+    if there is none, where the sentinels his[k] = inf and los[-1] = -inf
+    are never passed.  A switch moves its pointer by a scan from the
+    switched index, one step in a staircase bank."""
+
+    def __init__(self, bank: RelayBank):
+        self.outs = [r.out for r in bank.relays]
+        self.his = [r.hi for r in bank.relays] + [math.inf]
+        self.los = [r.lo for r in bank.relays] + [-math.inf]
+        self.total = sum(self.outs)
+        self.up = self._scan(0, 1)
+        self.down = self._scan(bank.k - 1, -1)
+
+    def _scan(self, j: int, s: int) -> int:
+        """The first index from j on, stepping by s, whose output is -s."""
+        outs = self.outs
+        while 0 <= j < len(outs) and outs[j] == s:
+            j += s
+        return j
+
+    def crossed(self, z: float):
+        """(s, threshold) of the next switch z is strictly past, s = +1 on a
+        rise and -1 on a fall; None if there is none, that is if every relay
+        is consistent with z."""
+        if z > self.his[self.up]:
+            return 1, self.his[self.up]
+        if z < self.los[self.down]:
+            return -1, self.los[self.down]
+        return None
+
+    def switch(self, s: int) -> int:
+        """Switch the next relay in direction s to s; return its index."""
+        if s == 1:
+            i = self.up
+            self.up, self.down = self._scan(i + 1, 1), max(self.down, i)
+        else:
+            i = self.down
+            self.down, self.up = self._scan(i - 1, -1), min(self.up, i)
+        self.outs[i] = s
+        self.total += 2 * s
+        return i
+
+
 def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     """(macroscopic step output, switch events, final bank) along zeta.
 
-    Relay switch times inside one monotone segment are sorted, so the update
-    order never depends on relay index.
+    On each input segment the pending relay switches while the segment's end
+    is strictly past its threshold, at the affinely interpolated crossing
+    time, so the events come in time order (two at a bit-equal time on a
+    fall list the higher index first).
     """
-    if not bank.consistent_with(zeta.knots[0][1]):
+    walk = _Walk(bank)
+    if walk.crossed(zeta.knots[0][1]):
         raise DomainError("bank relay states inconsistent with zeta(0)")
-    relays = list(bank.relays)
+    k = bank.k
     events: list[SwitchEvent] = []
     break_times = [zeta.knots[0][0]]
-    levels = [sum(r.out for r in relays) / bank.k]
+    levels = [walk.total / k]
 
     for (t0, z0), (t1, z1) in zip(zeta.knots, zeta.knots[1:]):
-        seg = []
-        for i, r in enumerate(relays):
-            _, ev = relay_advance(r, z0, z1, t0, t1, index=i + 1)
-            if ev is not None:
-                seg.append(ev)
-        for ev in sorted(seg, key=lambda e: e.time):
-            relays[ev.index - 1] = replace(relays[ev.index - 1], out=ev.new)
-            events.append(ev)
-            level = sum(r.out for r in relays) / bank.k
-            if break_times[-1] < ev.time:
-                break_times.append(ev.time)
-                levels.append(level)
+        while hit := walk.crossed(z1):
+            s, thr = hit
+            time = t0 + ((thr - z0) / (z1 - z0)) * (t1 - t0)
+            events.append(SwitchEvent(time, walk.switch(s) + 1, -s, s))
+            if break_times[-1] < time:
+                break_times.append(time)
+                levels.append(walk.total / k)
             else:  # simultaneous switches merge into one breakpoint
-                levels[-1] = level
+                levels[-1] = walk.total / k
     T = zeta.horizon
     if break_times[-1] >= T:  # event exactly at the horizon: keep grid valid
         break_times.pop()
         levels.pop()
-        levels[-1] = sum(r.out for r in relays) / bank.k
+        levels[-1] = walk.total / k
     break_times.append(T)
     output = StepSignal(TimeGrid(tuple(break_times)), tuple(levels))
-    return output, events, RelayBank(tuple(relays))
+    final = RelayBank(tuple(replace(r, out=o) for r, o in zip(bank.relays, walk.outs)))
+    return output, events, final
 
 
 def saturation_prefix(

@@ -15,6 +15,7 @@ view; the binary operations read both operands on their merged grid.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -118,7 +119,7 @@ class PolylineSignal:
         times = tuple(t for t, _ in kn)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError("polyline knot times must be strictly increasing")
-        if not all(np.isfinite(t) and np.isfinite(v) for t, v in kn):
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in kn):
             raise DomainError("polyline knots must be finite")
         object.__setattr__(self, "times", times)
 

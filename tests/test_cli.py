@@ -59,6 +59,20 @@ def test_usage_error_play_nonfinite_rho(tmp_path, rho, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("w0", ["nan", "inf"])
+def test_usage_error_play_nonfinite_w0(tmp_path, w0, capsys):
+    sig = write_json(tmp_path / "u.json", {"knots": [[0.0, 0.0], [1.0, 1.0]]})
+    assert main(["play", "--input", sig, "--w0", w0, "--rho", "0.5"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo, hi", [("nan", "0.5"), ("-inf", "0.5"), ("-0.5", "inf")])
+def test_usage_error_relay_nonfinite_threshold(tmp_path, lo, hi, capsys):
+    sig = write_json(tmp_path / "z.json", {"knots": [[0.0, 0.0], [1.0, 1.0]]})
+    assert main(["relay", "--input", sig, f"--lo={lo}", f"--hi={hi}", "--out0", "1"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_usage_error_unknown_experiment(capsys):
     assert main(["sim", "not_an_experiment"]) == 2
 

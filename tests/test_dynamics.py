@@ -274,7 +274,7 @@ def test_switching_incompatible_string():
 
 
 def test_switching_spec_threshold_validation():
-    for eta in (0.0, -0.1, math.nan):
+    for eta in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             SwitchingSpec(xi=((1.0, 0.0), (0.0, 1.0)), eta=eta,
                           field_table=demo_spec().field_table)

@@ -16,7 +16,6 @@ from hystctl.hysteresis import (
     bank_trace,
     play_apply,
     play_update,
-    relay_advance,
     saturation_prefix,
     truncated_play_apply,
 )
@@ -190,25 +189,31 @@ def test_play_nonexpansiveness():
 # ---------------------------------------------------------------------------
 # relays
 
+def relay_trace(lo, hi, out, *knots):
+    """bank_trace of the one-relay bank along the polyline through knots."""
+    return bank_trace(RelayBank((RelayState(lo, hi, out),)), PolylineSignal(knots))
+
+
 def test_relay_switch_down():
-    state, ev = relay_advance(RelayState(-0.5, 0.5, 1), 0.0, -0.6)
-    assert state.out == -1
-    assert ev is not None and abs(ev.time - 0.5 / 0.6) < 1e-15
+    _, events, final = relay_trace(-0.5, 0.5, 1, (0.0, 0.0), (1.0, -0.6))
+    assert final.relays[0].out == -1
+    assert [(e.index, e.old, e.new) for e in events] == [(1, 1, -1)]
+    assert abs(events[0].time - 0.5 / 0.6) < 1e-15
 
 
 def test_relay_no_switch_up_direction():
-    state, ev = relay_advance(RelayState(-0.5, 0.5, 1), 0.0, 0.9)
-    assert state.out == 1 and ev is None
+    _, events, final = relay_trace(-0.5, 0.5, 1, (0.0, 0.0), (1.0, 0.9))
+    assert final.relays[0].out == 1 and not events
 
 
 def test_relay_strict_threshold():
-    state, ev = relay_advance(RelayState(-0.5, 0.5, -1), 0.4, 0.5)
-    assert state.out == -1 and ev is None  # touching the threshold is not crossing
+    _, events, final = relay_trace(-0.5, 0.5, -1, (0.0, 0.4), (1.0, 0.5))
+    assert final.relays[0].out == -1 and not events  # touching is not crossing
 
 
 def test_relay_inconsistent_start():
     with pytest.raises(DomainError):
-        relay_advance(RelayState(-0.5, 0.5, 1), -0.9, 0.0)
+        relay_trace(-0.5, 0.5, 1, (0.0, -0.9), (1.0, 0.0))
 
 
 def test_relay_switch_count_bound():
@@ -216,17 +221,31 @@ def test_relay_switch_count_bound():
     for _ in range(30):
         lo, width = rng.uniform(-1, 0), rng.uniform(0.2, 1.0)
         z = random_polyline(rng, n_knots=10)
-        state = RelayState(lo, lo + width, 1 if z.knots[0][1] >= lo else -1)
-        switches = 0
-        for (t0, z0), (t1, z1) in zip(z.knots, z.knots[1:]):
-            state, ev = relay_advance(state, z0, z1, t0, t1)
-            switches += ev is not None
+        relay = RelayState(lo, lo + width, 1 if z.knots[0][1] >= lo else -1)
+        _, events, _ = bank_trace(RelayBank((relay,)), z)
         tv = sum(abs(b[1] - a[1]) for a, b in zip(z.knots, z.knots[1:]))
-        assert switches <= math.ceil(tv / width) + 1
+        assert len(events) <= math.ceil(tv / width) + 1
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
+                                    (-math.inf, 0.0), (0.0, math.inf)])
+def test_relay_nonfinite_thresholds_rejected(lo, hi):
+    with pytest.raises(DomainError):
+        RelayState(lo, hi, 1)
 
 
 # ---------------------------------------------------------------------------
 # relay banks
+
+def test_bank_validation():
+    with pytest.raises(DomainError):
+        RelayBank(())
+    for lows, highs in (((0.0, -0.5), (1.0, 1.5)), ((0.0, 0.5), (1.0, 0.8)),
+                        ((0.0, 0.0), (1.0, 1.5))):
+        relays = tuple(RelayState(lo, hi, 1) for lo, hi in zip(lows, highs))
+        with pytest.raises(DomainError):
+            RelayBank(relays)
+
 
 def test_bank_thresholds():
     bank = RelayBank.staircase(4, 0)
@@ -310,6 +329,61 @@ def test_bank_serialization():
         {"lo": -0.5, "hi": 0.5, "out": 1},
         {"lo": 0.0, "hi": 1.0, "out": -1},
     ]
+
+
+def relay_alone(relay, zeta):
+    """(segment, time, new output) of every switch of one relay stepped alone
+    along zeta with the strict rule, and its final output."""
+    out, switches = relay.out, []
+    for seg, ((t0, z0), (t1, z1)) in enumerate(zip(zeta.knots, zeta.knots[1:])):
+        if out == 1 and z1 < relay.lo:
+            thr = relay.lo
+        elif out == -1 and z1 > relay.hi:
+            thr = relay.hi
+        else:
+            continue
+        out = -out
+        switches.append((seg, t0 + ((thr - z0) / (z1 - z0)) * (t1 - t0), out))
+    return switches, out
+
+
+@st.composite
+def banks_and_inputs(draw):
+    """A bank of k <= 12 relays with consistent, not necessarily staircase,
+    outputs, and an input whose knots often lie exactly on thresholds."""
+    k = draw(st.integers(1, 12))
+    thresholds = [-1.0 + i / k for i in range(1, k + 1)] + [i / k for i in range(1, k + 1)]
+    n = draw(st.integers(2, 10))
+    value = st.one_of(st.floats(-1.3, 1.3), st.sampled_from(thresholds))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    zeta = PolylineSignal(tuple(zip(np.concatenate([[0.0], np.cumsum(gaps)]), values)))
+    z0 = values[0]
+    ups = draw(st.lists(st.booleans(), min_size=k, max_size=k))  # inside the dead band
+    outs = [1 if z0 > i / k or (z0 >= -1.0 + i / k and up) else -1
+            for i, up in zip(range(1, k + 1), ups)]
+    return RelayBank.make(k, outs), zeta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=banks_and_inputs())
+def test_bank_trace_matches_relays_stepped_alone(case):
+    bank, zeta = case
+    alone = [relay_alone(r, zeta) for r in bank.relays]
+    # in time order within a segment; at a bit-equal time a rise lists the
+    # lower index first and a fall the higher
+    want = sorted((seg, t, new * i, i, new)
+                  for i, (switches, _) in enumerate(alone, 1) for seg, t, new in switches)
+    out, events, final = bank_trace(bank, zeta)
+    assert [(e.time, e.index, e.old, e.new) for e in events] == [
+        (t, i, -new, new) for _, t, _, i, new in want]
+    assert [r.out for r in final.relays] == [o for _, o in alone]
+    t0, T = zeta.knots[0][0], zeta.horizon
+    assert out.grid.points == (t0, *sorted({t for _, t, _, _, _ in want if t0 < t < T}), T)
+    total = sum(r.out for r in bank.relays)
+    levels = [(total + 2 * sum(new for _, s, _, _, new in want if s <= t)) / bank.k
+              for t in out.grid.points[:-2]]
+    assert list(out.values) == levels + [final.output]
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ def test_grid_validation():
         TimeGrid((0.0, float("inf")))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_polyline_rejects_nonfinite_knots(bad):
+    for knots in (((0.0, 0.0), (bad, 1.0)), ((0.0, bad), (1.0, 1.0))):
+        with pytest.raises(DomainError):
+            PolylineSignal(knots)
+
+
 def test_step_evaluation_convention():
     s = step([0.0, 1.0, 2.0], [1.0, -1.0])
     assert s(0.5) == 1.0
