@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -42,8 +43,19 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that reads as a negative float (-1e-3, -.5, -inf) is a
+    value, as in `--w0 -1e-3`, not an unknown option; argparse's own pattern
+    takes only plain decimals.  Subparsers are of the parser's class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hystctl",
         description="Simulation toolkit for driftless control-affine systems "
         "with rate-independent hysteresis.",

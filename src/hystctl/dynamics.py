@@ -1,17 +1,26 @@
 """Trajectory integration for driftless control-affine systems.
 
 Five flavours: plain (no hysteresis), play in the controls, play in the state
-(triangular/chain), delayed-relay switching, and relay-bank systems.  The base
-scheme is fixed-step classical RK4 with mandatory sub-steps at every control
-and play-output breakpoint.  For triangular systems the x coordinates and the
-play outputs are computed in closed form and only the output integrals are
-quadratures (Simpson, exact on piecewise-affine integrands).
+(triangular/chain), delayed-relay switching, and relay-bank systems.
 
-Switching and bank systems share one event-driven loop over relay banks on
-the projections z.xi_j: a switching axis carries a one-relay bank, a bank
-axis k relays.  Each step is checked against the next relay to switch on
-each axis in each direction, one index each way as hysteresis keeps it, and
-the first crossing is localized by bisection.
+All but play in the state run one loop, the relay core: classical RK4 on each
+piece between the merged control breakpoints, on the piece's nominal grid
+a + q*h whose last point is exactly b.  Controls are affine on a piece (a
+step signal with slope 0, a polyline such as a play output with its own), so
+the right-hand side is sum_i (u_i(a) + s_i (t - a)) g_i(z).  Switching and
+bank systems carry relay banks on the projections z.xi_j: a switching axis a
+one-relay bank, a bank axis k relays.  A step is checked against the next
+relay to switch on each axis in each direction, one index each way as
+hysteresis keeps it; a step that crosses one is cut at the earliest crossing,
+located by bisection, and after the switch resumes to the same grid point.
+A plain system is the core with no relays, and play in the controls is a
+plain system driven by the play outputs.  An axis may switch at most
+EVENT_BUDGET * (nominal steps + its relays) times; a relay that chatters
+past that raises DivergenceError.
+
+For triangular systems the x coordinates and the play outputs are computed
+in closed form and only the output integrals are quadratures (Simpson, exact
+on piecewise-affine integrands).
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import numpy as np
 
 from .hysteresis import RelayBank, RelayState, _Walk, play_apply
 from .signals import (
-    DomainError, StepSignal, antiderivative, breakpoints, check_times, merge_times, sample,
+    DomainError, StepSignal, _affine_on, antiderivative, breakpoints, check_times, merge_times,
+    sample,
 )
 
 NORM_CAP = 1e6
@@ -34,8 +44,9 @@ EVENT_TOL = 1e-12
 # Relative slack when controls must share a horizon and when a piece is cut
 # into steps (a piece a hair longer than whole steps gets no sliver step).
 _PIECE_SLACK = 1e-9
-# Relative slack below a piece's end at which the event loop stops stepping.
-_END_SLACK = 1e-15
+# Events allowed on an axis per nominal step and per relay on the axis; more
+# means a relay chatters (the switching and bank runs measured stay below 1).
+EVENT_BUDGET = 4
 
 
 class DivergenceError(RuntimeError):
@@ -50,7 +61,6 @@ class FieldSet:
     m: int
     fields: tuple
     lipschitz: float | None = None
-    bound: float | None = None
 
 
 def heisenberg_fields() -> FieldSet:
@@ -167,6 +177,8 @@ class Trajectory:
         )
 
     def to_csv(self, path: str) -> None:
+        """One row per time; a relay log entry is written as +/- per relay,
+        one string per axis of a bank joined by '|' (as ++--|+---)."""
         n = self.states.shape[1]
         log_keys = sorted(self.hysteresis_log)
         with open(path, "w", newline="") as fh:
@@ -176,11 +188,14 @@ class Trajectory:
                 row = [self.times[idx]] + list(self.states[idx])
                 for key in log_keys:
                     val = self.hysteresis_log[key][idx]
-                    if isinstance(val, (tuple, list)):
-                        row.append("".join("+" if int(v) > 0 else "-" for v in val))
-                    else:
-                        row.append(val)
+                    row.append(_signs(val) if isinstance(val, tuple) else val)
                 w.writerow(row)
+
+
+def _signs(outs: tuple) -> str:
+    if isinstance(outs[0], tuple):
+        return "|".join(map(_signs, outs))
+    return "".join("+" if v > 0 else "-" for v in outs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +228,14 @@ def _check_cap(z, cap):
             raise DivergenceError(f"state left the cap {cap} or is not finite")
 
 
-def _pieces(step, T, controls, plays=()):
+def _pieces(step, T, signals):
     """Pieces (a, b, nsteps) between the merged breakpoints of the signals.
 
-    The controls must be step signals, since the integrators hold each one
-    at its midpoint value on a piece; the plays are polyline outputs.  All
-    signals must share the horizon T (the first signal's if T is None);
+    All signals must share the horizon T (the first signal's if T is None);
     each piece gets the fewest equal steps that are no longer than step.
     """
     if step <= 0.0:
         raise DomainError("step must be positive")
-    if not all(isinstance(c, StepSignal) for c in controls):
-        raise DomainError("controls must be step signals")
-    signals = [*controls, *plays]
     if T is None:
         T = signals[0].horizon
     for s in signals:
@@ -238,23 +248,16 @@ def _pieces(step, T, controls, plays=()):
     ]
 
 
-def _combined_rhs(fields, u, n):
-    """rhs(t, z) = sum_i u_i g_i(z) over the fields with a nonzero control."""
-    active = [(ui, g) for ui, g in zip(u, fields) if ui != 0.0]
-    if not active:
-        zeros = (0.0,) * n
-        return lambda t, z: zeros
-    if len(active) == 1:
-        u0, g0 = active[0]
-
-        def rhs1(t, z):
-            return tuple(u0 * c for c in g0(z))
-
-        return rhs1
+def _affine_rhs(fields, u0, slope, a, n):
+    """rhs(t, z) = sum_i (u0_i + slope_i (t - a)) g_i(z) over the fields whose
+    control is not zero on the piece."""
+    active = [(c, s, g) for c, s, g in zip(u0, slope, fields) if c != 0.0 or s != 0.0]
 
     def rhs(t, z):
         acc = [0.0] * n
-        for ui, g in active:
+        tau = t - a
+        for c, s, g in active:
+            ui = c + s * tau
             gz = g(z)
             for i in range(n):
                 acc[i] += ui * gz[i]
@@ -263,72 +266,127 @@ def _combined_rhs(fields, u, n):
     return rhs
 
 
-def _rk4_pieces(pieces, rhs_of, z0, cap):
-    """Equal RK4 steps across each piece (a, b, nsteps), with rhs_of(a, b)."""
+def _proj(z, xi):
+    return sum(c * x for c, x in zip(z, xi))
+
+
+def _bisect_event(rhs, t, z, h, z_hi, xi, thr, d):
+    """Smallest step fraction at which z.xi first passes thr, rising for
+    d = 1 and falling for d = -1.
+
+    z_hi is the RK4 state after the full step h, which is past thr; returns
+    (s, z_s) with the crossing bracketed to EVENT_TOL and z_s strictly past
+    the threshold.
+    """
+    lo, hi = 0.0, h
+    while hi - lo > EVENT_TOL:
+        mid = 0.5 * (lo + hi)
+        z_mid = _rk4(rhs, t, z, mid)
+        if d * _proj(z_mid, xi) > d * thr:
+            hi, z_hi = mid, z_mid
+        else:
+            lo = mid
+    return hi, z_hi
+
+
+def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
+    """RK4 on the nominal grid of every piece, with delayed-relay events on
+    the projections z.xi_j: (times, states, log, events).
+
+    banks[j] is the RelayBank of axis j.  select(walks) maps the banks'
+    current outputs to (fields, log entry); the fields are driven by the
+    controls, affine on each piece.  log holds the entry of every row, and
+    label(j, i) names the events of relay i on axis j.
+
+    A step ends at the earliest crossing, ties going to the lowest axis, and
+    the next step resumes to the same grid point.  Only the next relay to
+    switch on each axis in each direction is bisected: a farther relay's
+    crossing implies the nearer one's, so its bisection can never end
+    earlier (if it ends at the same fraction, the nearer relay switches
+    first and the farther one on the next step).
+    """
     z = tuple(float(c) for c in z0)
+    walks = [_Walk(bank) for bank in banks]
+    for j, (v, walk) in enumerate(zip(xi, walks)):
+        _check_dim(z, len(v))
+        if walk.crossed(_proj(z, v)):
+            raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
+    pieces = _pieces(step, T, controls)
+    grid = np.array([a for a, _, _ in pieces] + [pieces[-1][1]])
+    on_grid = [_affine_on(c.affine_view(), grid) for c in controls]
+    u0 = zip(*(left.tolist() for left, _ in on_grid))  # per piece: the controls at a
+    slope = zip(*(sl.tolist() for _, sl in on_grid))  # and their slopes
+    nominal = sum(nsteps for _, _, nsteps in pieces)
+    budgets = [EVENT_BUDGET * (nominal + bank.k) for bank in banks]
+    switches = [0] * len(banks)
+    n = len(z)
+    fields, entry = select(walks)
     times = [pieces[0][0]]
     states = [z]
-    for a, b, nsteps in pieces:
-        rhs = rhs_of(a, b)
+    log = [entry]
+    events = []
+    for (a, b, nsteps), c0, sl in zip(pieces, u0, slope):
+        rhs = _affine_rhs(fields, c0, sl, a, n)
         h = (b - a) / nsteps
         t = a
-        for q in range(nsteps):
-            z = _rk4(rhs, t, z, h)
-            t = b if q == nsteps - 1 else a + (q + 1) * h
-            _check_cap(z, cap)
-            times.append(t)
-            states.append(z)
-    return np.asarray(times), np.asarray(states)
+        for q in range(1, nsteps + 1):
+            t_end = b if q == nsteps else a + q * h
+            dt = h
+            while True:
+                z_new = _rk4(rhs, t, z, dt)
+                hit = None
+                for j, (v, walk) in enumerate(zip(xi, walks)):
+                    crossed = walk.crossed(_proj(z_new, v))
+                    if crossed:
+                        d, thr = crossed
+                        s, z_s = _bisect_event(rhs, t, z, dt, z_new, v, thr, d)
+                        if hit is None or s < hit[0]:
+                            hit = (s, z_s, j, d)
+                if hit is None:
+                    z, t = z_new, t_end
+                else:
+                    s, z, j, d = hit
+                    t = min(t + s, t_end)  # t + s may round past the grid point
+                    events.append(Event(t, label(j, walks[j].switch(d)), -d, d))
+                    switches[j] += 1
+                    if switches[j] > budgets[j]:
+                        raise DivergenceError(
+                            f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
+                    fields, entry = select(walks)
+                    rhs = _affine_rhs(fields, c0, sl, a, n)
+                _check_cap(z, cap)
+                times.append(t)
+                states.append(z)
+                log.append(entry)
+                if t == t_end:
+                    break
+                dt = t_end - t
+    return np.asarray(times), np.asarray(states), log, tuple(events)
 
 
 # ---------------------------------------------------------------------------
 # plain and play-in-controls systems
 
 def integrate_plain(sys: FieldSet, controls, z0, T=None, step=1e-3, cap=NORM_CAP) -> Trajectory:
-    """Fixed-step RK4 with sub-steps aligned to every control breakpoint."""
+    """Fixed-step RK4 on the nominal grid between the control breakpoints;
+    the controls, step signals or polylines, are affine on each piece."""
     if len(controls) != sys.m:
         raise DomainError("one control per field required")
     _check_dim(z0, sys.n)
-
-    def rhs_of(a, b):
-        return _combined_rhs(sys.fields, [c(0.5 * (a + b)) for c in controls], sys.n)
-
-    return Trajectory(*_rk4_pieces(_pieces(step, T, controls), rhs_of, z0, cap))
+    times, states, _, _ = _integrate(controls, z0, T, step, cap, lambda walks: (sys.fields, None))
+    return Trajectory(times, states)
 
 
 def integrate_play_controls(
     sys: FieldSet, v, w0, rho, z0, T=None, step=1e-3, cap=NORM_CAP
 ) -> Trajectory:
-    """System driven by the play outputs of the inputs v (exact polylines)."""
+    """The plain system driven by the play outputs of the inputs v."""
     if len(v) != sys.m or len(w0) != sys.m:
         raise DomainError("one input and one seed per field required")
-    _check_dim(z0, sys.n)
     plays = [play_apply(vi, wi, rho) for vi, wi in zip(v, w0)]
-    fields = sys.fields
-    m = sys.m
-    n = sys.n
-
-    def rhs_of(a, b):
-        p0 = [p(a) for p in plays]
-        sl = [(p(b) - q) / (b - a) for p, q in zip(plays, p0)]
-
-        def rhs(t, z, p0=p0, sl=sl, a=a):
-            acc = [0.0] * n
-            tau = t - a
-            for i in range(m):
-                ui = p0[i] + sl[i] * tau
-                if ui == 0.0:
-                    continue
-                gz = fields[i](z)
-                for q in range(n):
-                    acc[q] += ui * gz[q]
-            return acc
-
-        return rhs
-
-    times, states = _rk4_pieces(_pieces(step, T, (), plays), rhs_of, z0, cap)
-    log = {f"play{i + 1}": sample(p, times) for i, p in enumerate(plays)}
-    return Trajectory(times, states, hysteresis_log=log)
+    traj = integrate_plain(sys, plays, z0, T, step, cap)
+    log = {f"play{i + 1}": sample(p, traj.times) for i, p in enumerate(plays)}
+    return Trajectory(traj.times, traj.states, hysteresis_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +409,11 @@ def integrate_play_state(
     m = spec.m
     if len(controls) != m or len(z0) != 2 * m - 1:
         raise DomainError("control/state dimensions inconsistent with spec")
+    if not all(isinstance(c, StepSignal) for c in controls):
+        raise DomainError("controls must be step signals")
     x_polys = [antiderivative(controls[i], float(z0[i])) for i in range(m)]
     plays = [play_apply(x_polys[i], float(spec.w0[i]), spec.rho) for i in range(m - 1)]
-    pieces = _pieces(step, T, controls, plays)
+    pieces = _pieces(step, T, [*controls, *plays])
 
     y0 = np.array([float(c) for c in z0[m:]])
     tgrid_parts = [np.array([pieces[0][0]])]
@@ -387,11 +447,7 @@ def integrate_play_state(
 
 
 # ---------------------------------------------------------------------------
-# switching and bank systems: one event-driven loop over delayed relays
-
-def _proj(z, xi):
-    return sum(c * x for c, x in zip(z, xi))
-
+# switching and bank systems: the relay core with one bank per axis
 
 def sector_index(z, spec: SwitchingSpec) -> set:
     """All m-strings compatible with z under closure semantics."""
@@ -400,86 +456,6 @@ def sector_index(z, spec: SwitchingSpec) -> set:
         proj, lo_hi = _proj(z, xi), spec.axis_thresholds(i)
         options.append([w for w in (1, -1) if RelayState(*lo_hi, w).consistent_with(proj)])
     return set(itertools.product(*options))
-
-
-def _bisect_event(rhs, t, z, h, z_hi, xi, thr, d):
-    """Smallest step fraction at which z.xi first passes thr, rising for
-    d = 1 and falling for d = -1.
-
-    z_hi is the RK4 state after the full step h, which is past thr; returns
-    (s, z_s) with the crossing bracketed to EVENT_TOL and z_s strictly past
-    the threshold.
-    """
-    lo, hi = 0.0, h
-    while hi - lo > EVENT_TOL:
-        mid = 0.5 * (lo + hi)
-        z_mid = _rk4(rhs, t, z, mid)
-        if d * _proj(z_mid, xi) > d * thr:
-            hi, z_hi = mid, z_mid
-        else:
-            lo = mid
-    return hi, z_hi
-
-
-def _integrate_relays(xi, banks, select, log_key, label, controls, z0, T, step, cap):
-    """RK4 with delayed-relay events on the projections z.xi_j.
-
-    banks[j] is the RelayBank of axis j.  select(outs) maps the current
-    outputs (one list per axis) to (fields, log entry); the fields are
-    combined with the controls as in a plain system.  The log entry of every
-    step goes to hysteresis_log[log_key], and label(j, i) names the events
-    of relay i on axis j.
-
-    A step ends at the earliest crossing, ties going to the lowest axis.  Only
-    the next relay to switch on each axis in each direction is bisected:
-    a farther relay's crossing implies the nearer one's, so its bisection can
-    never end earlier (if it ends at the same fraction, the nearer relay
-    switches first and the farther one on the next step).
-    """
-    z = tuple(float(c) for c in z0)
-    walks = [_Walk(bank) for bank in banks]
-    for j, (v, walk) in enumerate(zip(xi, walks)):
-        _check_dim(z, len(v))
-        if walk.crossed(_proj(z, v)):
-            raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
-    pieces = _pieces(step, T, controls)
-    n = len(z)
-    outs = [walk.outs for walk in walks]  # the walks switch these lists in place
-    fields, entry = select(outs)
-    times = [pieces[0][0]]
-    states = [z]
-    log = [entry]
-    events = []
-    for a, b, nsteps in pieces:
-        u = [c(0.5 * (a + b)) for c in controls]
-        rhs = _combined_rhs(fields, u, n)
-        t = a
-        h_nom = (b - a) / nsteps
-        while t < b - _END_SLACK * max(1.0, b):
-            h = min(h_nom, b - t)
-            z_new = _rk4(rhs, t, z, h)
-            hit = None
-            for j, (v, walk) in enumerate(zip(xi, walks)):
-                crossed = walk.crossed(_proj(z_new, v))
-                if crossed:
-                    d, thr = crossed
-                    s, z_s = _bisect_event(rhs, t, z, h, z_new, v, thr, d)
-                    if hit is None or s < hit[0]:
-                        hit = (s, z_s, j, d)
-            if hit is None:
-                z = z_new
-                t = t + h
-            else:
-                s, z, j, d = hit
-                t = t + s
-                events.append(Event(t, label(j, walks[j].switch(d)), -d, d))
-                fields, entry = select(outs)
-                rhs = _combined_rhs(fields, u, n)
-            _check_cap(z, cap)
-            times.append(t)
-            states.append(z)
-            log.append(entry)
-    return Trajectory(np.asarray(times), np.asarray(states), {log_key: log}, tuple(events))
 
 
 def integrate_switching(
@@ -495,14 +471,13 @@ def integrate_switching(
     _check_dim(z0, spec.field_table[string].n)
     banks = [RelayBank((RelayState(*spec.axis_thresholds(i), w),)) for i, w in enumerate(string)]
 
-    def select(outs):
-        s = tuple(o[0] for o in outs)
+    def select(walks):
+        s = tuple(walk.outs[0] for walk in walks)
         return spec.field_table[s].fields, s
 
-    return _integrate_relays(
-        spec.xi, banks, select, "string", lambda j, i: f"axis{j + 1}",
-        controls, z0, T, step, cap,
-    )
+    times, states, log, events = _integrate(
+        controls, z0, T, step, cap, select, spec.xi, banks, lambda j, i: f"axis{j + 1}")
+    return Trajectory(times, states, {"string": log}, events)
 
 
 def integrate_bank(
@@ -516,11 +491,11 @@ def integrate_bank(
     if len(controls) != m:
         raise DomainError("one control per field required")
 
-    def select(outs):
-        fields = tuple(partial(g, sum(o) / spec.k) for g, o in zip(spec.fields, outs))
-        return fields, tuple(map(tuple, outs))
+    def select(walks):
+        fields = tuple(partial(g, walk.total / spec.k) for g, walk in zip(spec.fields, walks))
+        return fields, tuple(tuple(walk.outs) for walk in walks)
 
-    return _integrate_relays(
-        spec.xi, banks, select, "strings",
-        lambda j, i: f"axis{j + 1}.relay{i + 1}", controls, z0, T, step, cap,
-    )
+    times, states, log, events = _integrate(
+        controls, z0, T, step, cap, select, spec.xi, banks,
+        lambda j, i: f"axis{j + 1}.relay{i + 1}")
+    return Trajectory(times, states, {"strings": log}, events)

@@ -265,25 +265,34 @@ def _check_common_horizon(a, b) -> None:
         )
 
 
+def _affine_on(view, grid: np.ndarray):
+    """(left, slope) of a signal's affine_view() on each interval of grid.
+
+    left is the value at the interval's start and slope the slope of the
+    signal's piece containing the interval's midpoint, so a break of the
+    signal merged away within KNOT_TOL extends its neighbour's line.
+    """
+    breaks, lv, sl = view
+    t0 = grid[:-1]
+    j = np.searchsorted(breaks[1:-1], 0.5 * (t0 + grid[1:]), side="right")
+    return lv[j] + sl[j] * (t0 - breaks[j]), sl[j]
+
+
 def _merged(a, b, ca: float, cb: float):
     """ca*a + cb*b on the merged grid: (times, left, slope).
 
     times are the merged breaks as floats; left and slope hold the value at
-    the start and the slope of the sum on each merged interval.  Each
-    operand's piece on an interval is the one containing its midpoint, so a
-    break merged away within KNOT_TOL extends its neighbour's line.
+    the start and the slope of the sum on each merged interval (_affine_on).
     """
     _check_common_horizon(a, b)
     views = a.affine_view(), b.affine_view()
     times = merge_times(views[0][0].tolist(), views[1][0].tolist())
     grid = np.asarray(times)
-    t0 = grid[:-1]
-    mid = 0.5 * (t0 + grid[1:])
-    left, slope = np.zeros(len(mid)), np.zeros(len(mid))
-    for c, (breaks, lv, sl) in zip((ca, cb), views):
-        j = np.searchsorted(breaks[1:-1], mid, side="right")
-        left += c * (lv[j] + sl[j] * (t0 - breaks[j]))
-        slope += c * sl[j]
+    left, slope = np.zeros(len(grid) - 1), np.zeros(len(grid) - 1)
+    for c, view in zip((ca, cb), views):
+        lv, sl = _affine_on(view, grid)
+        left += c * lv
+        slope += c * sl
     return times, left, slope
 
 

@@ -93,8 +93,10 @@ def test_usage_error_flag_not_allowed(capsys):
     ["heis_exact", "--cases", "0"],
     ["sim", "heis", "--seed", "-1"],
     ["fig3_surjectivity", "--w0", "nan"],
-], ids=["k-empty", "cases-0", "seed-negative", "w0-nan"])
+    ["relay", "--input", "z.json", "--lo", "-inf", "--hi", "0.5", "--out0", "1"],
+], ids=["k-empty", "cases-0", "seed-negative", "w0-nan", "relay-lo-minus-inf"])
 def test_usage_error_flag_value(argv, capsys):
+    # a usage error from parse_config, not from argparse
     assert main(argv) == 2
     assert "usage error" in capsys.readouterr().err
 
@@ -186,6 +188,18 @@ def test_play_subcommand(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "w"]
     assert float(rows[-1][1]) == pytest.approx(1.0)
+
+
+def test_negative_values_in_exponent_notation(tmp_path, capsys):
+    # argparse alone reads "-1e-3" as an unknown option
+    sig = write_json(tmp_path / "u.json", {"knots": [[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]]})
+    assert main(["play", "--input", sig, "--w0", "-1e-3", "--rho", "1.0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["play", "--input", sig, "--w0=-1e-3", "--rho", "1.0"]) == 0
+    assert capsys.readouterr().out == spaced
+    cfg = parse_config(["relay", "--input", sig, "--lo", "-1e-1", "--hi", "1", "--out0", "1"])
+    assert cfg.extra["lo"] == -0.1
+    assert parse_config(["fig3_surjectivity", "--w0", "-1e-1"]).params == {"w0": -0.1}
 
 
 def test_relay_subcommand(tmp_path, capsys):

@@ -62,13 +62,27 @@ def test_constant_controls_heisenberg():
     assert traj.final_state == pytest.approx([1.0, 1.0, 0.5], abs=1e-12)
 
 
-def test_breakpoints_pinned_under_halving():
+def _one_sector_switching(fields, controls, z0, step):
+    # every string carries the same fields and no relay can switch
+    table = {(s1, s2): fields for s1 in (-1, 1) for s2 in (-1, 1)}
+    spec = SwitchingSpec(xi=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), eta=10.0, field_table=table)
+    return integrate_switching(spec, controls, z0, (1, 1), step=step)
+
+
+@pytest.mark.parametrize("integrator", [integrate_plain, _one_sector_switching],
+                         ids=["integrate_plain", "integrate_switching"])
+def test_breakpoints_pinned_under_halving(integrator):
     u1 = step([0.0, 0.37, 1.13, 2.0], [1.0, -0.5, 0.25])
     u2 = step([0.0, 0.71, 2.0], [0.5, -1.0])
-    t_a = integrate_plain(heisenberg_fields(), (u1, u2), (0.0, 0.0, 0.0), step=1e-2)
-    t_b = integrate_plain(heisenberg_fields(), (u1, u2), (0.0, 0.0, 0.0), step=5e-3)
-    for brk in (0.37, 0.71, 1.13):
-        assert brk in t_a.times and brk in t_b.times
+    t_a = integrator(heisenberg_fields(), (u1, u2), (0.0, 0.0, 0.0), step=1e-2)
+    t_b = integrator(heisenberg_fields(), (u1, u2), (0.0, 0.0, 0.0), step=5e-3)
+    for traj in (t_a, t_b):
+        times = traj.times.tolist()
+        for brk in (0.37, 0.71, 1.13, 2.0):  # every breakpoint and the horizon
+            assert brk in times
+        # the nominal grid leaves no sliver step before a breakpoint
+        event_times = {e.time for e in traj.events}
+        assert all(b - a >= 1e-9 or b in event_times for a, b in zip(times, times[1:]))
     assert np.abs(t_a.final_state - t_b.final_state).max() < 1e-10
 
 
@@ -84,15 +98,26 @@ def test_divergence_cap_catches_nan():
         integrate_plain(nan_field, (const(1.0, 1.0),), (1.0,), step=0.25)
 
 
-def test_polyline_control_rejected():
-    # the integrators hold a control at its midpoint value on each piece,
-    # which is exact only for step signals; a ramp must not become 0.5
+def test_polyline_controls_integrated_exactly():
+    # a control is affine on each piece, so a ramp is not held at its
+    # midpoint value: Heisenberg with u1 = t, u2 = 1 gives z = t^3/6, which
+    # RK4 reproduces to rounding
     ramp = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
-    with pytest.raises(DomainError):
-        integrate_plain(EXP_FIELD, (ramp,), (1.0,), step=0.25)
+    traj = integrate_plain(heisenberg_fields(), (ramp, const(1.0, 1.0)), (0.0, 0.0, 0.0),
+                           step=0.1)
+    t = traj.times
+    assert np.abs(traj.states - np.column_stack([t**2 / 2, t, t**3 / 6])).max() < 1e-12
+    # z = t^2/2 under a ramp passes the his 1/2 and 1 of a 2-relay bank
     spec = BankSpec(xi=((1.0,),), k=2, fields=(lambda w, z: (1.0,),))
+    ramp2 = PolylineSignal(((0.0, 0.0), (2.0, 2.0)))
+    traj = integrate_bank(spec, (ramp2,), (0.0,), (RelayBank.staircase(2, 0),), step=0.25)
+    assert [e.operator for e in traj.events] == ["axis1.relay1", "axis1.relay2"]
+    for ev, thr in zip(traj.events, (0.5, 1.0)):
+        assert abs(ev.time - math.sqrt(2.0 * thr)) < 1e-9
+    # play in the state integrates its controls in closed form: steps only
+    tri = TriangularSpec(2, (lambda x: x,), 0.2, (0.0,))
     with pytest.raises(DomainError):
-        integrate_bank(spec, (ramp,), (0.0,), (RelayBank.staircase(2, 1),), step=0.25)
+        integrate_play_state(tri, (ramp, ramp), (0.0, 0.0, 0.0))
 
 
 def test_control_count_mismatch():
@@ -143,6 +168,20 @@ def test_trajectory_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "z1"]
     assert len(rows) == 1 + len(traj.times)
+
+    # a bank system: z1 = t passes relay 2's hi 1 on axis 1, z2 = -t relay
+    # 1's lo -1/2 on axis 2; each axis is one +/- string, joined by '|'
+    spec, banks = _bank_heisenberg()
+    traj = integrate_bank(spec, (const(1.5, 1.0), const(1.5, -1.0)), (0.0, 0.0, 0.0), banks,
+                          step=0.25)
+    traj.to_csv(str(path))
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "z1", "z2", "z3", "strings"]
+    strings = [r[4] for r in rows[1:]]
+    assert len(strings) == len(traj.times)
+    assert (strings[0], strings[-1]) == ("+-|+-", "++|--")
+    assert set(strings) == {"+-|+-", "+-|--", "++|--"}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +275,8 @@ def test_switching_one_sector_equals_plain():
     traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-2)
     ref = integrate_plain(spec.field_table[(1, 1)], controls, (0.5, 0.5), step=1e-2)
     assert not traj.events
-    assert np.abs(traj.final_state - ref.final_state).max() < 1e-12
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states, ref.states)
 
 
 def test_switching_single_crossing():
@@ -264,6 +304,17 @@ def test_switching_event_time_stable_under_halving():
     t1 = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-3)
     t2 = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=5e-4)
     assert abs(t1.events[0].time - t2.events[0].time) < 1e-9
+
+
+def test_chattering_relay_exceeds_event_budget():
+    # opposing fields: output +1 pushes z down to -eta, -1 pushes it back up
+    # to eta, so the relay switches every 2 eta: 5000 events on [0, 1], past
+    # the budget of 4 per nominal step and relay (404)
+    table = {(1,): FieldSet(1, 1, (lambda z: (-1.0,),)),
+             (-1,): FieldSet(1, 1, (lambda z: (1.0,),))}
+    spec = SwitchingSpec(xi=((1.0,),), eta=1e-4, field_table=table)
+    with pytest.raises(DivergenceError, match="axis 1"):
+        integrate_switching(spec, (const(1.0, 1.0),), (0.0,), (1,), step=1e-2)
 
 
 def test_switching_incompatible_string():
