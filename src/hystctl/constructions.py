@@ -2,8 +2,10 @@
 
 Staircase approximants of step controls, exact play-operator inverses,
 alignment maneuvers, bracket loops, and the multi-phase steering schedules
-assembled from them.  Everything here is a pure function emitting signals or
-schedules; integration lives in `dynamics`.
+assembled from them.  The two play inputs, the exact inverse v^k and the
+density input v^j, are one ride of the dead-band edge (_ride) with two swing
+windows.  Everything here is a pure function emitting signals or schedules;
+integration lives in `dynamics`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .signals import (
     PolylineSignal,
     StepSignal,
     TimeGrid,
+    _off_horizon,
     antiderivative,
     derivative,
     sup_distance,
@@ -47,9 +50,7 @@ class Phase:
         if self.duration <= 0.0:
             raise DomainError("phase duration must be positive")
         for c in self.controls:
-            if abs(c.grid.points[0]) > 1e-12 or abs(c.horizon - self.duration) > 1e-9 * max(
-                1.0, self.duration
-            ):
+            if abs(c.grid.points[0]) > 1e-12 or _off_horizon(c.horizon, self.duration):
                 raise DomainError("phase controls must live on [0, duration]")
 
 
@@ -141,40 +142,56 @@ def build_uk(ubar: StepSignal, w0: float, k: int) -> PolylineSignal:
     return PolylineSignal(tuple(knots))
 
 
-def play_inverse_exact(
-    target: PolylineSignal, rho: float, ramp_width: float, check: bool = True
-) -> PolylineSignal:
+def _side(x: PolylineSignal) -> int:
+    """Sign of the first nonzero slope of x, +1 if x is flat."""
+    return next((s for s in map(_sign, x.slopes()) if s), 1)
+
+
+def _ride(x: PolylineSignal, rho: float, window) -> PolylineSignal:
+    """The polyline v that rides the dead-band edge x + sigma*rho.
+
+    sigma starts at _side(x).  At every interior knot t where x turns
+    against sigma, v swings from x(a) + sigma*rho to x(b) - sigma*rho on
+    (a, b) = window(t_prev, t), t_prev being the knot before t, and sigma
+    flips; elsewhere v has a knot at each knot of x.
+    """
+    sigma = _side(x)
+    knots = [(x.times[0], x.knots[0][1] + sigma * rho)]
+    for (t_prev, _), (t, y), out in zip(x.knots, x.knots[1:-1], map(_sign, x.slopes()[1:])):
+        if out == -sigma:
+            a, b = window(t_prev, t)
+            knots.append((a, x(a) + sigma * rho))
+            sigma = out
+            knots.append((b, x(b) + sigma * rho))
+        else:
+            knots.append((t, y + sigma * rho))
+    knots.append((x.times[-1], x.knots[-1][1] + sigma * rho))
+    return PolylineSignal(tuple(knots))
+
+
+def play_inverse_exact(target: PolylineSignal, rho: float, ramp_width: float) -> PolylineSignal:
     """Polyline v with play output exactly equal to target.
 
-    v rides target +- rho on monotone stretches; a slope-sign reversal must be
-    preceded by a plateau, whose final `ramp_width` hosts the 2*rho swing that
-    carries the pair across the dead band without moving the output.
+    v rides target +- rho, each run of flat segments taken as one plateau;
+    a slope-sign reversal must be preceded by a plateau, whose final
+    `ramp_width` hosts the 2*rho swing that carries the pair across the
+    dead band without moving the output.
     """
     _play_bounds(rho)  # checks rho
     signs = [_sign(s) for s in target.slopes()]
-    first = next((s for s in signs if s), 0)
-    t0, y0 = target.knots[0]
-    if first == 0:
-        return PolylineSignal(((t0, y0), (target.horizon, y0)))
-    sigma = first
-    knots = [(t0, y0 + sigma * rho)]
-    for i, s in enumerate(signs):
-        t1, y1 = target.knots[i + 1]
-        if s == 0:
-            nxt = next((q for q in signs[i + 1 :] if q), 0)
-            if nxt and nxt != sigma:
-                a = t1 - ramp_width
-                if a <= knots[-1][0]:
-                    raise DomainError("plateau too short for the pre-reversal swing")
-                knots.append((a, y1 + sigma * rho))
-                sigma = nxt
-            knots.append((t1, y1 + sigma * rho))
-        else:
-            if s != sigma:
-                raise DomainError("slope reversal without a preceding plateau")
-            knots.append((t1, y1 + sigma * rho))
-    v = PolylineSignal(tuple(knots))
-    if check and sup_distance(play_apply(v, y0, rho), target) > 1e-9:
+    x = PolylineSignal(tuple(
+        k for k, before, after in zip(target.knots, [1] + signs, signs + [1]) if before or after
+    ))
+
+    def window(t_prev: float, t: float) -> tuple[float, float]:
+        if x(t_prev) != x(t):
+            raise DomainError("slope reversal without a preceding plateau")
+        if t - ramp_width <= t_prev:
+            raise DomainError("plateau too short for the pre-reversal swing")
+        return t - ramp_width, t
+
+    v = _ride(x, rho, window)
+    if sup_distance(play_apply(v, target.knots[0][1], rho), target) > 1e-9:
         raise RuntimeError("play inversion postcondition failed")
     return v
 
@@ -192,39 +209,18 @@ def build_vk(ubar: StepSignal, w0: float, rho: float, k: int) -> PolylineSignal:
 # ---------------------------------------------------------------------------
 # density construction v^j
 
-def build_vj(x: PolylineSignal, rho: float, j: int, s0: int | None = None) -> PolylineSignal:
+def build_vj(x: PolylineSignal, rho: float, j: int) -> PolylineSignal:
     """Input whose play output tracks the polyline x up to max slope / j.
 
-    v rides x + sigma*rho with sigma the current slope sign; at each knot
-    where the sign reverses, v swings affinely across the dead band over the
-    window [t - 1/j, t + 1/j].  The play seeded at x(0) then reproduces x
-    exactly outside these windows.
+    v rides x + sigma*rho and swings across the dead band over [t - 1/j,
+    t + 1/j] at each slope reversal t; the play seeded at x(0) then
+    reproduces x exactly outside these windows.
     """
     if rho <= 0.0:
         raise DomainError("rho must be positive")
-    times = x.times
-    if j < 1 or 2.0 / j >= np.diff(times).min():
+    if j < 1 or 2.0 / j >= np.diff(x.times).min():
         raise DomainError(f"j={j} too small for this knot spacing")
-    signs = [_sign(s) for s in x.slopes()]
-    first = next((s for s in signs if s), 0)
-    sigma = int(s0) if s0 is not None else (first or 1)
-    if sigma not in (-1, 1):
-        raise DomainError("s0 must be -1 or +1")
-    if first and sigma != first:
-        raise DomainError("seed side inconsistent with the first slope")
-    knots = [(times[0], x.knots[0][1] + sigma * rho)]
-    for i in range(1, len(times) - 1):
-        t = times[i]
-        out = signs[i]
-        if out != 0 and out == -sigma:
-            a, b = t - 1.0 / j, t + 1.0 / j
-            knots.append((a, x(a) + sigma * rho))
-            sigma = out
-            knots.append((b, x(b) + sigma * rho))
-        else:
-            knots.append((t, x(t) + sigma * rho))
-    knots.append((times[-1], x.knots[-1][1] + sigma * rho))
-    return PolylineSignal(tuple(knots))
+    return _ride(x, rho, lambda t_prev, t: (t - 1.0 / j, t + 1.0 / j))
 
 
 def reversal_sup_error(x: PolylineSignal, j: int) -> float:
@@ -290,14 +286,12 @@ def thm3_schedule(
     x path, so y lands exactly and the z defect vanishes as j grows.
     """
     u1b, u2b = ubar
-    if abs(u1b.horizon - u2b.horizon) > 1e-9 * max(1.0, u1b.horizon):
+    if _off_horizon(u2b.horizon, u1b.horizon):
         raise DomainError("reference controls must share a horizon")
     xA = float(A[0])
     xbar = antiderivative(u1b, xA)
-    signs = [_sign(s) for s in xbar.slopes()]
-    sigma = next((s for s in signs if s), 0) or 1
-    align = align_schedule(xA, w0, rho, sigma)
-    v = build_vj(xbar, rho, j, s0=sigma)
+    align = align_schedule(xA, w0, rho, _side(xbar))
+    v = build_vj(xbar, rho, j)
     replay = Phase(u1b.horizon, (derivative(v), u2b), "replay")
     xB = xbar.final_value()
     adjust = Phase(1.0, (_const(1.0, xB - v.final_value()), _const(1.0, 0.0)), "adjust")
@@ -387,19 +381,17 @@ def plan_triangular(f, A, B, T: float = 3.0) -> tuple[StepSignal, StepSignal]:
         if abs(det) > 1e-9 * scale:
             a = (dy * I2 - t * dz) / det
             b = (t * dz - I1 * dy) / det
-            grid = TimeGrid((0.0, t, 2.0 * t, T))
-            u1 = StepSignal(grid, ((p - xA) / t, (q - p) / t, (xB - q) / t))
-            u2 = StepSignal(grid, (a, b, 0.0))
-            return u1, u2
-    # equal leg averages for every candidate: u2 is forced by y displacement
-    p, q, I1, I2 = fallback
-    a = dy / (2.0 * t)
-    if abs(a * (I1 + I2) - dz) > 1e-8 * max(1.0, abs(dz), abs(dy)):
-        raise DomainError("target z displacement inconsistent with this f")
+            break
+    else:
+        # equal leg averages for every candidate: u2 is forced by y displacement
+        p, q, I1, I2 = fallback
+        a = b = dy / (2.0 * t)
+        if abs(a * (I1 + I2) - dz) > 1e-8 * max(1.0, abs(dz), abs(dy)):
+            raise DomainError("target z displacement inconsistent with this f")
     grid = TimeGrid((0.0, t, 2.0 * t, T))
     return (
         StepSignal(grid, ((p - xA) / t, (q - p) / t, (xB - q) / t)),
-        StepSignal(grid, (a, a, 0.0)),
+        StepSignal(grid, (a, b, 0.0)),
     )
 
 

@@ -35,14 +35,14 @@ import numpy as np
 
 from .hysteresis import RelayBank, RelayState, _Walk, play_apply
 from .signals import (
-    DomainError, StepSignal, _affine_on, antiderivative, breakpoints, check_times, merge_times,
-    sample,
+    DomainError, StepSignal, _affine_on, _off_horizon, antiderivative, breakpoints, check_times,
+    merge_times, sample,
 )
 
 NORM_CAP = 1e6
 EVENT_TOL = 1e-12
-# Relative slack when controls must share a horizon and when a piece is cut
-# into steps (a piece a hair longer than whole steps gets no sliver step).
+# Relative slack when a piece is cut into steps (a piece a hair longer than
+# whole steps gets no sliver step).
 _PIECE_SLACK = 1e-9
 # Events allowed on an axis per nominal step and per relay on the axis; more
 # means a relay chatters (the switching and bank runs measured stay below 1).
@@ -239,7 +239,7 @@ def _pieces(step, T, signals):
     if T is None:
         T = signals[0].horizon
     for s in signals:
-        if abs(s.horizon - T) > _PIECE_SLACK * max(1.0, T):
+        if _off_horizon(s.horizon, T):
             raise DomainError("controls must share the horizon [0, T]")
     breaks = merge_times(*(breakpoints(s) for s in signals))
     return [
@@ -298,12 +298,13 @@ def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
     controls, affine on each piece.  log holds the entry of every row, and
     label(j, i) names the events of relay i on axis j.
 
-    A step ends at the earliest crossing, ties going to the lowest axis, and
-    the next step resumes to the same grid point.  Only the next relay to
-    switch on each axis in each direction is bisected: a farther relay's
-    crossing implies the nearer one's, so its bisection can never end
-    earlier (if it ends at the same fraction, the nearer relay switches
-    first and the farther one on the next step).
+    A step ends at the earliest crossing, ties going to the lowest axis (at
+    its grid point if within EVENT_TOL of it), and the next step resumes to
+    the same grid point.  Only the next relay to switch on each axis in each
+    direction is bisected: a farther relay's crossing implies the nearer
+    one's, so its bisection can never end earlier (if it ends at the same
+    fraction, the nearer relay switches first and the farther one on the
+    next step).
     """
     z = tuple(float(c) for c in z0)
     walks = [_Walk(bank) for bank in banks]
@@ -346,7 +347,7 @@ def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
                     z, t = z_new, t_end
                 else:
                     s, z, j, d = hit
-                    t = min(t + s, t_end)  # t + s may round past the grid point
+                    t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
                     events.append(Event(t, label(j, walks[j].switch(d)), -d, d))
                     switches[j] += 1
                     if switches[j] > budgets[j]:

@@ -58,12 +58,13 @@ class TimeGrid:
     def n_intervals(self) -> int:
         return len(self.points) - 1
 
-    def interval_of(self, t: float) -> int:
-        """Index of the interval containing t (half-open, last closed)."""
-        if t < self.points[0] or t > self.points[-1]:
-            raise DomainError(f"t={t} outside [0, {self.points[-1]}]")
-        j = bisect_right(self.points, t) - 1
-        return min(j, self.n_intervals - 1)
+
+def _piece(breaks, t: float) -> int:
+    """Index of the piece of breaks holding t (half-open, last closed);
+    DomainError unless breaks[0] <= t <= breaks[-1] (so also for NaN)."""
+    if not breaks[0] <= t <= breaks[-1]:
+        raise DomainError(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
+    return min(bisect_right(breaks, t) - 1, len(breaks) - 2)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class StepSignal:
         return self.grid.horizon
 
     def __call__(self, t: float) -> float:
-        return self.values[self.grid.interval_of(t)]
+        return self.values[_piece(self.grid.points, t)]
 
     def affine_view(self):
         vals = np.asarray(self.values)
@@ -131,10 +132,7 @@ class PolylineSignal:
         return self.knots[-1][1]
 
     def __call__(self, t: float) -> float:
-        times = self.times
-        if t < times[0] or t > times[-1]:
-            raise DomainError(f"t={t} outside [{times[0]}, {times[-1]}]")
-        j = min(bisect_right(times, t) - 1, len(times) - 2)
+        j = _piece(self.times, t)
         (t0, v0), (t1, v1) = self.knots[j], self.knots[j + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
@@ -234,9 +232,7 @@ class PiecewiseAffine:
         return self.breaks[-1]
 
     def __call__(self, t: float) -> float:
-        if t < self.breaks[0] or t > self.breaks[-1]:
-            raise DomainError(f"t={t} outside [0, {self.breaks[-1]}]")
-        j = min(bisect_right(self.breaks, t) - 1, len(self.breaks) - 2)
+        j = _piece(self.breaks, t)
         lv, sl = self.pieces[j]
         return lv + sl * (t - self.breaks[j])
 
@@ -256,6 +252,12 @@ def merge_times(*time_lists) -> tuple[float, ...]:
         if not _times_equal(t, out[-1]):
             out.append(t)
     return tuple(out)
+
+
+def _off_horizon(h: float, T: float) -> bool:
+    """h misses the horizon T by more than 1e-9 relative to max(1, T), the
+    slack for horizons that are sums of durations or of steps."""
+    return abs(h - T) > 1e-9 * max(1.0, T)
 
 
 def _check_common_horizon(a, b) -> None:

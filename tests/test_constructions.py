@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hystctl.constructions import (
     ControlSchedule,
@@ -113,6 +115,43 @@ def test_build_vk_randomized_surjectivity():
         assert sup_distance(play_apply(vk, w0, rho), uk) < 1e-10
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gaps=st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=6),
+    levels=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=6, max_size=6),
+    w0=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+    rho=st.sampled_from([0.0, 0.1, 0.3]),
+    k=st.integers(3, 30),
+)
+def test_build_vk_repeated_levels(gaps, levels, w0, rho, k):
+    # repeated levels (and w0 on the first level) make plateaus of several
+    # flat segments of u^k; the swing rides at the end of the whole plateau
+    ubar = StepSignal(TimeGrid(np.concatenate([[0.0], np.cumsum(gaps)])), levels[: len(gaps)])
+    try:
+        vk = build_vk(ubar, w0, rho, k)
+    except DomainError:
+        assert min(gaps) <= 3.0 / k  # a plateau longer than 1/k is always accepted
+        return
+    assert sup_distance(play_apply(vk, w0, rho), build_uk(ubar, w0, k)) <= 1e-12
+
+
+def test_build_vk_swings_at_end_of_whole_plateau():
+    # the 0-plateau of u^10 is [1.1, 1.15], the flat ramp [1.15, 1.35] and
+    # [1.35, 2.9]: its first segment is shorter than the ramp width 0.1, the
+    # whole plateau is not, and the swing takes the plateau's last 0.1
+    ubar = StepSignal(TimeGrid((0.0, 1.0, 1.25, 3.0, 4.0)), (1.0, 0.0, 0.0, 1.0))
+    vk = build_vk(ubar, 0.0, RHO, 10)
+    assert (2.8, -RHO) in vk.knots and (2.9, RHO) in vk.knots
+    assert sup_distance(play_apply(vk, 0.0, RHO), build_uk(ubar, 0.0, 10)) == 0.0
+
+
+def test_play_inverse_exact_flat_target():
+    flat = PolylineSignal(((0.0, 0.3), (1.0, 0.3), (2.0, 0.3)))
+    v = play_inverse_exact(flat, RHO, 0.25)
+    assert v.knots == ((0.0, 0.3 + RHO), (2.0, 0.3 + RHO))
+    assert sup_distance(play_apply(v, 0.3, RHO), flat) == 0.0
+
+
 def test_play_inverse_exact_needs_plateau():
     zigzag = PolylineSignal(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
     with pytest.raises(DomainError):
@@ -162,12 +201,6 @@ def test_build_vj_randomized_identity():
         v = build_vj(x, rho, j)
         sup = sup_distance(play_apply(v, float(vals[0]), rho), x)
         assert abs(sup - reversal_sup_error(x, j)) < 1e-10
-
-
-def test_build_vj_seed_side_validation():
-    x = PolylineSignal(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
-    with pytest.raises(DomainError):
-        build_vj(x, RHO, 10, s0=-1)  # first slope is positive
 
 
 def test_build_vj_j_too_small():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hystctl.dynamics import (
+    EVENT_TOL,
     BankSpec,
     DivergenceError,
     FieldSet,
@@ -304,6 +305,18 @@ def test_switching_event_time_stable_under_halving():
     t1 = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-3)
     t2 = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=5e-4)
     assert abs(t1.events[0].time - t2.events[0].time) < 1e-9
+
+
+def test_event_on_grid_point_leaves_no_resume_step():
+    # the switching_demo script: events at 0.8, 1.7 and 2.95, grid points of
+    # step 1e-3; one bisected to within EVENT_TOL of its step's grid point
+    # ends the step there instead of leaving a rounding-sized step to it
+    grid = (0.0, 1.0, 2.0, 4.0)
+    controls = (step(grid, (-1.0, 0.0, 1.0)), step(grid, (0.0, -1.0, 0.0)))
+    traj = integrate_switching(demo_spec(), controls, (0.5, 0.5), (1, 1), step=1e-3)
+    assert [e.time for e in traj.events] == pytest.approx([0.8, 1.7, 2.95], abs=1e-9)
+    assert np.diff(traj.times).min() >= EVENT_TOL
+    assert len(traj.times) == 4001
 
 
 def test_chattering_relay_exceeds_event_budget():

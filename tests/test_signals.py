@@ -95,6 +95,17 @@ def test_polyline_interpolation():
         p(-0.1)
 
 
+def test_scalar_evaluation_rejects_times_outside_horizon():
+    # one rule for all three kinds, NaN included
+    poly = PolylineSignal(((0.0, 0.0), (2.0, 1.0)))
+    st = step([0.0, 1.0, 2.0], [1.0, 2.0])
+    mixed = combine(poly, st, 1.0, -1.0)
+    for s in (poly, st, mixed):
+        for t in (-0.5, 2.5, float("nan")):
+            with pytest.raises(DomainError):
+                s(t)
+
+
 def test_reference_step_control():
     ubar = step([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5, 2.0])
     assert ubar(2.5) == 0.5
