@@ -58,4 +58,4 @@ from .dynamics import (
     integrate_switching,
     sector_index,
 )
-from .experiments import ExperimentReport, convergence_fit, run_experiment
+from .experiments import ExperimentReport, run_experiment

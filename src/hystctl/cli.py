@@ -27,7 +27,7 @@ from .experiments import (
     run_experiment,
 )
 from .hysteresis import RelayBank, RelayState, bank_trace, play_apply
-from .signals import DomainError, PolylineSignal, StepSignal, signal_from_json
+from .signals import DomainError, PolylineSignal, _off_horizon, signal_from_json
 
 @dataclass
 class RunConfig:
@@ -218,7 +218,9 @@ def dispatch(cfg: RunConfig) -> int:
         if a["system"] != "heisenberg":
             raise DomainError("config-driven sim supports system 'heisenberg'")
         controls = tuple(signal_from_json(c) for c in a["controls"])
-        traj = integrate_plain(heisenberg_fields(), controls, a["z0"], T=a["T"], step=a["step"])
+        if a["T"] is not None and any(_off_horizon(c.horizon, a["T"]) for c in controls):
+            raise DomainError(f"T={a['T']} is not the horizon of the controls")
+        traj = integrate_plain(heisenberg_fields(), controls, a["z0"], step=a["step"])
         traj.to_csv(cfg.out)
         return 0
 

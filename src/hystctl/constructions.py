@@ -10,6 +10,7 @@ integration lives in `dynamics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class Phase:
     label: str = ""
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise DomainError("phase duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise DomainError(f"phase duration must be positive and finite, got {self.duration}")
         for c in self.controls:
             if abs(c.grid.points[0]) > 1e-12 or _off_horizon(c.horizon, self.duration):
                 raise DomainError("phase controls must live on [0, duration]")
@@ -88,18 +89,6 @@ class ControlSchedule:
                 off += ph.duration
             out.append(StepSignal(TimeGrid(tuple(pts)), tuple(vals)))
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "phases": [
-                {
-                    "duration": p.duration,
-                    "label": p.label,
-                    "controls": [c.to_json() for c in p.controls],
-                }
-                for p in self.phases
-            ]
-        }
 
 
 def embed_schedule(sched: ControlSchedule, m: int, slots: tuple[int, ...]) -> ControlSchedule:
@@ -336,32 +325,31 @@ def heis_exact_schedule(
 # ---------------------------------------------------------------------------
 # hysteresis-free reference planner
 
-def _leg_integral(f, x0: float, x1: float, duration: float, n: int = 1000) -> float:
-    """Simpson integral of f(x(t)) over an affine leg x0 -> x1 of given duration."""
+def _leg_integral(f, x0: float, x1: float) -> float:
+    """Simpson integral of f(x(t)) over a unit-time affine leg x0 -> x1."""
+    n = 1000  # panel pairs
     xs = np.linspace(x0, x1, 2 * n + 1)
     vals = np.asarray(f(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.array([float(f(float(x))) for x in xs])
-    h = duration / (2 * n)
+    h = 1.0 / (2 * n)
     return (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
 
 
-def plan_triangular(f, A, B, T: float = 3.0) -> tuple[StepSignal, StepSignal]:
-    """Reference controls steering the hysteresis-free triangular system A -> B.
+def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
+    """Reference controls on [0, 3] steering the hysteresis-free triangular
+    system A -> B.
 
-    The x path runs three equal legs xA -> p -> q -> xB (up, down, up, so both
-    interior knots are genuine reversals) with u2 constant (a, b, 0); (a, b)
-    is solved from the linear system matching the y displacement and the z
-    displacement integral of f along the first two legs.  Degenerates to a
-    consistency check when f has equal leg averages for every candidate
-    (p, q) pair (e.g. f constant).
+    The x path runs three unit-time legs xA -> p -> q -> xB (up, down, up, so
+    both interior knots are genuine reversals) with u2 constant (a, b, 0);
+    (a, b) is solved from the linear system a + b = dy, a*I1 + b*I2 = dz
+    matching the y displacement and the z displacement integrals I1, I2 of f
+    along the first two legs.  Degenerates to a consistency check when f has
+    equal leg averages for every candidate (p, q) pair (e.g. f constant).
     """
-    if T <= 0.0:
-        raise DomainError("T must be positive")
     xA, yA, zA = (float(c) for c in A)
     xB, yB, zB = (float(c) for c in B)
     dy, dz = yB - yA, zB - zA
-    t = T / 3.0
     hi, lo = max(xA, xB), min(xA, xB)
     candidates = (
         (hi + 1.0, lo - 1.0),
@@ -372,27 +360,23 @@ def plan_triangular(f, A, B, T: float = 3.0) -> tuple[StepSignal, StepSignal]:
     )
     fallback = None
     for p, q in candidates:
-        I1 = _leg_integral(f, xA, p, t)
-        I2 = _leg_integral(f, p, q, t)
-        det = t * (I2 - I1)
-        scale = max(1.0, abs(I1), abs(I2), T)
+        I1 = _leg_integral(f, xA, p)
+        I2 = _leg_integral(f, p, q)
+        det = I2 - I1
         if fallback is None:
             fallback = (p, q, I1, I2)
-        if abs(det) > 1e-9 * scale:
-            a = (dy * I2 - t * dz) / det
-            b = (t * dz - I1 * dy) / det
+        if abs(det) > 1e-9 * max(3.0, abs(I1), abs(I2)):
+            a = (dy * I2 - dz) / det
+            b = (dz - I1 * dy) / det
             break
     else:
         # equal leg averages for every candidate: u2 is forced by y displacement
         p, q, I1, I2 = fallback
-        a = b = dy / (2.0 * t)
+        a = b = dy / 2.0
         if abs(a * (I1 + I2) - dz) > 1e-8 * max(1.0, abs(dz), abs(dy)):
             raise DomainError("target z displacement inconsistent with this f")
-    grid = TimeGrid((0.0, t, 2.0 * t, T))
-    return (
-        StepSignal(grid, ((p - xA) / t, (q - p) / t, (xB - q) / t)),
-        StepSignal(grid, (a, b, 0.0)),
-    )
+    grid = TimeGrid((0.0, 1.0, 2.0, 3.0))
+    return StepSignal(grid, (p - xA, q - p, xB - q)), StepSignal(grid, (a, b, 0.0))
 
 
 # ---------------------------------------------------------------------------

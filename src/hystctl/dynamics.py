@@ -1,7 +1,10 @@
 """Trajectory integration for driftless control-affine systems.
 
 Five flavours: plain (no hysteresis), play in the controls, play in the state
-(triangular/chain), delayed-relay switching, and relay-bank systems.
+(triangular/chain), delayed-relay switching, and relay-bank systems.  Each
+takes the system, its controls (or play inputs), z0 and the step: the horizon
+[0, T] is the one the controls share, and a coordinate that leaves
+[-NORM_CAP, NORM_CAP] or is not finite raises DivergenceError.
 
 All but play in the state run one loop, the relay core: classical RK4 on each
 piece between the merged control breakpoints, on the piece's nominal grid
@@ -60,17 +63,11 @@ class FieldSet:
     n: int
     m: int
     fields: tuple
-    lipschitz: float | None = None
 
 
 def heisenberg_fields() -> FieldSet:
     """g1 = d/dx, g2 = d/dy + x d/dz."""
-    return FieldSet(
-        n=3,
-        m=2,
-        fields=(lambda z: (1.0, 0.0, 0.0), lambda z: (0.0, 1.0, z[0])),
-        lipschitz=1.0,
-    )
+    return FieldSet(n=3, m=2, fields=(lambda z: (1.0, 0.0, 0.0), lambda z: (0.0, 1.0, z[0])))
 
 
 @dataclass(frozen=True)
@@ -93,6 +90,13 @@ class TriangularSpec:
             raise DomainError("need one f and one seed per output direction")
 
 
+def _check_unit(xi):
+    """DomainError unless every axis is a unit vector (a NaN norm is not)."""
+    for v in xi:
+        if not abs(math.sqrt(sum(c * c for c in v)) - 1.0) <= 1e-9:
+            raise DomainError("xi must be unit vectors")
+
+
 @dataclass(frozen=True)
 class SwitchingSpec:
     """Each field g_i switches between two versions driven by a relay on z.xi_i.
@@ -110,9 +114,7 @@ class SwitchingSpec:
         m = len(self.xi)
         if len(self.field_table) != 2 ** m:
             raise DomainError("field table must cover all 2^m strings")
-        for v in self.xi:
-            if abs(math.sqrt(sum(c * c for c in v)) - 1.0) > 1e-9:
-                raise DomainError("xi must be unit vectors")
+        _check_unit(self.xi)
         if self.thresholds is not None and (
             len(self.thresholds) != m or any(len(pair) != 2 for pair in self.thresholds)
         ):
@@ -137,6 +139,9 @@ class BankSpec:
     xi: tuple
     k: int
     fields: tuple  # g_j(w, z) -> vector
+
+    def __post_init__(self):
+        _check_unit(self.xi)
 
     @property
     def m(self) -> int:
@@ -221,25 +226,23 @@ def _check_dim(z0, n):
         raise DomainError(f"z0 has {len(z0)} coordinates, the system {n}")
 
 
-def _check_cap(z, cap):
-    """DivergenceError unless every coordinate is finite and within the cap."""
+def _check_cap(z):
+    """DivergenceError unless every coordinate is finite and within NORM_CAP."""
     for c in z:
-        if not -cap <= c <= cap:
-            raise DivergenceError(f"state left the cap {cap} or is not finite")
+        if not -NORM_CAP <= c <= NORM_CAP:
+            raise DivergenceError(f"state left the cap {NORM_CAP} or is not finite")
 
 
-def _pieces(step, T, signals):
+def _pieces(step, signals):
     """Pieces (a, b, nsteps) between the merged breakpoints of the signals.
 
-    All signals must share the horizon T (the first signal's if T is None);
-    each piece gets the fewest equal steps that are no longer than step.
+    All signals must share the first one's horizon; each piece gets the
+    fewest equal steps that are no longer than step.
     """
     if step <= 0.0:
         raise DomainError("step must be positive")
-    if T is None:
-        T = signals[0].horizon
     for s in signals:
-        if _off_horizon(s.horizon, T):
+        if _off_horizon(s.horizon, signals[0].horizon):
             raise DomainError("controls must share the horizon [0, T]")
     breaks = merge_times(*(breakpoints(s) for s in signals))
     return [
@@ -289,7 +292,7 @@ def _bisect_event(rhs, t, z, h, z_hi, xi, thr, d):
     return hi, z_hi
 
 
-def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
+def _integrate(controls, z0, step, select, xi=(), banks=(), label=None):
     """RK4 on the nominal grid of every piece, with delayed-relay events on
     the projections z.xi_j: (times, states, log, events).
 
@@ -312,7 +315,7 @@ def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
         _check_dim(z, len(v))
         if walk.crossed(_proj(z, v)):
             raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
-    pieces = _pieces(step, T, controls)
+    pieces = _pieces(step, controls)
     grid = np.array([a for a, _, _ in pieces] + [pieces[-1][1]])
     on_grid = [_affine_on(c.affine_view(), grid) for c in controls]
     u0 = zip(*(left.tolist() for left, _ in on_grid))  # per piece: the controls at a
@@ -355,7 +358,7 @@ def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
                             f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
                     fields, entry = select(walks)
                     rhs = _affine_rhs(fields, c0, sl, a, n)
-                _check_cap(z, cap)
+                _check_cap(z)
                 times.append(t)
                 states.append(z)
                 log.append(entry)
@@ -368,24 +371,22 @@ def _integrate(controls, z0, T, step, cap, select, xi=(), banks=(), label=None):
 # ---------------------------------------------------------------------------
 # plain and play-in-controls systems
 
-def integrate_plain(sys: FieldSet, controls, z0, T=None, step=1e-3, cap=NORM_CAP) -> Trajectory:
+def integrate_plain(sys: FieldSet, controls, z0, step=1e-3) -> Trajectory:
     """Fixed-step RK4 on the nominal grid between the control breakpoints;
     the controls, step signals or polylines, are affine on each piece."""
     if len(controls) != sys.m:
         raise DomainError("one control per field required")
     _check_dim(z0, sys.n)
-    times, states, _, _ = _integrate(controls, z0, T, step, cap, lambda walks: (sys.fields, None))
+    times, states, _, _ = _integrate(controls, z0, step, lambda walks: (sys.fields, None))
     return Trajectory(times, states)
 
 
-def integrate_play_controls(
-    sys: FieldSet, v, w0, rho, z0, T=None, step=1e-3, cap=NORM_CAP
-) -> Trajectory:
+def integrate_play_controls(sys: FieldSet, v, w0, rho, z0, step=1e-3) -> Trajectory:
     """The plain system driven by the play outputs of the inputs v."""
     if len(v) != sys.m or len(w0) != sys.m:
         raise DomainError("one input and one seed per field required")
     plays = [play_apply(vi, wi, rho) for vi, wi in zip(v, w0)]
-    traj = integrate_plain(sys, plays, z0, T, step, cap)
+    traj = integrate_plain(sys, plays, z0, step)
     log = {f"play{i + 1}": sample(p, traj.times) for i, p in enumerate(plays)}
     return Trajectory(traj.times, traj.states, hysteresis_log=log)
 
@@ -400,9 +401,7 @@ def _vectorized(f, arrays):
     return vals
 
 
-def integrate_play_state(
-    spec: TriangularSpec, controls, z0, T=None, step=1e-3, cap=NORM_CAP
-) -> Trajectory:
+def integrate_play_state(spec: TriangularSpec, controls, z0, step=1e-3) -> Trajectory:
     """Triangular/chain integration: exact x and play paths, Simpson outputs.
 
     State ordering is (x_1..x_m, y_{m+1}..y_{2m-1}).
@@ -414,7 +413,7 @@ def integrate_play_state(
         raise DomainError("controls must be step signals")
     x_polys = [antiderivative(controls[i], float(z0[i])) for i in range(m)]
     plays = [play_apply(x_polys[i], float(spec.w0[i]), spec.rho) for i in range(m - 1)]
-    pieces = _pieces(step, T, [*controls, *plays])
+    pieces = _pieces(step, [*controls, *plays])
 
     y0 = np.array([float(c) for c in z0[m:]])
     tgrid_parts = [np.array([pieces[0][0]])]
@@ -442,7 +441,7 @@ def integrate_play_state(
     y_all = np.vstack(y_parts)
     x_cols = [sample(p, tgrid) for p in x_polys]
     states = np.column_stack(x_cols + [y_all[:, i] for i in range(m - 1)])
-    _check_cap(np.abs(states).max(axis=0), cap)
+    _check_cap(np.abs(states).max(axis=0))
     log = {f"play{i + 1}": sample(p, tgrid) for i, p in enumerate(plays)}
     return Trajectory(tgrid, states, hysteresis_log=log)
 
@@ -459,9 +458,7 @@ def sector_index(z, spec: SwitchingSpec) -> set:
     return set(itertools.product(*options))
 
 
-def integrate_switching(
-    spec: SwitchingSpec, controls, z0, w0_string, T=None, step=1e-3, cap=NORM_CAP
-) -> Trajectory:
+def integrate_switching(spec: SwitchingSpec, controls, z0, w0_string, step=1e-3) -> Trajectory:
     """Relay-switched system: one delayed relay per axis drives the field choice."""
     m = spec.m
     string = tuple(int(w) for w in w0_string)
@@ -477,13 +474,11 @@ def integrate_switching(
         return spec.field_table[s].fields, s
 
     times, states, log, events = _integrate(
-        controls, z0, T, step, cap, select, spec.xi, banks, lambda j, i: f"axis{j + 1}")
+        controls, z0, step, select, spec.xi, banks, lambda j, i: f"axis{j + 1}")
     return Trajectory(times, states, {"string": log}, events)
 
 
-def integrate_bank(
-    spec: BankSpec, controls, z0, banks, T=None, step=1e-3, cap=NORM_CAP
-) -> Trajectory:
+def integrate_bank(spec: BankSpec, controls, z0, banks, step=1e-3) -> Trajectory:
     """Relay-bank system: each axis carries a k-relay bank whose macroscopic
     output feeds the corresponding field."""
     m = spec.m
@@ -497,6 +492,5 @@ def integrate_bank(
         return fields, tuple(tuple(walk.outs) for walk in walks)
 
     times, states, log, events = _integrate(
-        controls, z0, T, step, cap, select, spec.xi, banks,
-        lambda j, i: f"axis{j + 1}.relay{i + 1}")
+        controls, z0, step, select, spec.xi, banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
     return Trajectory(times, states, {"strings": log}, events)

@@ -11,7 +11,6 @@ goes through parse_param (one rule per name).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -32,7 +31,6 @@ from .constructions import (
     thm3_schedule,
 )
 from .dynamics import (
-    BankSpec,
     FieldSet,
     SwitchingSpec,
     TriangularSpec,
@@ -59,6 +57,7 @@ FIG3_ALPHA = (1.0, -1.0, 0.5, 2.0)
 FIG3_W0 = 0.5
 DEFAULT_RHO = 0.2
 FIG5_KNOTS = ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5), (4.0, 2.5))
+HEIS_LIPSCHITZ = 1.0  # of the Heisenberg fields g1 = d/dx, g2 = d/dy + x d/dz
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,6 @@ class ExperimentReport:
     rows: list
     verdict: bool
     runtime: float
-
-    def to_csv(self, path: str) -> None:
-        if not self.rows:
-            raise DomainError("no rows to write")
-        keys = list(self.rows[0].keys())
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys)
-            w.writeheader()
-            for r in self.rows:
-                w.writerow(r)
 
     def manifest(self) -> dict:
         return {
@@ -92,17 +81,6 @@ class ExperimentReport:
         with open(path, "w") as fh:
             json.dump(self.manifest(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def convergence_fit(rows, xkey: str, ykey: str) -> float:
-    """Least-squares slope of log(ykey) against log(xkey); reported, not asserted."""
-    xs = np.array([float(r[xkey]) for r in rows])
-    ys = np.array([float(r[ykey]) for r in rows])
-    if len(xs) < 3:
-        raise DomainError("need at least 3 rows for a rate fit")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise DomainError("rate fit needs positive columns")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +175,13 @@ def _exp_thm2_convergence(*, k=(10, 20, 40, 80), rho=DEFAULT_RHO, step=1e-3):
         abs(w0s[0]),
         abs(w0s[1]),
     )
-    L = sysf.lipschitz
     for ki, traj in trajs:
         gap = float(np.linalg.norm(traj.sample(ts) - ref_s, axis=1).max())
         C_k = M_prime * (
             l1_distance(build_uk(u1bar, w0s[0], ki), u1bar)
             + l1_distance(build_uk(u2bar, w0s[1], ki), u2bar)
         )
-        bound = gronwall_bound(C_k, 2.0, M, L, T)
+        bound = gronwall_bound(C_k, 2.0, M, HEIS_LIPSCHITZ, T)
         rows.append({"k": ki, "sup_gap": gap, "C_k": C_k, "gronwall_bound": bound})
     gaps = [r["sup_gap"] for r in rows]
     verdict = (

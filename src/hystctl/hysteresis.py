@@ -182,15 +182,11 @@ class RelayBank:
 
     @staticmethod
     def make(k: int, outputs) -> "RelayBank":
-        if k < 1:
-            raise DomainError("bank needs k >= 1")
-        relays = tuple(
-            RelayState(-1.0 + i / k, i / k, out)
-            for i, out in zip(range(1, k + 1), outputs)
-        )
-        if len(relays) != k:
-            raise DomainError("need one output per relay")
-        return RelayBank(relays)
+        outputs = tuple(outputs)
+        if len(outputs) != k:
+            raise DomainError(f"need one output per relay, got {len(outputs)} for k={k}")
+        return RelayBank(tuple(
+            RelayState(-1.0 + i / k, i / k, out) for i, out in enumerate(outputs, 1)))
 
     @staticmethod
     def staircase(k: int, n_plus: int) -> "RelayBank":
@@ -205,9 +201,6 @@ class RelayBank:
 
     def consistent_with(self, zeta: float) -> bool:
         return _Walk(self).crossed(zeta) is None
-
-    def to_json(self):
-        return [{"lo": r.lo, "hi": r.hi, "out": r.out} for r in self.relays]
 
 
 class _Walk:

@@ -268,12 +268,23 @@ def test_config_driven_sim_usage_error(tmp_path, edit, flags, capsys):
 
 @pytest.mark.parametrize("edit", [
     {"T": 5.0},  # the controls end at 1.0
+    {"T": 0.5},
     {"controls": [{"foo": 1}, {"grid": [0.0, 1.0], "values": [1.0]}]},
-], ids=["T-past-horizon", "bad-control"])
+], ids=["T-past-horizon", "T-before-horizon", "bad-control"])
 def test_config_driven_sim_domain_error(tmp_path, edit, capsys):
     path = write_json(tmp_path / "sim.json", {**HEIS_SIM, **edit})
     assert main(["sim", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
     assert "domain error" in capsys.readouterr().err
+
+
+def test_config_driven_sim_T_at_horizon(tmp_path):
+    out = tmp_path / "traj.csv"
+    path = write_json(tmp_path / "sim.json", {**HEIS_SIM, "T": 1.0})
+    assert main(["sim", "--config", path, "--out", str(out)]) == 0
+    with open(out) as fh:
+        last = list(csv.reader(fh))[-1]
+    assert float(last[0]) == 1.0
+    assert float(last[3]) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_help_exits_zero():

@@ -269,16 +269,20 @@ def test_phase_validation():
         Phase(0.0, (StepSignal(TimeGrid((0.0, 1.0)), (1.0,)),))
     with pytest.raises(DomainError):
         Phase(2.0, (StepSignal(TimeGrid((0.0, 1.0)), (1.0,)),))
+    # NaN compares false with every bound, so it must fail the check, not pass it
+    for duration in (np.nan, np.inf):
+        for controls in ((StepSignal(TimeGrid((0.0, 1.0)), (1.0,)),), ()):
+            with pytest.raises(DomainError):
+                Phase(duration, controls)
     with pytest.raises(DomainError):
         ControlSchedule(())
 
 
 def test_schedule_json():
     sched = heisenberg_loop(1.0, 2.0, 0.5)
-    blob = sched.to_json()
-    assert len(blob["phases"]) == 4
-    assert blob["phases"][0]["label"] == "loop+x"
-    assert blob["phases"][1]["controls"][1]["values"] == [2.0]
+    assert len(sched.phases) == 4
+    assert sched.phases[0].label == "loop+x"
+    assert sched.phases[1].controls[1].values == (2.0,)
 
 
 # ---------------------------------------------------------------------------

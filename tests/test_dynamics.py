@@ -348,6 +348,16 @@ def test_switching_spec_threshold_validation():
     assert demo_spec(((-0.1, 0.4), (0.0, 0.2))).axis_thresholds(1) == (0.0, 0.2)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 2.0], ids=["nan", "inf", "long"])
+def test_specs_need_unit_xi(c):
+    # a NaN projection never crosses a threshold, so its relay would never switch
+    xi = ((c, 0.0), (0.0, 1.0))
+    with pytest.raises(DomainError, match="unit"):
+        SwitchingSpec(xi=xi, eta=0.3, field_table=demo_spec().field_table)
+    with pytest.raises(DomainError, match="unit"):
+        BankSpec(xi=xi, k=2, fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # bank systems
 

@@ -1,16 +1,10 @@
 """Experiment harness: ids, verdicts, reproducibility, artifacts."""
 
-import csv
 import json
 
 import pytest
 
-from hystctl.experiments import (
-    EXPERIMENTS,
-    ExperimentReport,
-    convergence_fit,
-    run_experiment,
-)
+from hystctl.experiments import EXPERIMENTS, run_experiment
 from hystctl.signals import DomainError
 
 ALL_IDS = (
@@ -87,39 +81,12 @@ def test_reproducibility():
     assert a.rows == b.rows and a.verdict == b.verdict
 
 
-def test_convergence_fit_slopes():
-    inv = [{"k": k, "gap": 1.0 / k} for k in (10, 20, 40)]
-    assert convergence_fit(inv, "k", "gap") == pytest.approx(-1.0, abs=1e-6)
-    flat = [{"k": k, "gap": 2.0} for k in (10, 20, 40)]
-    assert convergence_fit(flat, "k", "gap") == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        convergence_fit(inv[:2], "k", "gap")
-    with pytest.raises(DomainError):
-        convergence_fit([{"k": 1, "gap": 0.0}] * 3, "k", "gap")
-
-
-def test_fig5_density_rate_is_exactly_minus_one():
-    report = run_experiment("fig5_density")
-    assert convergence_fit(report.rows, "j", "sup_error") == pytest.approx(-1.0, abs=1e-9)
-
-
 def test_report_artifacts(tmp_path):
     report = run_experiment("fig3_surjectivity", {"k": [10]})
-    csv_path = tmp_path / "rows.csv"
     man_path = tmp_path / "manifest.json"
-    report.to_csv(str(csv_path))
     report.to_manifest(str(man_path))
-    with open(csv_path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1 and "knot_gap" in rows[0]
     with open(man_path) as fh:
         manifest = json.load(fh)
     assert manifest["id"] == "fig3_surjectivity"
     assert manifest["verdict"] == "pass"
     assert "version" in manifest and "params" in manifest
-
-
-def test_empty_report_csv_rejected(tmp_path):
-    report = ExperimentReport("x", {}, [], True, 0.0)
-    with pytest.raises(DomainError):
-        report.to_csv(str(tmp_path / "x.csv"))

@@ -325,10 +325,13 @@ def test_saturation_prefix_enters_staircase():
 
 def test_bank_serialization():
     bank = RelayBank.staircase(2, 1)
-    assert bank.to_json() == [
-        {"lo": -0.5, "hi": 0.5, "out": 1},
-        {"lo": 0.0, "hi": 1.0, "out": -1},
-    ]
+    assert [(r.lo, r.hi, r.out) for r in bank.relays] == [(-0.5, 0.5, 1), (0.0, 1.0, -1)]
+
+
+@pytest.mark.parametrize("outputs", [(1,), (1, 1, 1)], ids=["too-few", "too-many"])
+def test_bank_make_needs_one_output_per_relay(outputs):
+    with pytest.raises(DomainError):
+        RelayBank.make(2, outputs)
 
 
 def relay_alone(relay, zeta):
