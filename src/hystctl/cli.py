@@ -3,7 +3,9 @@
 One subcommand per experiment, small operator utilities (play / relay / bank),
 and a free-form `sim` runner driven by a JSON config.  Experiment flags come
 from the registry in experiments.py, and flag strings and config values go
-through its parse_param, so a value it rejects is a usage error.  Exit codes:
+through its parse_param, so a value it rejects is a usage error; so is an
+operator flag that the operator's own type (PlayState, RelayState,
+RelayBank.staircase) rejects.  Exit codes:
 0 all verdicts pass, 1 domain error or failed verdict, 2 usage error.
 """
 
@@ -26,7 +28,7 @@ from .experiments import (
     parse_params,
     run_experiment,
 )
-from .hysteresis import RelayBank, RelayState, bank_trace, play_apply
+from .hysteresis import PlayState, RelayBank, RelayState, bank_trace, play_apply
 from .signals import DomainError, PolylineSignal, _off_horizon, signal_from_json
 
 @dataclass
@@ -108,23 +110,27 @@ def _resolve_experiment(name: str) -> str:
     return matches[0]
 
 
+# the operator subcommands: each builds its operator's state from the flags
+_OPERATORS = {
+    "play": lambda a: PlayState(a["rho"], a["w0"]),
+    "relay": lambda a: RelayState(a["lo"], a["hi"], a["out0"]),
+    "bank": lambda a: RelayBank.staircase(a["k"], a["nplus"]),
+}
+
+
 def parse_config(argv) -> RunConfig:
     """Parse argv (+ optional JSON config file) into a validated RunConfig."""
-    parser = _build_parser()
-    args = vars(parser.parse_args(argv))
-    command = args.pop("command")
-    cfg = RunConfig(command=command)
+    args = vars(_build_parser().parse_args(argv))
+    try:  # what the parsers or an operator's own type reject is a usage error here
+        return _config(args.pop("command"), args)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
 
-    if command in ("play", "relay", "bank"):
-        cfg.extra = args
-        if command == "play" and not 0.0 <= args["rho"] < math.inf:
-            raise _UsageError("rho must be finite and >= 0")
-        if command == "play" and not math.isfinite(args["w0"]):
-            raise _UsageError("w0 must be finite")
-        if command == "relay" and not -math.inf < args["lo"] < args["hi"] < math.inf:
-            raise _UsageError("need finite lo < hi")
-        if command == "bank" and args["k"] < 1:
-            raise _UsageError("need k >= 1")
+
+def _config(command: str, args: dict) -> RunConfig:
+    cfg = RunConfig(command=command)
+    if command in _OPERATORS:
+        cfg.extra = {**args, "state": _OPERATORS[command](args)}
         return cfg
 
     # experiment-style commands: the flags given override the config's values
@@ -142,14 +148,11 @@ def parse_config(argv) -> RunConfig:
     if not all(path is None or isinstance(path, str) for path in (cfg.out, cfg.manifest)):
         raise _UsageError("out and manifest must be path strings")
 
-    try:  # what the parsers reject is a usage error here
-        if exp is not None:
-            cfg.experiment = _resolve_experiment(str(exp))
-            cfg.params = parse_params(cfg.experiment, given)
-            return cfg
-        cfg.extra = _sim_extra(given)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from None
+    if exp is not None:
+        cfg.experiment = _resolve_experiment(str(exp))
+        cfg.params = parse_params(cfg.experiment, given)
+        return cfg
+    cfg.extra = _sim_extra(given)
     if not cfg.out:
         raise _UsageError("config-driven sim needs an --out path")
     return cfg
@@ -193,21 +196,18 @@ def _write_or_print(rows, header, out):
 def dispatch(cfg: RunConfig) -> int:
     a = cfg.extra
     if cfg.command == "play":
-        out_sig = play_apply(_load_polyline(a["input"]), a["w0"], a["rho"])
+        out_sig = play_apply(_load_polyline(a["input"]), a["state"].w, a["state"].rho)
         _write_or_print(out_sig.csv_rows(), ["t", "w"], a.get("out"))
         return 0
 
     if cfg.command == "relay":
-        relay = RelayBank((RelayState(a["lo"], a["hi"], a["out0"]),))
-        _, events, _ = bank_trace(relay, _load_polyline(a["input"]))
+        _, events, _ = bank_trace(RelayBank((a["state"],)), _load_polyline(a["input"]))
         rows = [(e.time, e.old, e.new) for e in events]
         _write_or_print(rows, ["time", "old", "new"], a.get("out"))
         return 0
 
     if cfg.command == "bank":
-        sig = _load_polyline(a["input"])
-        bank = RelayBank.staircase(a["k"], a["nplus"])
-        output, events, _ = bank_trace(bank, sig)
+        output, events, _ = bank_trace(a["state"], _load_polyline(a["input"]))
         _write_or_print(output.csv_rows(), ["t", "w_k"], a.get("out"))
         if a.get("events"):
             rows = [(e.time, e.index, e.new) for e in events]

@@ -205,7 +205,8 @@ def build_vj(x: PolylineSignal, rho: float, j: int) -> PolylineSignal:
     t + 1/j] at each slope reversal t; the play seeded at x(0) then
     reproduces x exactly outside these windows.
     """
-    if rho <= 0.0:
+    _play_bounds(rho)  # checks rho
+    if rho == 0.0:
         raise DomainError("rho must be positive")
     if j < 1 or 2.0 / j >= np.diff(x.times).min():
         raise DomainError(f"j={j} too small for this knot spacing")

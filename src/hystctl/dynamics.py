@@ -64,6 +64,10 @@ class FieldSet:
     m: int
     fields: tuple
 
+    def __post_init__(self):
+        if len(self.fields) != self.m:
+            raise DomainError(f"need one field per control: {len(self.fields)} for m={self.m}")
+
 
 def heisenberg_fields() -> FieldSet:
     """g1 = d/dx, g2 = d/dy + x d/dz."""
@@ -101,8 +105,8 @@ def _check_unit(xi):
 class SwitchingSpec:
     """Each field g_i switches between two versions driven by a relay on z.xi_i.
 
-    field_table maps every m-string in {-1,+1}^m to a FieldSet; thresholds
-    defaults to (-eta, eta) on every axis but can be overridden per axis.
+    field_table maps exactly {-1,+1}^m to FieldSets of one (n, m), n = len(xi_i);
+    thresholds defaults to (-eta, eta) on every axis but can be overridden per axis.
     """
 
     xi: tuple
@@ -112,8 +116,12 @@ class SwitchingSpec:
 
     def __post_init__(self):
         m = len(self.xi)
-        if len(self.field_table) != 2 ** m:
-            raise DomainError("field table must cover all 2^m strings")
+        if set(self.field_table) != set(itertools.product((-1, 1), repeat=m)):
+            raise DomainError("field table keys must be exactly the strings in {-1,+1}^m")
+        sets = self.field_table.values()
+        ns = {fs.n for fs in sets} | {len(v) for v in self.xi}
+        if len(ns) != 1 or len({fs.m for fs in sets}) != 1:
+            raise DomainError("the field sets and every xi need one n, and the field sets one m")
         _check_unit(self.xi)
         if self.thresholds is not None and (
             len(self.thresholds) != m or any(len(pair) != 2 for pair in self.thresholds)
@@ -134,13 +142,15 @@ class SwitchingSpec:
 
 @dataclass(frozen=True)
 class BankSpec:
-    """Relay-bank system: dz = sum_j g_j(w_k[z.xi_j], z) u_j."""
+    """Relay-bank system: dz = sum_j g_j(w_k[z.xi_j], z) u_j, one g_j per axis xi_j."""
 
     xi: tuple
     k: int
     fields: tuple  # g_j(w, z) -> vector
 
     def __post_init__(self):
+        if len(self.fields) != len(self.xi) or len({len(v) for v in self.xi}) != 1:
+            raise DomainError("need one field per axis and one length for every xi")
         _check_unit(self.xi)
 
     @property
@@ -221,11 +231,6 @@ def _rk4(rhs, t, z, h):
     )
 
 
-def _check_dim(z0, n):
-    if len(z0) != n:
-        raise DomainError(f"z0 has {len(z0)} coordinates, the system {n}")
-
-
 def _check_cap(z):
     """DivergenceError unless every coordinate is finite and within NORM_CAP."""
     for c in z:
@@ -292,14 +297,15 @@ def _bisect_event(rhs, t, z, h, z_hi, xi, thr, d):
     return hi, z_hi
 
 
-def _integrate(controls, z0, step, select, xi=(), banks=(), label=None):
-    """RK4 on the nominal grid of every piece, with delayed-relay events on
-    the projections z.xi_j: (times, states, log, events).
+def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
+    """RK4 on R^n on the nominal grid of every piece, with delayed-relay
+    events on the projections z.xi_j: (times, states, log, events).
 
     banks[j] is the RelayBank of axis j.  select(walks) maps the banks'
-    current outputs to (fields, log entry); the fields are driven by the
-    controls, affine on each piece.  log holds the entry of every row, and
-    label(j, i) names the events of relay i on axis j.
+    current outputs to (fields, log entry); the fields, one per control
+    (every selection has as many as the first), are driven by the controls,
+    affine on each piece.  log holds the entry of every row, and label(j, i)
+    names the events of relay i on axis j.
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it), and the next step resumes to
@@ -309,10 +315,14 @@ def _integrate(controls, z0, step, select, xi=(), banks=(), label=None):
     fraction, the nearer relay switches first and the farther one on the
     next step).
     """
-    z = tuple(float(c) for c in z0)
     walks = [_Walk(bank) for bank in banks]
+    fields, entry = select(walks)
+    if len(controls) != len(fields):
+        raise DomainError("one control per field required")
+    if len(z0) != n:
+        raise DomainError(f"z0 has {len(z0)} coordinates, the system {n}")
+    z = tuple(float(c) for c in z0)
     for j, (v, walk) in enumerate(zip(xi, walks)):
-        _check_dim(z, len(v))
         if walk.crossed(_proj(z, v)):
             raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
     pieces = _pieces(step, controls)
@@ -323,8 +333,6 @@ def _integrate(controls, z0, step, select, xi=(), banks=(), label=None):
     nominal = sum(nsteps for _, _, nsteps in pieces)
     budgets = [EVENT_BUDGET * (nominal + bank.k) for bank in banks]
     switches = [0] * len(banks)
-    n = len(z)
-    fields, entry = select(walks)
     times = [pieces[0][0]]
     states = [z]
     log = [entry]
@@ -374,17 +382,14 @@ def _integrate(controls, z0, step, select, xi=(), banks=(), label=None):
 def integrate_plain(sys: FieldSet, controls, z0, step=1e-3) -> Trajectory:
     """Fixed-step RK4 on the nominal grid between the control breakpoints;
     the controls, step signals or polylines, are affine on each piece."""
-    if len(controls) != sys.m:
-        raise DomainError("one control per field required")
-    _check_dim(z0, sys.n)
-    times, states, _, _ = _integrate(controls, z0, step, lambda walks: (sys.fields, None))
+    times, states, _, _ = _integrate(controls, z0, step, lambda walks: (sys.fields, None), sys.n)
     return Trajectory(times, states)
 
 
 def integrate_play_controls(sys: FieldSet, v, w0, rho, z0, step=1e-3) -> Trajectory:
     """The plain system driven by the play outputs of the inputs v."""
-    if len(v) != sys.m or len(w0) != sys.m:
-        raise DomainError("one input and one seed per field required")
+    if len(w0) != len(v):
+        raise DomainError("one seed per input required")
     plays = [play_apply(vi, wi, rho) for vi, wi in zip(v, w0)]
     traj = integrate_plain(sys, plays, z0, step)
     log = {f"play{i + 1}": sample(p, traj.times) for i, p in enumerate(plays)}
@@ -460,37 +465,31 @@ def sector_index(z, spec: SwitchingSpec) -> set:
 
 def integrate_switching(spec: SwitchingSpec, controls, z0, w0_string, step=1e-3) -> Trajectory:
     """Relay-switched system: one delayed relay per axis drives the field choice."""
-    m = spec.m
-    string = tuple(int(w) for w in w0_string)
-    if len(string) != m or any(w not in (-1, 1) for w in string):
+    string = tuple(w0_string)
+    if string not in spec.field_table:
         raise DomainError("initial string must be in {-1,+1}^m")
-    if len(controls) != spec.field_table[string].m:
-        raise DomainError("one control per field required")
-    _check_dim(z0, spec.field_table[string].n)
-    banks = [RelayBank((RelayState(*spec.axis_thresholds(i), w),)) for i, w in enumerate(string)]
+    banks = [RelayBank((RelayState(*spec.axis_thresholds(i), int(w)),))
+             for i, w in enumerate(string)]
 
     def select(walks):
         s = tuple(walk.outs[0] for walk in walks)
         return spec.field_table[s].fields, s
 
-    times, states, log, events = _integrate(
-        controls, z0, step, select, spec.xi, banks, lambda j, i: f"axis{j + 1}")
+    times, states, log, events = _integrate(controls, z0, step, select, spec.field_table[string].n,
+                                            spec.xi, banks, lambda j, i: f"axis{j + 1}")
     return Trajectory(times, states, {"string": log}, events)
 
 
 def integrate_bank(spec: BankSpec, controls, z0, banks, step=1e-3) -> Trajectory:
     """Relay-bank system: each axis carries a k-relay bank whose macroscopic
     output feeds the corresponding field."""
-    m = spec.m
-    if len(banks) != m or any(bk.k != spec.k for bk in banks):
+    if len(banks) != spec.m or any(bk.k != spec.k for bk in banks):
         raise DomainError("one k-relay bank per axis required")
-    if len(controls) != m:
-        raise DomainError("one control per field required")
 
     def select(walks):
         fields = tuple(partial(g, walk.total / spec.k) for g, walk in zip(spec.fields, walks))
         return fields, tuple(tuple(walk.outs) for walk in walks)
 
-    times, states, log, events = _integrate(
-        controls, z0, step, select, spec.xi, banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
+    times, states, log, events = _integrate(controls, z0, step, select, len(spec.xi[0]), spec.xi,
+                                            banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
     return Trajectory(times, states, {"strings": log}, events)

@@ -96,6 +96,8 @@ class PlayState:
 
     def __post_init__(self):
         _play_bounds(self.rho)  # checks rho
+        if not math.isfinite(self.w):
+            raise DomainError(f"play output w must be finite, got {self.w}")
 
 
 def play_update(state: PlayState, u_next: float) -> PlayState:
@@ -254,7 +256,8 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     On each input segment the pending relay switches while the segment's end
     is strictly past its threshold, at the affinely interpolated crossing
     time, so the events come in time order (two at a bit-equal time on a
-    fall list the higher index first).
+    fall list the higher index first).  An event at the horizon is listed and
+    switches the final bank, but no piece of the output follows it.
     """
     walk = _Walk(bank)
     if walk.crossed(zeta.knots[0][1]):
@@ -263,22 +266,19 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     events: list[SwitchEvent] = []
     break_times = [zeta.knots[0][0]]
     levels = [walk.total / k]
-
+    T = zeta.horizon
     for (t0, z0), (t1, z1) in zip(zeta.knots, zeta.knots[1:]):
         while hit := walk.crossed(z1):
             s, thr = hit
             time = t0 + ((thr - z0) / (z1 - z0)) * (t1 - t0)
             events.append(SwitchEvent(time, walk.switch(s) + 1, -s, s))
+            if time >= T:
+                continue
             if break_times[-1] < time:
                 break_times.append(time)
                 levels.append(walk.total / k)
             else:  # simultaneous switches merge into one breakpoint
                 levels[-1] = walk.total / k
-    T = zeta.horizon
-    if break_times[-1] >= T:  # event exactly at the horizon: keep grid valid
-        break_times.pop()
-        levels.pop()
-        levels[-1] = walk.total / k
     break_times.append(T)
     output = StepSignal(TimeGrid(tuple(break_times)), tuple(levels))
     final = RelayBank(tuple(replace(r, out=o) for r, o in zip(bank.relays, walk.outs)))

@@ -94,7 +94,11 @@ def test_usage_error_flag_not_allowed(capsys):
     ["sim", "heis", "--seed", "-1"],
     ["fig3_surjectivity", "--w0", "nan"],
     ["relay", "--input", "z.json", "--lo", "-inf", "--hi", "0.5", "--out0", "1"],
-], ids=["k-empty", "cases-0", "seed-negative", "w0-nan", "relay-lo-minus-inf"])
+    ["relay", "--input", "z.json", "--lo", "0.5", "--hi", "0.5", "--out0", "1"],
+    ["bank", "--input", "z.json", "--k", "0"],
+    ["bank", "--input", "z.json", "--k", "4", "--nplus", "9"],
+], ids=["k-empty", "cases-0", "seed-negative", "w0-nan", "relay-lo-minus-inf", "relay-lo-at-hi",
+        "bank-k-0", "bank-nplus-past-k"])
 def test_usage_error_flag_value(argv, capsys):
     # a usage error from parse_config, not from argparse
     assert main(argv) == 2
@@ -172,7 +176,8 @@ def test_experiment_pass_exit_0(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["knot_gap"]) < 1e-10
-    assert json.load(open(man))["verdict"] == "pass"
+    with open(man) as fh:
+        assert json.load(fh)["verdict"] == "pass"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Control/input builders: staircase approximants, play inverses, schedules."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,15 @@ def test_build_vj_j_too_small():
     x = PolylineSignal(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
     with pytest.raises(DomainError):
         build_vj(x, RHO, 3)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -0.2], ids=["nan", "inf", "zero", "neg"])
+def test_build_vj_rejects_bad_rho(rho):
+    # the play's own rho rule, plus rho > 0: a NaN or infinite rho is named
+    # as such, not as a non-finite knot of the built polyline
+    x = PolylineSignal(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
+    with pytest.raises(DomainError, match="rho"):
+        build_vj(x, rho, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,47 @@ def test_control_count_mismatch():
         integrate_plain(heisenberg_fields(), (const(1.0, 1.0),), (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("integrator", ["play_controls", "switching", "bank"])
+def test_relay_core_checks_control_count(integrator):
+    # one control per field, checked once in the relay core for every front end
+    c, z0 = const(1.0, 1.0), (0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="one control per field"):
+        if integrator == "play_controls":
+            v = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+            integrate_play_controls(heisenberg_fields(), (v,), (0.0,), 0.2, z0, step=0.25)
+        elif integrator == "switching":
+            integrate_switching(_heisenberg_switching(), (c,), z0, (1, 1), step=0.25)
+        else:
+            spec, banks = _bank_heisenberg()
+            integrate_bank(spec, (c, c, c), z0, banks, step=0.25)
+
+
+def test_field_set_needs_one_field_per_control():
+    # a missing field used to drop its control: this ended at (0.5, 0)
+    with pytest.raises(DomainError, match="one field per control"):
+        FieldSet(2, 2, (lambda z: (1.0, 0.0),))
+
+
+def test_bank_spec_shape():
+    # one field on two axes used to drop u2; xi of two lengths has no one R^n
+    with pytest.raises(DomainError, match="one field per axis"):
+        BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=2, fields=(lambda w, z: (1.0, 0.0),))
+    with pytest.raises(DomainError, match="one length"):
+        BankSpec(xi=((1.0, 0.0), (0.0, 1.0, 0.0)), k=2,
+                 fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
+
+
 def test_trajectory_sample_rejects_times_outside_horizon():
     traj = integrate_plain(EXP_FIELD, (const(1.0, 1.0),), (1.0,), step=0.25)
     for t in (5.0, -3.0, 1.0 + 1e-9, float("nan")):
         with pytest.raises(DomainError):
             traj.sample([0.5, t])
     assert traj.sample([1.0 + 1e-14])[0] == pytest.approx(traj.final_state)
+
+
+def _heisenberg_switching():
+    table = {(s1, s2): heisenberg_fields() for s1 in (-1, 1) for s2 in (-1, 1)}
+    return SwitchingSpec(xi=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), eta=0.3, field_table=table)
 
 
 def _bank_heisenberg():
@@ -152,10 +187,7 @@ def test_state_dimension_mismatch(integrator):
             v = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
             integrate_play_controls(heis, (v, v), (0.0, 0.0), 0.2, z0, step=0.25)
         elif integrator == "switching":
-            table = {(s1, s2): heis for s1 in (-1, 1) for s2 in (-1, 1)}
-            spec = SwitchingSpec(xi=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), eta=0.3,
-                                 field_table=table)
-            integrate_switching(spec, (c, c), z0, (1, 1), step=0.25)
+            integrate_switching(_heisenberg_switching(), (c, c), z0, (1, 1), step=0.25)
         else:
             spec, banks = _bank_heisenberg()
             integrate_bank(spec, (c, c), z0, banks, step=0.25)
@@ -328,6 +360,28 @@ def test_chattering_relay_exceeds_event_budget():
     spec = SwitchingSpec(xi=((1.0,),), eta=1e-4, field_table=table)
     with pytest.raises(DivergenceError, match="axis 1"):
         integrate_switching(spec, (const(1.0, 1.0),), (0.0,), (1,), step=1e-2)
+
+
+def test_switching_spec_table_shape():
+    table = demo_spec().field_table
+    one_field = FieldSet(2, 1, (lambda z: (1.0, 0.0),))
+    # the (-1, .) strings hold one field: u2 used to be dropped after the first switch
+    mixed = {s: (one_field if s[0] == -1 else fs) for s, fs in table.items()}
+    bad_key = {**{s: fs for s, fs in table.items() if s != (-1, -1)}, (7, 7): table[(1, 1)]}
+    extra_key = {**table, (1, 0): table[(1, 1)]}
+    for bad, match in ((mixed, "one m"), (bad_key, "keys"), (extra_key, "keys")):
+        with pytest.raises(DomainError, match=match):
+            SwitchingSpec(xi=((1.0, 0.0), (0.0, 1.0)), eta=0.3, field_table=bad)
+    # every xi has the field sets' n coordinates
+    with pytest.raises(DomainError, match="one n"):
+        SwitchingSpec(xi=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), eta=0.3, field_table=table)
+
+
+@pytest.mark.parametrize("string", [(1, 7), (1,), (1, 1, 1), (1.5, 1), (math.nan, 1)],
+                         ids=["not-a-sign", "short", "long", "fraction", "nan"])
+def test_switching_initial_string_is_a_table_key(string):
+    with pytest.raises(DomainError, match="initial string"):
+        integrate_switching(demo_spec(), (const(1.0, 0.0), const(1.0, 0.0)), (0.0, 0.0), string)
 
 
 def test_switching_incompatible_string():

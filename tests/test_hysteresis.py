@@ -83,6 +83,13 @@ def test_play_nonfinite_rho_rejected(rho):
         play_apply(PolylineSignal(((0.0, 0.0), (1.0, 1.0))), 0.0, rho)
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_play_nonfinite_output_rejected(w):
+    # play_update would carry a NaN output on unchanged
+    with pytest.raises(DomainError, match="finite"):
+        PlayState(0.2, w)
+
+
 # ---------------------------------------------------------------------------
 # play_apply
 
@@ -312,6 +319,17 @@ def test_bank_update_order_independence():
 def test_bank_inconsistent_seed():
     with pytest.raises(DomainError):
         bank_trace(RelayBank.staircase(4, 4), PolylineSignal(((0.0, -2.0), (1.0, 0.0))))
+
+
+def test_bank_event_at_the_horizon():
+    # the last segment ends a hair past the relay's hi = 1, so the crossing
+    # time 3 + 1/(1 + eps) rounds to the horizon 4: the relay is at -1 on all
+    # of [0, 4) and switches at 4, which is listed and in the final bank
+    zeta = PolylineSignal(((0.0, 0.0), (3.0, 0.0), (4.0, math.nextafter(1.0, 2.0))))
+    out, events, final = bank_trace(RelayBank.staircase(1, 0), zeta)
+    assert [(e.time, e.index, e.old, e.new) for e in events] == [(4.0, 1, -1, 1)]
+    assert final.relays[0].out == 1
+    assert out.grid.points == (0.0, 4.0) and out.values == (-1.0,)
 
 
 def test_saturation_prefix_enters_staircase():
