@@ -21,6 +21,7 @@ from .hysteresis import (
     PlayState,
     RelayBank,
     RelayState,
+    SwitchEvent,
     bank_trace,
     play_apply,
     play_update,
@@ -44,7 +45,6 @@ from .constructions import (
 from .dynamics import (
     BankSpec,
     DivergenceError,
-    Event,
     FieldSet,
     SwitchingSpec,
     Trajectory,

@@ -10,7 +10,6 @@ integration lives in `dynamics`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .signals import (
     StepSignal,
     TimeGrid,
     _off_horizon,
+    _times_equal,
     antiderivative,
     derivative,
     sup_distance,
@@ -41,18 +41,22 @@ def _const(duration: float, value: float) -> StepSignal:
 
 @dataclass(frozen=True)
 class Phase:
-    """One stretch of the strategy: step controls on local time [0, duration]."""
+    """One stretch of the strategy: step controls on local time [0, duration],
+    the duration being the first control's horizon."""
 
-    duration: float
     controls: tuple[StepSignal, ...]
     label: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise DomainError(f"phase duration must be positive and finite, got {self.duration}")
+        if not self.controls:
+            raise DomainError("phase needs at least one control")
         for c in self.controls:
-            if abs(c.grid.points[0]) > 1e-12 or _off_horizon(c.horizon, self.duration):
+            if not _times_equal(c.grid.points[0], 0.0) or _off_horizon(c.horizon, self.duration):
                 raise DomainError("phase controls must live on [0, duration]")
+
+    @property
+    def duration(self) -> float:
+        return self.controls[0].horizon
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def embed_schedule(sched: ControlSchedule, m: int, slots: tuple[int, ...]) -> Co
         controls: list[StepSignal] = [_const(ph.duration, 0.0) for _ in range(m)]
         for c, s in zip(ph.controls, slots):
             controls[s] = c
-        phases.append(Phase(ph.duration, tuple(controls), ph.label))
+        phases.append(Phase(tuple(controls), ph.label))
     return ControlSchedule(tuple(phases))
 
 
@@ -229,8 +233,6 @@ def reversal_sup_error(x: PolylineSignal, j: int) -> float:
 def heisenberg_loop(alpha: float, beta: float, T: float) -> ControlSchedule:
     """Four-phase square loop; net effect on the Heisenberg system is a pure
     z-displacement of T^2 * alpha * beta."""
-    if T <= 0.0:
-        raise DomainError("T must be positive")
     legs = (
         ((alpha, 0.0), "loop+x"),
         ((0.0, beta), "loop+y"),
@@ -238,7 +240,7 @@ def heisenberg_loop(alpha: float, beta: float, T: float) -> ControlSchedule:
         ((0.0, -beta), "loop-y"),
     )
     return ControlSchedule(
-        tuple(Phase(T, (_const(T, a), _const(T, b)), lab) for (a, b), lab in legs)
+        tuple(Phase((_const(T, a), _const(T, b)), lab) for (a, b), lab in legs)
     )
 
 
@@ -254,7 +256,7 @@ def align_schedule(xA: float, w0: float, rho: float, direction: int) -> ControlS
     _seed(xA, w0, *_play_bounds(rho))
     legs = ((0.5, -2.0 * rho * direction), (0.5, 4.0 * rho * direction))
     return ControlSchedule(
-        tuple(Phase(d, (_const(d, s), _const(d, 0.0)), "align") for d, s in legs)
+        tuple(Phase((_const(d, s), _const(d, 0.0)), "align") for d, s in legs)
     )
 
 
@@ -276,15 +278,13 @@ def thm3_schedule(
     x path, so y lands exactly and the z defect vanishes as j grows.
     """
     u1b, u2b = ubar
-    if _off_horizon(u2b.horizon, u1b.horizon):
-        raise DomainError("reference controls must share a horizon")
     xA = float(A[0])
     xbar = antiderivative(u1b, xA)
     align = align_schedule(xA, w0, rho, _side(xbar))
     v = build_vj(xbar, rho, j)
-    replay = Phase(u1b.horizon, (derivative(v), u2b), "replay")
+    replay = Phase((derivative(v), u2b), "replay")
     xB = xbar.final_value()
-    adjust = Phase(1.0, (_const(1.0, xB - v.final_value()), _const(1.0, 0.0)), "adjust")
+    adjust = Phase((_const(1.0, xB - v.final_value()), _const(1.0, 0.0)), "adjust")
     return ControlSchedule(align.phases + (replay, adjust))
 
 
@@ -306,7 +306,7 @@ def heis_exact_schedule(
     _seed(xA, w0, *_play_bounds(rho))
     phases: list[Phase] = []
     dy = yB - yA
-    phases.append(Phase(1.0, (_const(1.0, 0.0), _const(1.0, dy)), "ymove"))
+    phases.append(Phase((_const(1.0, 0.0), _const(1.0, dy)), "ymove"))
     dz = zB - (zA + w0 * dy)
     x_now = xA
     if dz != 0.0:
@@ -317,9 +317,9 @@ def heis_exact_schedule(
         )
         v = play_inverse_exact(tent, rho, 0.5)
         u2 = StepSignal(TimeGrid((0.0, 1.0, 2.0, 3.0, 4.0)), (0.0, 1.0, 0.0, -1.0))
-        phases.append(Phase(4.0, (derivative(v), u2), "loop"))
+        phases.append(Phase((derivative(v), u2), "loop"))
         x_now = v.final_value()
-    phases.append(Phase(1.0, (_const(1.0, xB - x_now), _const(1.0, 0.0)), "adjust"))
+    phases.append(Phase((_const(1.0, xB - x_now), _const(1.0, 0.0)), "adjust"))
     return ControlSchedule(tuple(phases))
 
 
@@ -383,7 +383,7 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
 # ---------------------------------------------------------------------------
 # chain systems (m <= 3)
 
-def chain_schedule(spec, A, B, rho: float, j: int) -> ControlSchedule:
+def chain_schedule(spec, A, B, j: int) -> ControlSchedule:
     """Steering schedule for chain systems with m controls, m in {2, 3}.
 
     m=2 is exactly the triangular schedule.  For m=3 the two output
@@ -391,8 +391,7 @@ def chain_schedule(spec, A, B, rho: float, j: int) -> ControlSchedule:
     off (so x2 and y4 are untouched and the second play is frozen), then
     (x1, x2, y4) with u3 off.
     """
-    fs = spec.fs
-    w0s = spec.w0
+    fs, rho, w0s = spec.fs, spec.rho, spec.w0
     if spec.m == 2:
         ubar = plan_triangular(fs[0], A, B)
         return thm3_schedule(ubar, A, rho, w0s[0], j)
@@ -404,11 +403,7 @@ def chain_schedule(spec, A, B, rho: float, j: int) -> ControlSchedule:
 
     # stage A: drive y5 through f3(P[x1], w02) with u2 off
     f3 = fs[1]
-
-    def f3_frozen(x1):
-        return f3(x1, w02 + 0.0 * np.asarray(x1))
-
-    planA = plan_triangular(f3_frozen, (x1A, x3A, y5A), (x1B, x3B, y5B))
+    planA = plan_triangular(lambda x1: f3(x1, w02), (x1A, x3A, y5A), (x1B, x3B, y5B))
     stageA = thm3_schedule(planA, (x1A, x3A, y5A), rho, w01, j)
 
     # the first play's state after stage A, from the exact x1 path

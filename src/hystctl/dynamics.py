@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .hysteresis import RelayBank, RelayState, _Walk, play_apply
+from .hysteresis import RelayBank, RelayState, SwitchEvent, _Walk, play_apply
 from .signals import (
     DomainError, StepSignal, _affine_on, _off_horizon, antiderivative, breakpoints, check_times,
     merge_times, sample,
@@ -78,20 +78,21 @@ def heisenberg_fields() -> FieldSet:
 class TriangularSpec:
     """Chain system with m controls: dx_i = u_i, dy_{m+i-1} = f_i(plays) u_i.
 
-    fs holds f_2..f_m (f_i takes the first i-1 play outputs); rho and the
-    seeds w0 configure the plays on x_1..x_{m-1}.
+    fs holds f_2..f_m (f_i takes the first i-1 play outputs), so m is
+    len(fs) + 1; rho and the seeds w0 configure the plays on x_1..x_{m-1}.
     """
 
-    m: int
     fs: tuple
     rho: float
     w0: tuple
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError("triangular systems need m >= 2")
-        if len(self.fs) != self.m - 1 or len(self.w0) != self.m - 1:
-            raise DomainError("need one f and one seed per output direction")
+        if not self.fs or len(self.w0) != len(self.fs):
+            raise DomainError("need at least one f, and one seed per f")
+
+    @property
+    def m(self) -> int:
+        return len(self.fs) + 1
 
 
 def _check_unit(xi):
@@ -106,7 +107,7 @@ class SwitchingSpec:
     """Each field g_i switches between two versions driven by a relay on z.xi_i.
 
     field_table maps exactly {-1,+1}^m to FieldSets of one (n, m), n = len(xi_i);
-    thresholds defaults to (-eta, eta) on every axis but can be overridden per axis.
+    thresholds, one (lo, hi) per axis, is (-eta, eta) on every axis if not given.
     """
 
     xi: tuple
@@ -123,21 +124,16 @@ class SwitchingSpec:
         if len(ns) != 1 or len({fs.m for fs in sets}) != 1:
             raise DomainError("the field sets and every xi need one n, and the field sets one m")
         _check_unit(self.xi)
-        if self.thresholds is not None and (
-            len(self.thresholds) != m or any(len(pair) != 2 for pair in self.thresholds)
-        ):
+        if self.thresholds is None:
+            object.__setattr__(self, "thresholds", ((-self.eta, self.eta),) * m)
+        if len(self.thresholds) != m or any(len(pair) != 2 for pair in self.thresholds):
             raise DomainError("need one (lo, hi) threshold pair per axis")
-        for i in range(m):
-            RelayState(*self.axis_thresholds(i), 1)  # checks the thresholds
+        for pair in self.thresholds:
+            RelayState(*pair, 1)  # checks the thresholds
 
     @property
     def m(self) -> int:
         return len(self.xi)
-
-    def axis_thresholds(self, i: int) -> tuple[float, float]:
-        if self.thresholds is not None:
-            return self.thresholds[i]
-        return (-self.eta, self.eta)
 
 
 @dataclass(frozen=True)
@@ -156,14 +152,6 @@ class BankSpec:
     @property
     def m(self) -> int:
         return len(self.xi)
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    operator: str
-    old: float
-    new: float
 
 
 def gronwall_bound(C_k: float, m: float, M: float, L: float, T: float) -> float:
@@ -244,8 +232,8 @@ def _pieces(step, signals):
     All signals must share the first one's horizon; each piece gets the
     fewest equal steps that are no longer than step.
     """
-    if step <= 0.0:
-        raise DomainError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
     for s in signals:
         if _off_horizon(s.horizon, signals[0].horizon):
             raise DomainError("controls must share the horizon [0, T]")
@@ -272,6 +260,14 @@ def _affine_rhs(fields, u0, slope, a, n):
         return acc
 
     return rhs
+
+
+def _checked(selected, z, n):
+    """The selection (fields, log entry), once each field gives n components at z."""
+    for g in selected[0]:
+        if (got := len(g(z))) != n:
+            raise DomainError(f"a field gives {got} components, the state has {n}")
+    return selected
 
 
 def _proj(z, xi):
@@ -304,8 +300,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     banks[j] is the RelayBank of axis j.  select(walks) maps the banks'
     current outputs to (fields, log entry); the fields, one per control
     (every selection has as many as the first), are driven by the controls,
-    affine on each piece.  log holds the entry of every row, and label(j, i)
-    names the events of relay i on axis j.
+    affine on each piece, and each gives n components, checked at every
+    selection.  log holds the entry of every row, and the event of relay i
+    on axis j is SwitchEvent(t, i + 1, new, label(j, i)).
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it), and the next step resumes to
@@ -316,12 +313,12 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     next step).
     """
     walks = [_Walk(bank) for bank in banks]
-    fields, entry = select(walks)
-    if len(controls) != len(fields):
-        raise DomainError("one control per field required")
     if len(z0) != n:
         raise DomainError(f"z0 has {len(z0)} coordinates, the system {n}")
     z = tuple(float(c) for c in z0)
+    fields, entry = _checked(select(walks), z, n)
+    if len(controls) != len(fields):
+        raise DomainError("one control per field required")
     for j, (v, walk) in enumerate(zip(xi, walks)):
         if walk.crossed(_proj(z, v)):
             raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
@@ -359,12 +356,13 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 else:
                     s, z, j, d = hit
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
-                    events.append(Event(t, label(j, walks[j].switch(d)), -d, d))
+                    i = walks[j].switch(d)
+                    events.append(SwitchEvent(t, i + 1, d, label(j, i)))
                     switches[j] += 1
                     if switches[j] > budgets[j]:
                         raise DivergenceError(
                             f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
-                    fields, entry = select(walks)
+                    fields, entry = _checked(select(walks), z, n)
                     rhs = _affine_rhs(fields, c0, sl, a, n)
                 _check_cap(z)
                 times.append(t)
@@ -457,9 +455,9 @@ def integrate_play_state(spec: TriangularSpec, controls, z0, step=1e-3) -> Traje
 def sector_index(z, spec: SwitchingSpec) -> set:
     """All m-strings compatible with z under closure semantics."""
     options = []
-    for i, xi in enumerate(spec.xi):
-        proj, lo_hi = _proj(z, xi), spec.axis_thresholds(i)
-        options.append([w for w in (1, -1) if RelayState(*lo_hi, w).consistent_with(proj)])
+    for xi, thr in zip(spec.xi, spec.thresholds):
+        proj = _proj(z, xi)
+        options.append([w for w in (1, -1) if RelayState(*thr, w).consistent_with(proj)])
     return set(itertools.product(*options))
 
 
@@ -468,8 +466,7 @@ def integrate_switching(spec: SwitchingSpec, controls, z0, w0_string, step=1e-3)
     string = tuple(w0_string)
     if string not in spec.field_table:
         raise DomainError("initial string must be in {-1,+1}^m")
-    banks = [RelayBank((RelayState(*spec.axis_thresholds(i), int(w)),))
-             for i, w in enumerate(string)]
+    banks = [RelayBank((RelayState(*thr, int(w)),)) for thr, w in zip(spec.thresholds, string)]
 
     def select(walks):
         s = tuple(walk.outs[0] for walk in walks)

@@ -218,7 +218,7 @@ def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7)
         B = rng.uniform(-1.0, 1.0, 3)
         w0 = float(A[0] + rng.uniform(-rho, rho))
         ubar = plan_triangular(f, A, B)
-        spec = TriangularSpec(2, (f,), rho, (w0,))
+        spec = TriangularSpec((f,), rho, (w0,))
         xbar_slopes = ubar[0].values
         T = ubar[0].horizon
         ez_prev = None
@@ -243,7 +243,7 @@ def _exp_heis_exact(*, cases=20, rho=DEFAULT_RHO, step=1e-3, seed=11):
         B = rng.uniform(-1.0, 1.0, 3)
         w0 = float(A[0] + rng.uniform(-rho, rho))
         sched = heis_exact_schedule(tuple(A), tuple(B), rho, w0)
-        spec = TriangularSpec(2, (lambda x: x,), rho, (w0,))
+        spec = TriangularSpec((lambda x: x,), rho, (w0,))
         traj = integrate_play_state(spec, sched.concatenated(), tuple(A), step=step)
         err = float(np.abs(traj.final_state - B).max())
         rows.append({"case": c, "endpoint_error": err})
@@ -366,12 +366,12 @@ def _exp_chain_demo(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3):
     f3 = lambda x1, x2: x1 + x2
     A = (0.0, 0.0, 0.0, 0.0, 0.0)
     B = (0.5, -0.3, 0.4, 0.7, -0.6)
-    spec = TriangularSpec(3, (f2, f3), rho, (A[0], A[1]))
+    spec = TriangularSpec((f2, f3), rho, (A[0], A[1]))
     rows = []
     verdict = True
     prev4 = prev5 = None
     for ji in j:
-        sched = chain_schedule(spec, A, B, rho, ji)
+        sched = chain_schedule(spec, A, B, ji)
         traj = integrate_play_state(spec, sched.concatenated(), A, step=step)
         err = np.abs(traj.final_state - np.asarray(B))
         rows.append({

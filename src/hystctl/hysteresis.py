@@ -148,10 +148,17 @@ class RelayState:
 
 @dataclass(frozen=True)
 class SwitchEvent:
+    """Relay index switched to new (from -new) at time; operator names its
+    axis in a relay-core run and is empty in bank_trace."""
+
     time: float
     index: int
-    old: int
     new: int
+    operator: str = ""
+
+    @property
+    def old(self) -> int:
+        return -self.new
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,7 @@ class RelayBank:
     A delayed relay is the one-relay bank.  With sorted thresholds the next
     relay to switch is one index each way (wiping-out): the lowest-index
     relay at -1 on a rise, at its hi, and the highest-index one at +1 on a
-    fall, at its lo.  make and staircase give relay i thresholds (-1+i/k, i/k).
+    fall, at its lo.  make and staircase give relay i of k thresholds (-1+i/k, i/k).
     """
 
     relays: tuple[RelayState, ...]
@@ -183,10 +190,9 @@ class RelayBank:
         return sum(r.out for r in self.relays) / self.k
 
     @staticmethod
-    def make(k: int, outputs) -> "RelayBank":
-        outputs = tuple(outputs)
-        if len(outputs) != k:
-            raise DomainError(f"need one output per relay, got {len(outputs)} for k={k}")
+    def make(outputs) -> "RelayBank":
+        """One relay per output, k = len(outputs)."""
+        k = len(outputs)
         return RelayBank(tuple(
             RelayState(-1.0 + i / k, i / k, out) for i, out in enumerate(outputs, 1)))
 
@@ -195,7 +201,7 @@ class RelayBank:
         """Bank in the staircase configuration (+1 x n_plus, -1 x rest)."""
         if not 0 <= n_plus <= k:
             raise DomainError("n_plus must be in 0..k")
-        return RelayBank.make(k, [1] * n_plus + [-1] * (k - n_plus))
+        return RelayBank.make([1] * n_plus + [-1] * (k - n_plus))
 
     def is_staircase(self) -> bool:
         outs = [r.out for r in self.relays]
@@ -271,7 +277,7 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
         while hit := walk.crossed(z1):
             s, thr = hit
             time = t0 + ((thr - z0) / (z1 - z0)) * (t1 - t0)
-            events.append(SwitchEvent(time, walk.switch(s) + 1, -s, s))
+            events.append(SwitchEvent(time, walk.switch(s) + 1, s))
             if time >= T:
                 continue
             if break_times[-1] < time:

@@ -276,15 +276,13 @@ def test_embed_schedule():
 
 
 def test_phase_validation():
-    with pytest.raises(DomainError):
-        Phase(0.0, (StepSignal(TimeGrid((0.0, 1.0)), (1.0,)),))
-    with pytest.raises(DomainError):
-        Phase(2.0, (StepSignal(TimeGrid((0.0, 1.0)), (1.0,)),))
-    # NaN compares false with every bound, so it must fail the check, not pass it
-    for duration in (np.nan, np.inf):
-        for controls in ((StepSignal(TimeGrid((0.0, 1.0)), (1.0,)),), ()):
-            with pytest.raises(DomainError):
-                Phase(duration, controls)
+    # a phase lasts as long as its controls, which start at 0 and share a horizon
+    u = StepSignal(TimeGrid((0.0, 0.5, 2.0)), (1.0, -1.0))
+    assert Phase((u, StepSignal(TimeGrid((0.0, 2.0)), (0.0,)))).duration == 2.0
+    for controls in ((), (u, StepSignal(TimeGrid((0.0, 1.0)), (1.0,))),
+                     (StepSignal(TimeGrid((0.5, 2.0)), (1.0,)),)):
+        with pytest.raises(DomainError):
+            Phase(controls)
     with pytest.raises(DomainError):
         ControlSchedule(())
 

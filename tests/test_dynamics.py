@@ -116,7 +116,7 @@ def test_polyline_controls_integrated_exactly():
     for ev, thr in zip(traj.events, (0.5, 1.0)):
         assert abs(ev.time - math.sqrt(2.0 * thr)) < 1e-9
     # play in the state integrates its controls in closed form: steps only
-    tri = TriangularSpec(2, (lambda x: x,), 0.2, (0.0,))
+    tri = TriangularSpec((lambda x: x,), 0.2, (0.0,))
     with pytest.raises(DomainError):
         integrate_play_state(tri, (ramp, ramp), (0.0, 0.0, 0.0))
 
@@ -154,6 +154,33 @@ def test_bank_spec_shape():
     with pytest.raises(DomainError, match="one length"):
         BankSpec(xi=((1.0, 0.0), (0.0, 1.0, 0.0)), k=2,
                  fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("case", ["long", "short", "after-switch"])
+def test_field_vector_length_checked(case):
+    # a long vector was cut to n components (the long case ended at (1, 0),
+    # dropping the 5.0) and a short one raised IndexError; the field set
+    # chosen at a switch is checked at the switch
+    with pytest.raises(DomainError, match="components"):
+        if case == "after-switch":
+            table = dict(demo_spec().field_table)
+            table[(-1, 1)] = FieldSet(2, 2, (lambda z: (1.0, 0.0, 5.0), lambda z: (0.0, 1.0)))
+            spec = SwitchingSpec(xi=((1.0, 0.0), (0.0, 1.0)), eta=0.3, field_table=table)
+            integrate_switching(spec, (const(1.0, -1.0), const(1.0, 0.0)), (0.5, 0.5), (1, 1),
+                                step=0.25)
+        else:
+            n, vec = (2, (1.0, 0.0, 5.0)) if case == "long" else (3, (1.0, 0.0))
+            integrate_plain(FieldSet(n, 1, (lambda z: vec,)), (const(1.0, 1.0),), (0.0,) * n)
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+def test_step_must_be_positive_and_finite(h):
+    # NaN failed in math.ceil with a bare ValueError; inf gave one RK4 step per piece
+    with pytest.raises(DomainError, match="step"):
+        integrate_plain(EXP_FIELD, (const(1.0, 1.0),), (1.0,), step=h)
+    spec = TriangularSpec((lambda x: x,), 0.2, (0.0,))
+    with pytest.raises(DomainError, match="step"):
+        integrate_play_state(spec, (const(1.0, 1.0),) * 2, (0.0, 0.0, 0.0), step=h)
 
 
 def test_trajectory_sample_rejects_times_outside_horizon():
@@ -241,7 +268,7 @@ def test_play_controls_seed_validation():
 # play in the state
 
 def test_play_state_zero_controls():
-    spec = TriangularSpec(2, (lambda x: x,), 0.2, (0.1,))
+    spec = TriangularSpec((lambda x: x,), 0.2, (0.1,))
     traj = integrate_play_state(spec, (const(1.0, 0.0), const(1.0, 0.0)),
                                 (0.1, 0.0, 0.5))
     assert np.abs(traj.states - traj.states[0]).max() == 0.0
@@ -249,7 +276,7 @@ def test_play_state_zero_controls():
 
 def test_play_state_closed_form():
     # x1 = t, play(rho=0.2, w0=0) = max(t - 0.2, 0); y = integral = 0.32 at t=1
-    spec = TriangularSpec(2, (lambda x: x,), 0.2, (0.0,))
+    spec = TriangularSpec((lambda x: x,), 0.2, (0.0,))
     traj = integrate_play_state(spec, (const(1.0, 1.0), const(1.0, 1.0)),
                                 (0.0, 0.0, 0.0))
     assert traj.final_state == pytest.approx([1.0, 1.0, 0.32], abs=1e-12)
@@ -259,17 +286,20 @@ def test_play_state_closed_form():
 
 
 def test_play_state_cap_catches_nan():
-    spec = TriangularSpec(2, (lambda x: math.nan,), 0.2, (0.0,))
+    spec = TriangularSpec((lambda x: math.nan,), 0.2, (0.0,))
     with pytest.raises(DivergenceError):
         integrate_play_state(spec, (const(1.0, 1.0), const(1.0, 1.0)), (0.0, 0.0, 0.0))
 
 
 def test_play_state_dimension_checks():
-    spec = TriangularSpec(2, (lambda x: x,), 0.2, (0.0,))
+    spec = TriangularSpec((lambda x: x,), 0.2, (0.0,))
+    assert spec.m == 2  # one more control than output functions
     with pytest.raises(DomainError):
         integrate_play_state(spec, (const(1.0, 1.0),), (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        TriangularSpec(1, (), 0.2, ())
+        TriangularSpec((), 0.2, ())
+    with pytest.raises(DomainError):
+        TriangularSpec((lambda x: x,), 0.2, (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +348,8 @@ def test_switching_single_crossing():
     traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-3)
     assert len(traj.events) == 1
     ev = traj.events[0]
-    assert ev.operator == "axis1" and (ev.old, ev.new) == (1, -1)
+    # a switching axis is a one-relay bank, so its events switch relay 1
+    assert ev.operator == "axis1" and (ev.index, ev.old, ev.new) == (1, 1, -1)
     assert abs(ev.time - 0.8) < 1e-9  # z1 = 0.5 - t crosses -0.3 at t = 0.8
     assert traj.hysteresis_log["string"][-1] == (-1, 1)
 
@@ -399,7 +430,8 @@ def test_switching_spec_threshold_validation():
     for thresholds in (((0.2, -0.2), (-0.3, 0.3)), ((-0.3, 0.3),), ((-0.3,), (-0.3, 0.3))):
         with pytest.raises(DomainError):
             demo_spec(thresholds)
-    assert demo_spec(((-0.1, 0.4), (0.0, 0.2))).axis_thresholds(1) == (0.0, 0.2)
+    assert demo_spec(((-0.1, 0.4), (0.0, 0.2))).thresholds[1] == (0.0, 0.2)
+    assert demo_spec().thresholds == ((-0.3, 0.3),) * 2
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, 2.0], ids=["nan", "inf", "long"])
@@ -509,7 +541,7 @@ def test_bank_several_crossings_in_one_step(direction):
     order = range(1, 9) if direction == 1 else range(8, 0, -1)
     assert [e.operator for e in traj.events] == [f"axis1.relay{i}" for i in order]
     for i, ev in zip(order, traj.events):
-        assert (ev.old, ev.new) == (-direction, direction)
+        assert (ev.index, ev.old, ev.new) == (i, -direction, direction)
         thr = i / 8 if direction == 1 else -1.0 + i / 8
         assert abs(ev.time - abs(thr - z0)) < 1e-9
     assert traj.hysteresis_log["strings"][-1] == ((direction,) * 8,)

@@ -291,7 +291,7 @@ def test_bank_staircase_persistence():
 
 
 def test_bank_oscillation_keeps_staircase():
-    bank = RelayBank.make(4, (1, -1, -1, -1))
+    bank = RelayBank.make((1, -1, -1, -1))
     zeta = PolylineSignal(
         ((0.0, 0.0), (1.0, -0.7), (2.0, 0.45), (3.0, -0.7), (4.0, 0.45)))
     _, _, final = bank_trace(bank, zeta)
@@ -334,7 +334,7 @@ def test_bank_event_at_the_horizon():
 
 def test_saturation_prefix_enters_staircase():
     # a non-staircase state becomes a staircase after the there-and-back ramp
-    bank = RelayBank.make(4, (-1, -1, 1, -1))
+    bank = RelayBank.make((-1, -1, 1, -1))
     zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4), (2.0, 0.3)))
     assert bank.consistent_with(zeta.knots[0][1])
     _, _, final = bank_trace(bank, saturation_prefix(zeta, lead=1.0, direction=1))
@@ -346,10 +346,13 @@ def test_bank_serialization():
     assert [(r.lo, r.hi, r.out) for r in bank.relays] == [(-0.5, 0.5, 1), (0.0, 1.0, -1)]
 
 
-@pytest.mark.parametrize("outputs", [(1,), (1, 1, 1)], ids=["too-few", "too-many"])
-def test_bank_make_needs_one_output_per_relay(outputs):
+def test_bank_make_has_one_relay_per_output():
+    bank = RelayBank.make((1, -1, -1))
+    assert bank.k == 3
+    assert [(r.lo, r.hi, r.out) for r in bank.relays] == [
+        (-1.0 + i / 3, i / 3, out) for i, out in zip((1, 2, 3), (1, -1, -1))]
     with pytest.raises(DomainError):
-        RelayBank.make(2, outputs)
+        RelayBank.make(())
 
 
 def relay_alone(relay, zeta):
@@ -383,7 +386,7 @@ def banks_and_inputs(draw):
     ups = draw(st.lists(st.booleans(), min_size=k, max_size=k))  # inside the dead band
     outs = [1 if z0 > i / k or (z0 >= -1.0 + i / k and up) else -1
             for i, up in zip(range(1, k + 1), ups)]
-    return RelayBank.make(k, outs), zeta
+    return RelayBank.make(outs), zeta
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
