@@ -29,8 +29,6 @@ from .hysteresis import (
     truncated_play_apply,
 )
 from .constructions import (
-    ControlSchedule,
-    Phase,
     align_schedule,
     build_uk,
     build_vj,

@@ -1,16 +1,15 @@
 """Control and input builders.
 
 Staircase approximants of step controls, exact play-operator inverses,
-alignment maneuvers, bracket loops, and the multi-phase steering schedules
-assembled from them.  The two play inputs, the exact inverse v^k and the
+alignment maneuvers, bracket loops, and the steering schedules assembled
+from them.  A schedule is m step controls on [0, T], its legs played one
+after another (_then).  The two play inputs, the exact inverse v^k and the
 density input v^j, are one ride of the dead-band edge (_ride) with two swing
 windows.  Everything here is a pure function emitting signals or schedules;
 integration lives in `dynamics`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,78 +38,42 @@ def _const(duration: float, value: float) -> StepSignal:
 # ---------------------------------------------------------------------------
 # schedules
 
-@dataclass(frozen=True)
-class Phase:
-    """One stretch of the strategy: step controls on local time [0, duration],
-    the duration being the first control's horizon."""
-
-    controls: tuple[StepSignal, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.controls:
-            raise DomainError("phase needs at least one control")
-        for c in self.controls:
-            if not _times_equal(c.grid.points[0], 0.0) or _off_horizon(c.horizon, self.duration):
-                raise DomainError("phase controls must live on [0, duration]")
-
-    @property
-    def duration(self) -> float:
-        return self.controls[0].horizon
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    phases: tuple[Phase, ...]
-
-    def __post_init__(self):
-        if not self.phases:
-            raise DomainError("schedule needs at least one phase")
-        m = len(self.phases[0].controls)
-        if any(len(p.controls) != m for p in self.phases):
-            raise DomainError("control dimension must be constant across phases")
-
-    @property
-    def m(self) -> int:
-        return len(self.phases[0].controls)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(p.duration for p in self.phases)
-
-    def concatenated(self) -> tuple[StepSignal, ...]:
-        """The schedule as step controls on the global interval [0, T*]."""
-        out = []
-        for i in range(self.m):
-            pts = [0.0]
-            vals: list[float] = []
-            off = 0.0
-            for ph in self.phases:
-                c = ph.controls[i]
-                for b, v in zip(c.grid.points[1:], c.values):
-                    pts.append(off + b)
-                    vals.append(v)
-                off += ph.duration
-            out.append(StepSignal(TimeGrid(tuple(pts)), tuple(vals)))
-        return tuple(out)
+def _then(*legs: tuple[StepSignal, ...]) -> tuple[StepSignal, ...]:
+    """The legs played one after another.  A leg is m step controls on
+    [0, d], d the horizon of its first control; the schedule is m step
+    controls on [0, sum of the d]."""
+    if not legs or not legs[0] or any(len(leg) != len(legs[0]) for leg in legs):
+        raise DomainError("a schedule needs legs of the same number m >= 1 of controls")
+    for leg in legs:
+        for c in leg:
+            if not _times_equal(c.grid.points[0], 0.0) or _off_horizon(c.horizon, leg[0].horizon):
+                raise DomainError("leg controls must live on [0, d]")
+    out = []
+    for i in range(len(legs[0])):
+        pts, vals, off = [0.0], [], 0.0
+        for leg in legs:
+            pts += [off + b for b in leg[i].grid.points[1:]]
+            vals += leg[i].values
+            off += leg[0].horizon
+        out.append(StepSignal(TimeGrid(tuple(pts)), tuple(vals)))
+    return tuple(out)
 
 
-def embed_schedule(sched: ControlSchedule, m: int, slots: tuple[int, ...]) -> ControlSchedule:
-    """Lift a low-dimensional schedule into m control slots, zeros elsewhere."""
-    if len(slots) != sched.m or any(not 0 <= s < m for s in slots):
-        raise DomainError("bad slot assignment")
-    phases = []
-    for ph in sched.phases:
-        controls: list[StepSignal] = [_const(ph.duration, 0.0) for _ in range(m)]
-        for c, s in zip(ph.controls, slots):
-            controls[s] = c
-        phases.append(Phase(tuple(controls), ph.label))
-    return ControlSchedule(tuple(phases))
+def _embed(leg: tuple[StepSignal, ...], m: int, slots: tuple[int, ...]) -> tuple[StepSignal, ...]:
+    """The leg's controls in the given slots of m, zero in the others."""
+    zero = _const(leg[0].horizon, 0.0)
+    return tuple(leg[slots.index(s)] if s in slots else zero for s in range(m))
 
 
-def concat_schedules(*scheds: ControlSchedule) -> ControlSchedule:
-    phases = tuple(p for s in scheds for p in s.phases)
-    return ControlSchedule(phases)
+def _point(p, n: int) -> tuple[float, ...]:
+    """The n coordinates of the point p as floats."""
+    try:
+        c = tuple(float(x) for x in p)
+    except (TypeError, ValueError):
+        c = ()
+    if len(c) != n:
+        raise DomainError(f"a point needs {n} numeric coordinates, got {p!r}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +193,14 @@ def reversal_sup_error(x: PolylineSignal, j: int) -> float:
 # ---------------------------------------------------------------------------
 # Heisenberg bracket loop and alignment
 
-def heisenberg_loop(alpha: float, beta: float, T: float) -> ControlSchedule:
-    """Four-phase square loop; net effect on the Heisenberg system is a pure
-    z-displacement of T^2 * alpha * beta."""
-    legs = (
-        ((alpha, 0.0), "loop+x"),
-        ((0.0, beta), "loop+y"),
-        ((-alpha, 0.0), "loop-x"),
-        ((0.0, -beta), "loop-y"),
-    )
-    return ControlSchedule(
-        tuple(Phase((_const(T, a), _const(T, b)), lab) for (a, b), lab in legs)
-    )
+def heisenberg_loop(alpha: float, beta: float, T: float) -> tuple[StepSignal, ...]:
+    """Four-leg square loop (+x, +y, -x, -y); net effect on the Heisenberg
+    system is a pure z-displacement of T^2 * alpha * beta."""
+    legs = ((alpha, 0.0), (0.0, beta), (-alpha, 0.0), (0.0, -beta))
+    return _then(*((_const(T, a), _const(T, b)) for a, b in legs))
 
 
-def align_schedule(xA: float, w0: float, rho: float, direction: int) -> ControlSchedule:
+def align_schedule(xA: float, w0: float, rho: float, direction: int) -> tuple[StepSignal, ...]:
     """Place the pair (x, w) exactly at (xA + direction*rho, xA) in unit time.
 
     Two constant-slope legs: overshoot to xA - direction*rho (dragging the
@@ -255,9 +211,7 @@ def align_schedule(xA: float, w0: float, rho: float, direction: int) -> ControlS
         raise DomainError("direction must be -1 or +1")
     _seed(xA, w0, *_play_bounds(rho))
     legs = ((0.5, -2.0 * rho * direction), (0.5, 4.0 * rho * direction))
-    return ControlSchedule(
-        tuple(Phase((_const(d, s), _const(d, 0.0)), "align") for d, s in legs)
-    )
+    return _then(*((_const(d, s), _const(d, 0.0)) for d, s in legs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +223,21 @@ def thm3_schedule(
     rho: float,
     w0: float,
     j: int,
-) -> ControlSchedule:
+) -> tuple[StepSignal, ...]:
     """Approximate steering of the triangular hysteretic system.
 
     Given a reference (u1, u2) steering the hysteresis-free system from A,
-    returns align / replay / adjust phases: the x coordinate follows the
+    plays align / replay / adjust legs: the x coordinate follows the
     dead-band-shifted trajectory v^j whose play output tracks the reference
     x path, so y lands exactly and the z defect vanishes as j grows.
     """
     u1b, u2b = ubar
-    xA = float(A[0])
+    xA = _point(A, 3)[0]
     xbar = antiderivative(u1b, xA)
     align = align_schedule(xA, w0, rho, _side(xbar))
     v = build_vj(xbar, rho, j)
-    replay = Phase((derivative(v), u2b), "replay")
-    xB = xbar.final_value()
-    adjust = Phase((_const(1.0, xB - v.final_value()), _const(1.0, 0.0)), "adjust")
-    return ControlSchedule(align.phases + (replay, adjust))
+    adjust = (_const(1.0, xbar.final_value() - v.final_value()), _const(1.0, 0.0))
+    return _then(align, (derivative(v), u2b), adjust)
 
 
 def heis_exact_schedule(
@@ -293,34 +245,33 @@ def heis_exact_schedule(
     B: tuple[float, float, float],
     rho: float,
     w0: float,
-) -> ControlSchedule:
+) -> tuple[StepSignal, ...]:
     """Exact steering of the hysteretic Heisenberg system from A to B.
 
-    Phases: move y with x frozen (z drifts by w0 * dy), align the play pair,
+    Legs: move y with x frozen (z drifts by w0 * dy), align the play pair,
     replay the exact play inverse of a bracket-loop tent sized to the
-    remaining z gap, then adjust x.  Every phase's effect is closed-form, so
+    remaining z gap, then adjust x.  Every leg's effect is closed-form, so
     the endpoint is exact up to rounding.
     """
-    xA, yA, zA = (float(c) for c in A)
-    xB, yB, zB = (float(c) for c in B)
+    xA, yA, zA = _point(A, 3)
+    xB, yB, zB = _point(B, 3)
     _seed(xA, w0, *_play_bounds(rho))
-    phases: list[Phase] = []
     dy = yB - yA
-    phases.append(Phase((_const(1.0, 0.0), _const(1.0, dy)), "ymove"))
+    legs = [(_const(1.0, 0.0), _const(1.0, dy))]
     dz = zB - (zA + w0 * dy)
     x_now = xA
     if dz != 0.0:
         s = _sign(dz)
-        phases.extend(align_schedule(xA, w0, rho, s).phases)
+        legs.append(align_schedule(xA, w0, rho, s))
         tent = PolylineSignal(
             ((0.0, xA), (1.0, xA + dz), (2.0, xA + dz), (3.0, xA), (4.0, xA))
         )
         v = play_inverse_exact(tent, rho, 0.5)
         u2 = StepSignal(TimeGrid((0.0, 1.0, 2.0, 3.0, 4.0)), (0.0, 1.0, 0.0, -1.0))
-        phases.append(Phase((derivative(v), u2), "loop"))
+        legs.append((derivative(v), u2))
         x_now = v.final_value()
-    phases.append(Phase((_const(1.0, xB - x_now), _const(1.0, 0.0)), "adjust"))
-    return ControlSchedule(tuple(phases))
+    legs.append((_const(1.0, xB - x_now), _const(1.0, 0.0)))
+    return _then(*legs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +299,8 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
     along the first two legs.  Degenerates to a consistency check when f has
     equal leg averages for every candidate (p, q) pair (e.g. f constant).
     """
-    xA, yA, zA = (float(c) for c in A)
-    xB, yB, zB = (float(c) for c in B)
+    xA, yA, zA = _point(A, 3)
+    xB, yB, zB = _point(B, 3)
     dy, dz = yB - yA, zB - zA
     hi, lo = max(xA, xB), min(xA, xB)
     candidates = (
@@ -383,7 +334,7 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
 # ---------------------------------------------------------------------------
 # chain systems (m <= 3)
 
-def chain_schedule(spec, A, B, j: int) -> ControlSchedule:
+def chain_schedule(spec, A, B, j: int) -> tuple[StepSignal, ...]:
     """Steering schedule for chain systems with m controls, m in {2, 3}.
 
     m=2 is exactly the triangular schedule.  For m=3 the two output
@@ -397,8 +348,8 @@ def chain_schedule(spec, A, B, j: int) -> ControlSchedule:
         return thm3_schedule(ubar, A, rho, w0s[0], j)
     if spec.m != 3:
         raise DomainError("chain schedules support m in {2, 3} only")
-    x1A, x2A, x3A, y4A, y5A = (float(c) for c in A)
-    x1B, x2B, x3B, y4B, y5B = (float(c) for c in B)
+    x1A, x2A, x3A, y4A, y5A = _point(A, 5)
+    x1B, x2B, x3B, y4B, y5B = _point(B, 5)
     w01, w02 = w0s
 
     # stage A: drive y5 through f3(P[x1], w02) with u2 off
@@ -407,14 +358,11 @@ def chain_schedule(spec, A, B, j: int) -> ControlSchedule:
     stageA = thm3_schedule(planA, (x1A, x3A, y5A), rho, w01, j)
 
     # the first play's state after stage A, from the exact x1 path
-    u1_total = stageA.concatenated()[0]
-    x1_path = antiderivative(u1_total, x1A)
+    x1_path = antiderivative(stageA[0], x1A)
     w1_end = play_apply(x1_path, w01, rho).final_value()
 
     # stage B: drive y4 through f2(P[x1]) with u3 off
     planB = plan_triangular(fs[0], (x1B, x2A, y4A), (x1B, x2B, y4B))
     stageB = thm3_schedule(planB, (x1B, x2A, y4A), rho, w1_end, j)
 
-    return concat_schedules(
-        embed_schedule(stageA, 3, (0, 2)), embed_schedule(stageB, 3, (0, 1))
-    )
+    return _then(_embed(stageA, 3, (0, 2)), _embed(stageB, 3, (0, 1)))

@@ -224,7 +224,7 @@ def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7)
         ez_prev = None
         for ji in j:
             sched = thm3_schedule(ubar, tuple(A), rho, w0, ji)
-            traj = integrate_play_state(spec, sched.concatenated(), tuple(A), step=step)
+            traj = integrate_play_state(spec, sched, tuple(A), step=step)
             ex, ey, ez = (abs(float(c)) for c in traj.final_state - B)
             bound = _thm3_bound(ubar[1], xbar_slopes, L, T, ji)
             rows.append({"f": name, "j": ji, "ex": ex, "ey": ey, "ez": ez, "bound": bound})
@@ -244,7 +244,7 @@ def _exp_heis_exact(*, cases=20, rho=DEFAULT_RHO, step=1e-3, seed=11):
         w0 = float(A[0] + rng.uniform(-rho, rho))
         sched = heis_exact_schedule(tuple(A), tuple(B), rho, w0)
         spec = TriangularSpec((lambda x: x,), rho, (w0,))
-        traj = integrate_play_state(spec, sched.concatenated(), tuple(A), step=step)
+        traj = integrate_play_state(spec, sched, tuple(A), step=step)
         err = float(np.abs(traj.final_state - B).max())
         rows.append({"case": c, "endpoint_error": err})
     verdict = all(r["endpoint_error"] < 1e-8 for r in rows)
@@ -372,7 +372,7 @@ def _exp_chain_demo(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3):
     prev4 = prev5 = None
     for ji in j:
         sched = chain_schedule(spec, A, B, ji)
-        traj = integrate_play_state(spec, sched.concatenated(), A, step=step)
+        traj = integrate_play_state(spec, sched, A, step=step)
         err = np.abs(traj.final_state - np.asarray(B))
         rows.append({
             "j": ji,

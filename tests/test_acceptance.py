@@ -62,7 +62,7 @@ def test_criterion_2_bracket_displacement():
         T = float(rng.uniform(0.1, 1.0))
         z0 = tuple(rng.uniform(-1.0, 1.0, 3))
         sched = heisenberg_loop(float(alpha), float(beta), T)
-        traj = integrate_plain(heisenberg_fields(), sched.concatenated(), z0, step=1e-3)
+        traj = integrate_plain(heisenberg_fields(), sched, z0, step=1e-3)
         end = traj.final_state
         worst_xy = max(worst_xy, abs(end[0] - z0[0]), abs(end[1] - z0[1]))
         worst_z = max(worst_z, abs(end[2] - z0[2] - T * T * alpha * beta))

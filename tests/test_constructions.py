@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hystctl.constructions import (
-    ControlSchedule,
-    Phase,
     align_schedule,
     build_uk,
     build_vj,
     build_vk,
-    concat_schedules,
-    embed_schedule,
+    chain_schedule,
+    heis_exact_schedule,
     heisenberg_loop,
     plan_triangular,
     play_inverse_exact,
     reversal_sup_error,
     thm3_schedule,
 )
+from hystctl.dynamics import TriangularSpec
 from hystctl.hysteresis import play_apply
 from hystctl.signals import (
     DomainError,
@@ -30,6 +29,8 @@ from hystctl.signals import (
     TimeGrid,
     antiderivative,
     l1_distance,
+    sample,
+    signal_from_json,
     sup_distance,
 )
 
@@ -225,9 +226,9 @@ def test_build_vj_rejects_bad_rho(rho):
 
 def test_heisenberg_loop_shape():
     sched = heisenberg_loop(1.5, -0.5, 0.7)
-    assert len(sched.phases) == 4
-    assert sched.total_duration == pytest.approx(2.8)
-    u1, u2 = sched.concatenated()
+    assert isinstance(sched, tuple) and len(sched) == 2
+    u1, u2 = sched
+    assert u1.grid.points == u2.grid.points == pytest.approx((0.0, 0.7, 1.4, 2.1, 2.8))
     assert u1.values == (1.5, 0.0, -1.5, 0.0)
     assert u2.values == (0.0, -0.5, 0.0, 0.5)
 
@@ -237,11 +238,11 @@ def test_align_schedule_cases():
     for xA, w0 in ((0.0, 0.0), (0.3, 0.3 + RHO / 2), (-1.0, -1.0 - RHO)):
         for direction in (1, -1):
             sched = align_schedule(xA, w0, RHO, direction)
-            x = antiderivative(sched.concatenated()[0], xA)
+            x = antiderivative(sched[0], xA)
             w = play_apply(x, w0, RHO)
             assert x.final_value() == pytest.approx(xA + direction * RHO, abs=1e-14)
             assert w.final_value() == pytest.approx(xA, abs=1e-14)
-            assert sched.total_duration == pytest.approx(1.0)
+            assert [u.grid.points for u in sched] == [(0.0, 0.5, 1.0)] * 2
 
 
 def test_align_schedule_seed_validation():
@@ -250,48 +251,53 @@ def test_align_schedule_seed_validation():
 
 
 # ---------------------------------------------------------------------------
-# schedule plumbing
-
-def test_schedule_concatenation_durations():
-    a = heisenberg_loop(1.0, 1.0, 1.0)
-    b = align_schedule(0.0, 0.0, RHO, 1)
-    both = concat_schedules(a, b)
-    assert both.total_duration == pytest.approx(a.total_duration + b.total_duration)
-    u1, u2 = both.concatenated()
-    assert u1.horizon == pytest.approx(both.total_duration)
-    # concatenated controls replay each phase's values in order
-    assert u1(0.5) == 1.0 and u2(1.5) == 1.0
-    assert u1(4.25) == pytest.approx(-2 * RHO)
-
-
-def test_embed_schedule():
-    sched = align_schedule(0.0, 0.0, RHO, 1)
-    lifted = embed_schedule(sched, 3, (2, 0))
-    assert lifted.m == 3
-    c = lifted.concatenated()
-    assert c[2](0.25) == pytest.approx(-2 * RHO)
-    assert c[1](0.25) == 0.0
-    with pytest.raises(DomainError):
-        embed_schedule(sched, 2, (0, 5))
-
-
-def test_phase_validation():
-    # a phase lasts as long as its controls, which start at 0 and share a horizon
-    u = StepSignal(TimeGrid((0.0, 0.5, 2.0)), (1.0, -1.0))
-    assert Phase((u, StepSignal(TimeGrid((0.0, 2.0)), (0.0,)))).duration == 2.0
-    for controls in ((), (u, StepSignal(TimeGrid((0.0, 1.0)), (1.0,))),
-                     (StepSignal(TimeGrid((0.5, 2.0)), (1.0,)),)):
-        with pytest.raises(DomainError):
-            Phase(controls)
-    with pytest.raises(DomainError):
-        ControlSchedule(())
-
+# schedules as step controls
 
 def test_schedule_json():
+    # a schedule is plain step controls, so each control round-trips as JSON
     sched = heisenberg_loop(1.0, 2.0, 0.5)
-    assert len(sched.phases) == 4
-    assert sched.phases[0].label == "loop+x"
-    assert sched.phases[1].controls[1].values == (2.0,)
+    assert all(signal_from_json(u.to_json()) == u for u in sched)
+    assert sched[0].grid.points == (0.0, 0.5, 1.0, 1.5, 2.0)
+    assert sched[1].values == (0.0, 2.0, 0.0, -2.0)
+
+
+def test_heis_exact_schedule_legs():
+    # ymove [0, 1], align [1, 2] in two halves, loop [2, 6], adjust [6, 7]
+    u1, u2 = heis_exact_schedule((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.2, 0.0)
+    assert u1.grid.points == (0.0, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0)
+    assert u2.grid.points == (0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    # with no z gap left after the y move: ymove then adjust
+    flat = heis_exact_schedule((0.0, 0.0, 0.0), (0.3, 0.5, 0.0), 0.2, 0.0)
+    assert [u.grid.points for u in flat] == [(0.0, 1.0, 2.0)] * 2
+    assert flat[0].values == (0.0, 0.3) and flat[1].values == (0.5, 0.0)
+
+
+def test_chain_schedule_slots():
+    spec = TriangularSpec((lambda x: x, lambda x1, w: x1 + w), RHO, (0.0, 0.0))
+    A, B = (0.0,) * 5, (0.5, -0.3, 0.4, 0.7, -0.6)
+    u1, u2, u3 = chain_schedule(spec, A, B, 20)
+    # stage A (align 1, reference 3, adjust 1) moves (x1, x3) with u2 off,
+    # then stage B moves (x1, x2) with u3 off
+    assert u1.horizon == u2.horizon == u3.horizon == 10.0
+    ts = np.linspace(0.0, 10.0, 401)
+    assert not np.any(sample(u2, ts[ts < 5.0])) and np.any(sample(u2, ts))
+    assert not np.any(sample(u3, ts[ts > 5.0])) and np.any(sample(u3, ts))
+    assert antiderivative(u2).final_value() == pytest.approx(B[1], abs=1e-12)
+    assert antiderivative(u3).final_value() == pytest.approx(B[2], abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heis_exact_schedule((0.0, 0.0), (0.0, 0.0, 1.0), 0.2, 0.0),
+    lambda: heis_exact_schedule((0.0, 0.0, 0.0), 1.0, 0.2, 0.0),
+    lambda: plan_triangular(lambda x: x, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    lambda: chain_schedule(TriangularSpec((lambda x: x, lambda x1, w: x1), RHO, (0.0, 0.0)),
+                           (0.0, 0.0, 0.0), (0.5, -0.3, 0.4, 0.7, -0.6), 20),
+    lambda: thm3_schedule(plan_triangular(lambda x: x, (0.0,) * 3, (0.4, -0.2, 0.3)),
+                          (0.0,), RHO, 0.0, 20),
+], ids=["heis-short-A", "heis-scalar-B", "plan-long-B", "chain-short-A", "thm3-short-A"])
+def test_schedule_rejects_points_of_wrong_length(build):
+    with pytest.raises(DomainError, match="coordinates"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +343,21 @@ def test_plan_triangular_reversal_structure():
 def test_thm3_schedule_phases():
     ubar = plan_triangular(lambda x: x, (0.0, 0.0, 0.0), (0.4, -0.2, 0.3))
     sched = thm3_schedule(ubar, (0.0, 0.0, 0.0), RHO, 0.1, 20)
-    labels = [p.label for p in sched.phases]
-    assert labels == ["align", "align", "replay", "adjust"]
     T = ubar[0].horizon
-    assert sched.total_duration == pytest.approx(1.0 + T + 1.0)
-    # u2 is silent outside the replay phase
-    u2 = sched.concatenated()[1]
-    assert u2(0.5) == 0.0 and u2(sched.total_duration) == 0.0
+    u1, u2 = sched
+    # align [0, 1] in two halves, replay [1, 1 + T], adjust [1 + T, 2 + T]
+    assert u1.horizon == u2.horizon == pytest.approx(1.0 + T + 1.0)
+    assert u2.grid.points == (0.0, 0.5, 1.0) + tuple(1.0 + t for t in ubar[1].grid.points[1:]) + (u2.horizon,)
+    assert {0.5, 1.0, 1.0 + T} <= set(u1.grid.points)
+    # u2 is silent outside the replay leg, and replays ubar's u2 on it
+    assert u2.values == (0.0, 0.0) + ubar[1].values + (0.0,)
+
+
+@pytest.mark.parametrize("u2b", [
+    StepSignal(TimeGrid((0.0, 2.0)), (1.0,)),       # ends before the reference u1
+    StepSignal(TimeGrid((0.5, 3.0)), (1.0,)),       # does not start at 0
+], ids=["other-horizon", "late-start"])
+def test_thm3_schedule_rejects_reference_off_its_leg(u2b):
+    u1b, _ = plan_triangular(lambda x: x, (0.0, 0.0, 0.0), (0.4, -0.2, 0.3))
+    with pytest.raises(DomainError, match=r"on \[0, d"):
+        thm3_schedule((u1b, u2b), (0.0, 0.0, 0.0), RHO, 0.1, 20)
