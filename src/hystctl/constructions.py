@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dynamics import _simpson
 from .hysteresis import _play_bounds, _seed, play_apply
 from .signals import (
     DomainError,
@@ -20,6 +21,7 @@ from .signals import (
     StepSignal,
     TimeGrid,
     _off_horizon,
+    _point,
     _times_equal,
     antiderivative,
     derivative,
@@ -28,7 +30,7 @@ from .signals import (
 
 
 def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
+    return int(x > 0) - int(x < 0)
 
 
 def _const(duration: float, value: float) -> StepSignal:
@@ -63,17 +65,6 @@ def _embed(leg: tuple[StepSignal, ...], m: int, slots: tuple[int, ...]) -> tuple
     """The leg's controls in the given slots of m, zero in the others."""
     zero = _const(leg[0].horizon, 0.0)
     return tuple(leg[slots.index(s)] if s in slots else zero for s in range(m))
-
-
-def _point(p, n: int) -> tuple[float, ...]:
-    """The n coordinates of the point p as floats."""
-    try:
-        c = tuple(float(x) for x in p)
-    except (TypeError, ValueError):
-        c = ()
-    if len(c) != n:
-        raise DomainError(f"a point needs {n} numeric coordinates, got {p!r}")
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +268,6 @@ def heis_exact_schedule(
 # ---------------------------------------------------------------------------
 # hysteresis-free reference planner
 
-def _leg_integral(f, x0: float, x1: float) -> float:
-    """Simpson integral of f(x(t)) over a unit-time affine leg x0 -> x1."""
-    n = 1000  # panel pairs
-    xs = np.linspace(x0, x1, 2 * n + 1)
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.array([float(f(float(x))) for x in xs])
-    h = 1.0 / (2 * n)
-    return (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
-
-
 def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
     """Reference controls on [0, 3] steering the hysteresis-free triangular
     system A -> B.
@@ -311,9 +291,11 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
         (hi + 2.0, lo - 2.0),
     )
     fallback = None
+    n = 1000  # Simpson panels per unit-time leg
     for p, q in candidates:
-        I1 = _leg_integral(f, xA, p)
-        I2 = _leg_integral(f, p, q)
+        xs = np.concatenate([np.linspace(xA, p, 2 * n + 1), np.linspace(p, q, 2 * n + 1)[1:]])
+        panels = _simpson(f, (xs,), 0.5 / n)
+        I1, I2 = float(panels[:n].sum()), float(panels[n:].sum())
         det = I2 - I1
         if fallback is None:
             fallback = (p, q, I1, I2)

@@ -3,7 +3,8 @@
 Five flavours: plain (no hysteresis), play in the controls, play in the state
 (triangular/chain), delayed-relay switching, and relay-bank systems.  Each
 takes the system, its controls (or play inputs), z0 and the step: the horizon
-[0, T] is the one the controls share, and a coordinate that leaves
+[0, T] is the one the controls share, a z0 that is not a point of finite
+coordinates raises DomainError, and a coordinate that leaves
 [-NORM_CAP, NORM_CAP] or is not finite raises DivergenceError.
 
 All but play in the state run one loop, the relay core: classical RK4 on each
@@ -22,8 +23,8 @@ EVENT_BUDGET * (nominal steps + its relays) times; a relay that chatters
 past that raises DivergenceError.
 
 For triangular systems the x coordinates and the play outputs are computed
-in closed form and only the output integrals are quadratures (Simpson, exact
-on piecewise-affine integrands).
+in closed form and only the output integrals are quadratures: one Simpson
+pass over all pieces (_simpson, shared with the planner in `constructions`).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 
 from .hysteresis import RelayBank, RelayState, SwitchEvent, _Walk, play_apply
 from .signals import (
-    DomainError, StepSignal, _affine_on, _off_horizon, antiderivative, breakpoints, check_times,
-    merge_times, sample,
+    DomainError, StepSignal, _affine_on, _off_horizon, _point, antiderivative, breakpoints,
+    check_times, merge_times, sample,
 )
 
 NORM_CAP = 1e6
@@ -313,9 +314,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     next step).
     """
     walks = [_Walk(bank) for bank in banks]
-    if len(z0) != n:
-        raise DomainError(f"z0 has {len(z0)} coordinates, the system {n}")
-    z = tuple(float(c) for c in z0)
+    z = _point(z0, n)
     fields, entry = _checked(select(walks), z, n)
     if len(controls) != len(fields):
         raise DomainError("one control per field required")
@@ -397,55 +396,48 @@ def integrate_play_controls(sys: FieldSet, v, w0, rho, z0, step=1e-3) -> Traject
 # ---------------------------------------------------------------------------
 # play-in-state (triangular / chain) systems
 
-def _vectorized(f, arrays):
-    vals = np.asarray(f(*arrays), dtype=float)
-    if vals.shape != arrays[0].shape:
-        vals = np.broadcast_to(vals, arrays[0].shape).copy()
-    return vals
+def _simpson(f, args, h):
+    """Composite-Simpson integral of f(*args) on each panel.
+
+    args are arrays on the panels' ends and midpoints (2N + 1 nodes for N
+    panels, neighbours sharing an end) and h is each panel's half-width; an
+    f that returns one number takes it at every node.
+    """
+    w = np.broadcast_to(np.asarray(f(*args), dtype=float), args[0].shape)
+    return (h / 3.0) * (w[:-1:2] + 4.0 * w[1::2] + w[2::2])
 
 
 def integrate_play_state(spec: TriangularSpec, controls, z0, step=1e-3) -> Trajectory:
     """Triangular/chain integration: exact x and play paths, Simpson outputs.
 
-    State ordering is (x_1..x_m, y_{m+1}..y_{2m-1}).
+    State ordering is (x_1..x_m, y_{m+1}..y_{2m-1}).  Each piece is cut into
+    panels no wider than step; y gains nothing on a panel where its control
+    is zero, whatever f gives there.
     """
     m = spec.m
-    if len(controls) != m or len(z0) != 2 * m - 1:
-        raise DomainError("control/state dimensions inconsistent with spec")
+    if len(controls) != m:
+        raise DomainError("control dimension inconsistent with spec")
+    z0 = _point(z0, 2 * m - 1)
     if not all(isinstance(c, StepSignal) for c in controls):
         raise DomainError("controls must be step signals")
-    x_polys = [antiderivative(controls[i], float(z0[i])) for i in range(m)]
+    x_polys = [antiderivative(controls[i], z0[i]) for i in range(m)]
     plays = [play_apply(x_polys[i], float(spec.w0[i]), spec.rho) for i in range(m - 1)]
     pieces = _pieces(step, [*controls, *plays])
-
-    y0 = np.array([float(c) for c in z0[m:]])
-    tgrid_parts = [np.array([pieces[0][0]])]
-    y_parts = [y0[None, :]]
-    y = y0
-    # Simpson nodes of every piece, and each play sampled on all of them at once
-    nodes = [np.linspace(a, b, 2 * nsub + 1) for a, b, nsub in pieces]
-    ends = np.cumsum([len(ts) for ts in nodes])
-    p_all = [sample(p, np.concatenate(nodes)) for p in plays]
-    for (a, b, nsub), ts, end in zip(pieces, nodes, ends):
-        p_samp = [ps[end - len(ts):end] for ps in p_all]
-        h = (b - a) / (2 * nsub)
-        incs = np.zeros((nsub, m - 1))
-        for i in range(2, m + 1):
-            ui = controls[i - 1](0.5 * (a + b))
-            if ui == 0.0:
-                continue
-            w = _vectorized(spec.fs[i - 2], p_samp[: i - 1]) * ui
-            incs[:, i - 2] = (h / 3.0) * (w[0:-1:2] + 4.0 * w[1::2] + w[2::2])
-        y_path = y + np.cumsum(incs, axis=0)
-        y = y_path[-1]
-        tgrid_parts.append(ts[2::2])
-        y_parts.append(y_path)
-    tgrid = np.concatenate(tgrid_parts)
-    y_all = np.vstack(y_parts)
-    x_cols = [sample(p, tgrid) for p in x_polys]
-    states = np.column_stack(x_cols + [y_all[:, i] for i in range(m - 1)])
+    a, b, nsub = (np.array(col) for col in zip(*pieces))
+    nodes = np.concatenate([a[:1]] + [np.linspace(t0, t1, 2 * n + 1)[1:] for t0, t1, n in pieces])
+    tgrid = nodes[::2]
+    h = np.repeat((b - a) / (2 * nsub), nsub)
+    p_nodes = [sample(p, nodes) for p in plays]
+    y_cols = []
+    for i, f in enumerate(spec.fs):
+        u = np.repeat(_affine_on(controls[i + 1].affine_view(), np.append(a, b[-1]))[0], nsub)
+        on = u != 0.0
+        inc = np.zeros(len(u))
+        inc[on] = _simpson(f, p_nodes[: i + 1], h)[on] * u[on]
+        y_cols.append(np.cumsum(np.concatenate([[z0[m + i]], inc])))
+    states = np.column_stack([sample(p, tgrid) for p in x_polys] + y_cols)
     _check_cap(np.abs(states).max(axis=0))
-    log = {f"play{i + 1}": sample(p, tgrid) for i, p in enumerate(plays)}
+    log = {f"play{i + 1}": ps[::2] for i, ps in enumerate(p_nodes)}
     return Trajectory(tgrid, states, hysteresis_log=log)
 
 
@@ -457,7 +449,8 @@ def sector_index(z, spec: SwitchingSpec) -> set:
     options = []
     for xi, thr in zip(spec.xi, spec.thresholds):
         proj = _proj(z, xi)
-        options.append([w for w in (1, -1) if RelayState(*thr, w).consistent_with(proj)])
+        options.append([w for w in (1, -1)
+                        if RelayBank((RelayState(*thr, w),)).consistent_with(proj)])
     return set(itertools.product(*options))
 
 

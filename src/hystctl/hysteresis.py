@@ -142,9 +142,6 @@ class RelayState:
         if self.out not in (-1, 1):
             raise DomainError("relay output must be -1 or +1")
 
-    def consistent_with(self, z: float) -> bool:
-        return z >= self.lo if self.out == 1 else z <= self.hi
-
 
 @dataclass(frozen=True)
 class SwitchEvent:
@@ -208,7 +205,9 @@ class RelayBank:
         return all(a >= b for a, b in zip(outs, outs[1:]))
 
     def consistent_with(self, zeta: float) -> bool:
-        return _Walk(self).crossed(zeta) is None
+        """Whether every relay's output is one it may hold at the input zeta
+        (never at a NaN)."""
+        return not math.isnan(zeta) and _Walk(self).crossed(zeta) is None
 
 
 class _Walk:

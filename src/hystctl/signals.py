@@ -254,6 +254,18 @@ def merge_times(*time_lists) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _point(p, n: int) -> tuple[float, ...]:
+    """The n coordinates of the point p as floats; DomainError unless there
+    are n of them and each is a finite number."""
+    try:
+        c = tuple(float(x) for x in p)
+    except (TypeError, ValueError):
+        c = ()
+    if len(c) != n or not all(map(math.isfinite, c)):
+        raise DomainError(f"a point needs {n} finite numeric coordinates, got {p!r}")
+    return c
+
+
 def _off_horizon(h: float, T: float) -> bool:
     """h misses the horizon T by more than 1e-9 relative to max(1, T), the
     slack for horizons that are sums of durations or of steps."""

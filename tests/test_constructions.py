@@ -300,6 +300,23 @@ def test_schedule_rejects_points_of_wrong_length(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: heis_exact_schedule((0.0, math.nan, 0.0), (0.0, 0.0, 1.0), 0.2, 0.0),
+    lambda: plan_triangular(lambda x: x, (0.0, 0.0, 0.0), (0.0, math.inf, 0.0)),
+    lambda: chain_schedule(TriangularSpec((lambda x: x, lambda x1, w: x1), RHO, (0.0, 0.0)),
+                           (0.0,) * 5, (0.5, -0.3, 0.4, 0.7, math.nan), 20),
+], ids=["heis-nan-A", "plan-inf-B", "chain-nan-B"])
+def test_schedule_rejects_nonfinite_points(build):
+    with pytest.raises(DomainError, match="finite numeric coordinates"):
+        build()
+
+
+def test_heis_exact_schedule_takes_a_numpy_seed():
+    A, B = (0.0, 0.0, 0.0), (0.1, 0.4, 1.0)
+    want = heis_exact_schedule(A, B, 0.2, 0.05)
+    assert heis_exact_schedule(A, B, 0.2, np.float64(0.05)) == want
+
+
 # ---------------------------------------------------------------------------
 # planners
 

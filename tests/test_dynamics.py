@@ -22,8 +22,10 @@ from hystctl.dynamics import (
     integrate_switching,
     sector_index,
 )
-from hystctl.hysteresis import RelayBank
-from hystctl.signals import DomainError, PolylineSignal, StepSignal, TimeGrid
+from hystctl.hysteresis import RelayBank, play_apply
+from hystctl.signals import (
+    DomainError, PolylineSignal, StepSignal, TimeGrid, antiderivative, merge_times, sample,
+)
 
 
 def const(duration, value):
@@ -220,6 +222,28 @@ def test_state_dimension_mismatch(integrator):
             integrate_bank(spec, (c, c), z0, banks, step=0.25)
 
 
+@pytest.mark.parametrize("integrator",
+                         ["plain", "play_controls", "play_state", "switching", "bank"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x"], ids=["nan", "inf", "text"])
+def test_z0_needs_finite_numeric_coordinates(integrator, bad):
+    # a bad z0 is a DomainError before the first step, not a DivergenceError after it
+    c, z0 = const(1.0, 1.0), (0.0, 0.0, bad)
+    heis = heisenberg_fields()
+    with pytest.raises(DomainError, match="finite numeric coordinates"):
+        if integrator == "plain":
+            integrate_plain(heis, (c, c), z0, step=0.25)
+        elif integrator == "play_controls":
+            v = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+            integrate_play_controls(heis, (v, v), (0.0, 0.0), 0.2, z0, step=0.25)
+        elif integrator == "play_state":
+            integrate_play_state(TriangularSpec((lambda x: x,), 0.2, (0.0,)), (c, c), z0)
+        elif integrator == "switching":
+            integrate_switching(_heisenberg_switching(), (c, c), z0, (1, 1), step=0.25)
+        else:
+            spec, banks = _bank_heisenberg()
+            integrate_bank(spec, (c, c), z0, banks, step=0.25)
+
+
 def test_trajectory_csv(tmp_path):
     traj = integrate_plain(EXP_FIELD, (const(1.0, 1.0),), (1.0,), step=0.25)
     path = tmp_path / "traj.csv"
@@ -285,6 +309,53 @@ def test_play_state_closed_form():
     assert traj.hysteresis_log["play1"][idx] == pytest.approx(0.4, abs=1e-12)
 
 
+def _play_square_integral(play, u, ts):
+    """Closed-form integral of f(play) u from 0 to each t in ts, for f(p) = p^2,
+    on the merged grid of the play's knots and u's breaks (ts among them)."""
+    grid = merge_times(play.times, u.grid.points)
+    acc = [0.0]
+    for t0, t1 in zip(grid, grid[1:]):
+        p0, p1 = play(t0), play(t1)
+        acc.append(acc[-1] + u(0.5 * (t0 + t1)) * (t1 - t0) * (p0 * p0 + p0 * p1 + p1 * p1) / 3.0)
+    return np.interp(ts, grid, acc)
+
+
+def test_play_state_simpson_exact_for_quadratic_f():
+    # pieces of different lengths get different panel counts; the play is
+    # affine on each panel, so Simpson is exact for f(p) = p^2
+    spec = TriangularSpec((lambda p: p * p,), 0.15, (0.05,))
+    u1 = step((0.0, 0.3, 1.0, 1.7, 2.0), (1.0, -0.5, 0.8, -1.2))
+    u2 = step((0.0, 0.45, 1.3, 2.0), (0.7, -1.1, 2.0))
+    traj = integrate_play_state(spec, (u1, u2), (0.0, 0.3, -0.2), step=0.1)
+    assert len(set(np.round(np.diff(traj.times), 12))) > 2
+    play = play_apply(antiderivative(u1), 0.05, 0.15)
+    ts = merge_times(play.times, u1.grid.points, u2.grid.points)
+    y = traj.sample(ts)[:, 2]
+    assert np.abs(y - (-0.2 + _play_square_integral(play, u2, ts))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_play_state_zero_control_ignores_f(bad):
+    # f is bad where the play exceeds 1.2, which happens only while u2 = 0
+    u1 = step((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 1.0, -1.0, -1.0))
+    u2 = step((0.0, 1.0, 3.0, 4.0), (1.0, 0.0, 1.0))
+    good = TriangularSpec((lambda p: p,), 0.1, (-0.1,))
+    spec = TriangularSpec((lambda p: np.where(p > 1.2, bad, p),), 0.1, (-0.1,))
+    ref = integrate_play_state(good, (u1, u2), (0.0, 0.0, 0.0), step=0.1)
+    traj = integrate_play_state(spec, (u1, u2), (0.0, 0.0, 0.0), step=0.1)
+    assert np.array_equal(traj.states, ref.states)
+
+
+def test_play_state_constant_f_integrates_the_control():
+    u = (step((0.0, 0.4, 1.0), (1.0, -1.0)), step((0.0, 0.7, 1.0), (0.5, -2.0)),
+         step((0.0, 0.2, 1.0), (0.0, 3.0)))
+    spec = TriangularSpec((lambda *x: 1.0, lambda *x: 1.0), 0.2, (0.0, 0.0))
+    traj = integrate_play_state(spec, u, (0.0, 0.0, 0.0, 0.5, -0.5), step=0.05)
+    for i, y0 in ((1, 0.5), (2, -0.5)):
+        exact = sample(antiderivative(u[i], y0), traj.times)
+        assert np.abs(traj.states[:, 2 + i] - exact).max() <= 1e-12
+
+
 def test_play_state_cap_catches_nan():
     spec = TriangularSpec((lambda x: math.nan,), 0.2, (0.0,))
     with pytest.raises(DivergenceError):
@@ -330,6 +401,10 @@ def test_sector_index_paper_sector():
     assert (1, -1) in sector_index((-0.3, 0.3), spec)
     assert (1, -1) not in sector_index((-0.31, 0.0), spec)
     assert (1, -1) not in sector_index((0.0, 0.31), spec)
+
+
+def test_sector_index_nan_is_in_no_sector():
+    assert sector_index((math.nan, 0.0), demo_spec()) == set()
 
 
 def test_switching_one_sector_equals_plain():

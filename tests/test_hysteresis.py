@@ -321,6 +321,13 @@ def test_bank_inconsistent_seed():
         bank_trace(RelayBank.staircase(4, 4), PolylineSignal(((0.0, -2.0), (1.0, 0.0))))
 
 
+def test_bank_consistency_rejects_nan():
+    # a NaN input is consistent with no relay output, in a bank as for one relay
+    assert not RelayBank((RelayState(-1.0, 1.0, 1),)).consistent_with(math.nan)
+    assert not RelayBank.staircase(4, 2).consistent_with(math.nan)
+    assert RelayBank((RelayState(-1.0, 1.0, 1),)).consistent_with(0.0)
+
+
 def test_bank_event_at_the_horizon():
     # the last segment ends a hair past the relay's hi = 1, so the crossing
     # time 3 + 1/(1 + eps) rounds to the horizon 4: the relay is at -1 on all
