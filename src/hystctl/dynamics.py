@@ -16,7 +16,8 @@ bank systems carry relay banks on the projections z.xi_j: a switching axis a
 one-relay bank, a bank axis k relays.  A step is checked against the next
 relay to switch on each axis in each direction, one index each way as
 hysteresis keeps it; a step that crosses one is cut at the earliest crossing,
-located by bisection, and after the switch resumes to the same grid point.
+located to EVENT_TOL by Illinois regula falsi on the RK4 map (_locate_event),
+and after the switch resumes to the same grid point.
 A plain system is the core with no relays, and play in the controls is a
 plain system driven by the play outputs.  An axis may switch at most
 EVENT_BUDGET * (nominal steps + its relays) times; a relay that chatters
@@ -45,6 +46,11 @@ from .signals import (
 
 NORM_CAP = 1e6
 EVENT_TOL = 1e-12
+# Least offset of the event locator's squeeze probe.  A located event is late
+# by up to it, and the old field runs on for that lateness, which stays in the
+# state and adds up over a run with constant fields: so it is well below
+# EVENT_TOL.
+_PROBE = EVENT_TOL / 1000
 # Relative slack when a piece is cut into steps (a piece a hair longer than
 # whole steps gets no sliver step).
 _PIECE_SLACK = 1e-9
@@ -275,22 +281,53 @@ def _proj(z, xi):
     return sum(c * x for c, x in zip(z, xi))
 
 
-def _bisect_event(rhs, t, z, h, z_hi, xi, thr, d):
+def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
     """Smallest step fraction at which z.xi first passes thr, rising for
     d = 1 and falling for d = -1.
 
     z_hi is the RK4 state after the full step h, which is past thr; returns
-    (s, z_s) with the crossing bracketed to EVENT_TOL and z_s strictly past
-    the threshold.
+    (s, z_s) with the crossing bracketed to EVENT_TOL (or to neighbouring
+    floats) and z_s = RK4(z, s) strictly past the threshold.
+
+    Illinois regula falsi on g(s) = d (RK4(z, s).xi - thr) keeps a bracket
+    [lo, hi] with g(lo) <= 0 < g(hi) (a g(0) > 0, left by a tie, counts as
+    0), and an end kept twice in a row weighs half.  Each iterate is probed
+    to its other side, by twice its distance to the root as the secant slope
+    estimates it but at least _PROBE, so the bracket closes around a close
+    iterate at once; with constant fields g is affine and the first iterate
+    is the root to rounding.  An iterate that does not halve the bracket is
+    followed by a halving, so a call takes at most about
+    2 log2(h / EVENT_TOL) iterates of two RK4 steps each.
     """
     lo, hi = 0.0, h
+    g_lo, g_hi = min(d * (_proj(z, xi) - thr), 0.0), d * (_proj(z_hi, xi) - thr)
+    kept = 0  # the end the last evaluation moved: 1 for hi, -1 for lo
+    halve = False
     while hi - lo > EVENT_TOL:
-        mid = 0.5 * (lo + hi)
-        z_mid = _rk4(rhs, t, z, mid)
-        if d * _proj(z_mid, xi) > d * thr:
-            hi, z_hi = mid, z_mid
-        else:
-            lo = mid
+        width = hi - lo
+        slope = (g_hi - g_lo) / width
+        s = lo - g_lo / slope
+        if halve or not lo < s < hi:
+            s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break  # lo and hi are neighbouring floats
+        for _ in range(2):  # the iterate, then its probe
+            z_s = _rk4(rhs, t, z, s)
+            g_s = d * (_proj(z_s, xi) - thr)
+            off = max(_PROBE, 2.0 * abs(g_s) / slope)
+            if g_s > 0.0:
+                if kept == 1:
+                    g_lo *= 0.5
+                hi, g_hi, z_hi, kept = s, g_s, z_s, 1
+                s = hi - off
+            else:
+                if kept == -1:
+                    g_hi *= 0.5
+                lo, g_lo, kept = s, g_s, -1
+                s = lo + off
+            if not lo < s < hi:
+                break
+        halve = hi - lo > 0.5 * width
     return hi, z_hi
 
 
@@ -308,10 +345,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it), and the next step resumes to
     the same grid point.  Only the next relay to switch on each axis in each
-    direction is bisected: a farther relay's crossing implies the nearer
-    one's, so its bisection can never end earlier (if it ends at the same
-    fraction, the nearer relay switches first and the farther one on the
-    next step).
+    direction is located: z.xi_j passes a nearer relay's threshold before a
+    farther one's, so the farther relay switches at the nearer one's event
+    or later (on the next step if it is past its threshold there too).
     """
     walks = [_Walk(bank) for bank in banks]
     z = _point(z0, n)
@@ -347,7 +383,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                     crossed = walk.crossed(_proj(z_new, v))
                     if crossed:
                         d, thr = crossed
-                        s, z_s = _bisect_event(rhs, t, z, dt, z_new, v, thr, d)
+                        s, z_s = _locate_event(rhs, t, z, dt, z_new, v, thr, d)
                         if hit is None or s < hit[0]:
                             hit = (s, z_s, j, d)
                 if hit is None:
@@ -401,9 +437,15 @@ def _simpson(f, args, h):
 
     args are arrays on the panels' ends and midpoints (2N + 1 nodes for N
     panels, neighbours sharing an end) and h is each panel's half-width; an
-    f that returns one number takes it at every node.
+    f that returns one number takes it at every node, and one that returns
+    neither one number nor one per node raises DomainError.
     """
-    w = np.broadcast_to(np.asarray(f(*args), dtype=float), args[0].shape)
+    w = np.asarray(f(*args), dtype=float)
+    try:
+        w = np.broadcast_to(w, args[0].shape)
+    except ValueError:
+        raise DomainError(f"f gives shape {w.shape}: need one number or one per node "
+                          f"{args[0].shape}") from None
     return (h / 3.0) * (w[:-1:2] + 4.0 * w[1::2] + w[2::2])
 
 

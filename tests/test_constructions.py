@@ -347,6 +347,11 @@ def test_plan_triangular_constant_f():
         plan_triangular(lambda x: 1.0, (0.0, 0.0, 0.0), (0.5, 0.8, 0.2))
 
 
+def test_plan_triangular_f_of_wrong_shape_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"shape \(2,\)"):
+        plan_triangular(lambda x: (1.0, 2.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
 def test_plan_triangular_reversal_structure():
     # three legs, both interior knots genuine slope reversals
     u1, _ = plan_triangular(np.sin, (0.2, 0.0, 0.0), (0.2, 0.3, -0.1))

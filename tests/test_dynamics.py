@@ -362,6 +362,13 @@ def test_play_state_cap_catches_nan():
         integrate_play_state(spec, (const(1.0, 1.0), const(1.0, 1.0)), (0.0, 0.0, 0.0))
 
 
+def test_play_state_f_of_wrong_shape_is_a_domain_error():
+    # f must give one number or one per node; two numbers is neither
+    spec = TriangularSpec((lambda p: np.ones(2),), 0.2, (0.0,))
+    with pytest.raises(DomainError, match=r"shape \(2,\)"):
+        integrate_play_state(spec, (const(1.0, 1.0), const(1.0, 1.0)), (0.0, 0.0, 0.0))
+
+
 def test_play_state_dimension_checks():
     spec = TriangularSpec((lambda x: x,), 0.2, (0.0,))
     assert spec.m == 2  # one more control than output functions
@@ -447,7 +454,7 @@ def test_switching_event_time_stable_under_halving():
 
 def test_event_on_grid_point_leaves_no_resume_step():
     # the switching_demo script: events at 0.8, 1.7 and 2.95, grid points of
-    # step 1e-3; one bisected to within EVENT_TOL of its step's grid point
+    # step 1e-3; one located within EVENT_TOL of its step's grid point
     # ends the step there instead of leaving a rounding-sized step to it
     grid = (0.0, 1.0, 2.0, 4.0)
     controls = (step(grid, (-1.0, 0.0, 1.0)), step(grid, (0.0, -1.0, 0.0)))
@@ -466,6 +473,40 @@ def test_chattering_relay_exceeds_event_budget():
     spec = SwitchingSpec(xi=((1.0,),), eta=1e-4, field_table=table)
     with pytest.raises(DivergenceError, match="axis 1"):
         integrate_switching(spec, (const(1.0, 1.0),), (0.0,), (1,), step=1e-2)
+
+
+def test_events_of_a_nonlinear_field_lie_on_their_thresholds():
+    # z turns about 0 at a rate set by the bank's output: z.xi is not affine
+    # in the step, so the locator iterates; it closes in a few RK4 steps
+    # per event (bisection takes about 35)
+    calls = [0]
+
+    def rotate(w, z):
+        calls[0] += 1
+        c = 1.0 + 0.25 * w
+        return (-c * z[1], c * z[0])
+
+    bank = RelayBank.staircase(16, 16)
+    spec = BankSpec(xi=((1.0, 0.0),), k=16, fields=(rotate,))
+    traj = integrate_bank(spec, (const(8 * math.pi, 1.0),), (1.2, 0.0), (bank,), step=0.04)
+    assert len(traj.events) == 112
+    log = traj.hysteresis_log["strings"]
+    rows = [r for r in range(1, len(log)) if log[r] != log[r - 1]]
+    assert len(rows) == len(traj.events)
+    for r, ev in zip(rows, traj.events):
+        relay = bank.relays[ev.index - 1]
+        gap = traj.states[r][0] - (relay.hi if ev.new == 1 else relay.lo)
+        assert abs(gap) <= 1e-9 and ev.new * gap > 0.0
+    assert (calls[0] - 4 * (len(traj.times) - 1)) / len(traj.events) <= 40
+
+
+def test_event_located_where_floats_are_coarser_than_event_tol():
+    # past 8192 neighbouring floats are 1.8e-12 apart, more than EVENT_TOL:
+    # the locator stops at neighbouring floats instead of halving forever
+    table = {(w,): FieldSet(1, 1, (lambda z: (1.0,),)) for w in (1, -1)}
+    spec = SwitchingSpec(xi=((1.0,),), eta=9000.0, field_table=table)
+    traj = integrate_switching(spec, (const(1e4, 1.0),), (0.0,), (-1,), step=1e4)
+    assert [e.time for e in traj.events] == pytest.approx([9000.0], abs=1e-11)
 
 
 def test_switching_spec_table_shape():

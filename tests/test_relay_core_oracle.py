@@ -188,3 +188,64 @@ def test_bank_events_match_exact_simulation(case, data):
     traj = integrate_bank(spec, controls, z0, relays, step=h)
     check_events(traj, expected, xi, banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
     assert_same_events(traj, integrate_bank(spec, controls, z0, relays, step=h / 2))
+
+
+# a relay-switched line: z moves at SPEED[w] times the control while its
+# relay outputs w, with thresholds +-LINE_ETA
+SPEED = {1: 1.0, -1: 1.4}
+LINE_ETA = 0.25
+
+
+def line_system(intervals, calls):
+    """(spec, controls, expected events) of the line from z = 0.5, w = 1.
+
+    Each interval aims 0.1-0.4 past the threshold the relay awaits, so it
+    switches the relay once, well inside the interval; calls[0] counts the
+    field's evaluations.
+    """
+    rng = np.random.default_rng(0)
+    z, out, grid, values = 0.5, 1, [0.0], []
+    for _ in range(intervals):
+        thr = -LINE_ETA * out
+        target = thr - out * rng.uniform(0.1, 0.4)
+        dur = rng.uniform(0.5, 0.8)
+        values.append(((thr - z) / SPEED[out] + (target - thr) / SPEED[-out]) / dur)
+        grid.append(grid[-1] + dur)
+        z, out = target, -out
+    pieces = [(a, b, [u]) for a, b, u in zip(grid, grid[1:], values)]
+    expected, gap, _ = exact_events(lambda outs, u: (u[0] * SPEED[outs[0][0]],), ((1.0,),),
+                                    [[(-LINE_ETA, LINE_ETA, 1)]], (0.5,), pieces)
+    assert len(expected) == intervals and gap > 0.01
+
+    def field(c):
+        def g(z):
+            calls[0] += 1
+            return (c,)
+        return g
+
+    table = {(w,): FieldSet(1, 1, (field(c),)) for w, c in SPEED.items()}
+    spec = SwitchingSpec(xi=((1.0,),), eta=LINE_ETA, field_table=table)
+    return spec, (StepSignal(TimeGrid(tuple(grid)), tuple(values)),), expected
+
+
+def test_switching_events_do_not_drift():
+    # the old field runs on for as long as a located event is late, and that
+    # stays in the state: over 600 events, a lateness of up to EVENT_TOL
+    # would move the later event times by ~1e-10
+    spec, controls, expected = line_system(600, [0])
+    traj = integrate_switching(spec, controls, (0.5,), (1,), step=0.04)
+    check_events(traj, expected, ((1.0,),), [[(-LINE_ETA, LINE_ETA, 1)]], lambda j, i: "axis1")
+    assert max(abs(e.time - t) for e, (t, *_) in zip(traj.events, expected)) <= 5e-12
+
+
+def test_event_location_cost_with_constant_fields():
+    # one field, so every row costs one RK4 step of 4 evaluations; an event
+    # adds its cut step, the locator's steps and the new field's check.  With
+    # constant fields z.xi is affine in the step, so the locator's first
+    # iterate is the root and its probe closes the bracket: 2 RK4 steps
+    calls = [0]
+    spec, controls, expected = line_system(100, calls)
+    traj = integrate_switching(spec, controls, (0.5,), (1,), step=0.04)
+    assert len(traj.events) == len(expected)
+    stepping = 4 * (len(traj.times) - 1)
+    assert (calls[0] - stepping) / len(traj.events) <= 12
