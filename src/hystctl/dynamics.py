@@ -40,8 +40,8 @@ import numpy as np
 
 from .hysteresis import RelayBank, RelayState, SwitchEvent, _Walk, play_apply
 from .signals import (
-    DomainError, StepSignal, _affine_on, _off_horizon, _point, antiderivative, breakpoints,
-    check_times, merge_times, sample,
+    DomainError, StepSignal, _affine_on, _off_horizon, _point, antiderivative, check_times,
+    merge_times, sample,
 )
 
 NORM_CAP = 1e6
@@ -51,6 +51,9 @@ EVENT_TOL = 1e-12
 # state and adds up over a run with constant fields: so it is well below
 # EVENT_TOL.
 _PROBE = EVENT_TOL / 1000
+# The probe also moves z.xi by at least this many ulps of the threshold, so
+# that at a large threshold it does not round to the iterate's own state.
+_PROBE_ULPS = 4
 # Relative slack when a piece is cut into steps (a piece a hair longer than
 # whole steps gets no sliver step).
 _PIECE_SLACK = 1e-9
@@ -244,7 +247,7 @@ def _pieces(step, signals):
     for s in signals:
         if _off_horizon(s.horizon, signals[0].horizon):
             raise DomainError("controls must share the horizon [0, T]")
-    breaks = merge_times(*(breakpoints(s) for s in signals))
+    breaks = merge_times(*(s.affine_view()[0] for s in signals)).tolist()
     return [
         (a, b, max(1, math.ceil((b - a) / step - _PIECE_SLACK)))
         for a, b in zip(breaks, breaks[1:])
@@ -293,15 +296,16 @@ def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
     [lo, hi] with g(lo) <= 0 < g(hi) (a g(0) > 0, left by a tie, counts as
     0), and an end kept twice in a row weighs half.  Each iterate is probed
     to its other side, by twice its distance to the root as the secant slope
-    estimates it but at least _PROBE, so the bracket closes around a close
-    iterate at once; with constant fields g is affine and the first iterate
-    is the root to rounding.  An iterate that does not halve the bracket is
-    followed by a halving, so a call takes at most about
-    2 log2(h / EVENT_TOL) iterates of two RK4 steps each.
+    estimates it plus _PROBE_ULPS ulps of thr, and at least _PROBE, so the
+    bracket closes around a close iterate at once; with constant fields g is
+    affine and the first iterate is the root to rounding.  An iterate that
+    does not halve the bracket is followed by a halving, so a call takes at
+    most about 2 log2(h / EVENT_TOL) iterates of two RK4 steps each.
     """
     lo, hi = 0.0, h
     g_lo, g_hi = min(d * (_proj(z, xi) - thr), 0.0), d * (_proj(z_hi, xi) - thr)
     kept = 0  # the end the last evaluation moved: 1 for hi, -1 for lo
+    floor = _PROBE_ULPS * math.ulp(abs(thr) + 1.0)
     halve = False
     while hi - lo > EVENT_TOL:
         width = hi - lo
@@ -314,7 +318,7 @@ def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
         for _ in range(2):  # the iterate, then its probe
             z_s = _rk4(rhs, t, z, s)
             g_s = d * (_proj(z_s, xi) - thr)
-            off = max(_PROBE, 2.0 * abs(g_s) / slope)
+            off = max(_PROBE, (2.0 * abs(g_s) + floor) / slope)
             if g_s > 0.0:
                 if kept == 1:
                     g_lo *= 0.5

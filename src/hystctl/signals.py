@@ -7,10 +7,13 @@ convention (value of [t_{j-1}, t_j) at t, last interval closed), which makes
 evaluation single-valued without changing any integral.
 
 Step signals, polylines and the PiecewiseAffine results of mixed combinations
-share one view, affine_view() -> (breaks, left, slope) as numpy arrays: the
-signal is left[j] + slope[j]*(t - breaks[j]) on [breaks[j], breaks[j+1]).
-Sampling, breakpoints, combination and the metrics are written once on that
-view; the binary operations read both operands on their merged grid.
+share one view, affine_view() -> (breaks, left, slope) as read-only numpy
+arrays, built once per signal: the signal is left[j] + slope[j]*(t - breaks[j])
+on [breaks[j], breaks[j+1]).  Scalar calls, sampling, breakpoints,
+combination and the metrics are written once on that view, so s(t) and
+sample(s, [t]) agree bit for bit; the binary operations read both operands
+on their merged grid (merge_times), where a run of times each within
+KNOT_TOL of the one before merges into its first.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,14 +54,6 @@ class TimeGrid:
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise DomainError("time grid points must be strictly increasing")
 
-    @property
-    def horizon(self) -> float:
-        return self.points[-1]
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.points) - 1
-
 
 def _piece(breaks, t: float) -> int:
     """Index of the piece of breaks holding t (half-open, last closed);
@@ -67,8 +63,32 @@ def _piece(breaks, t: float) -> int:
     return min(bisect_right(breaks, t) - 1, len(breaks) - 2)
 
 
+class _Affine:
+    """The signal kinds' one view, built by _view() on first use and kept on
+    the instance (no dataclass field: ==, hash, repr, replace ignore it)."""
+
+    @cached_property
+    def _arrays(self):
+        arrays = self._view()
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    def affine_view(self):
+        return self._arrays
+
+    @property
+    def horizon(self) -> float:
+        return float(self._arrays[0][-1])
+
+    def __call__(self, t: float) -> float:
+        breaks, left, slope = self._arrays
+        j = _piece(breaks, t)
+        return float(left[j] + slope[j] * (t - breaks[j]))
+
+
 @dataclass(frozen=True)
-class StepSignal:
+class StepSignal(_Affine):
     """Piecewise-constant signal: value values[j] on [t_j, t_{j+1})."""
 
     grid: TimeGrid
@@ -77,19 +97,12 @@ class StepSignal:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if len(vals) != self.grid.n_intervals:
+        if len(vals) != len(self.grid.points) - 1:
             raise DomainError("need exactly one value per grid interval")
         if not all(np.isfinite(vals)):
             raise DomainError("step values must be finite")
 
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
-
-    def __call__(self, t: float) -> float:
-        return self.values[_piece(self.grid.points, t)]
-
-    def affine_view(self):
+    def _view(self):
         vals = np.asarray(self.values)
         return np.asarray(self.grid.points), vals, np.zeros_like(vals)
 
@@ -106,7 +119,7 @@ class StepSignal:
 
 
 @dataclass(frozen=True)
-class PolylineSignal:
+class PolylineSignal(_Affine):
     """Continuous piecewise-linear signal given by its knots."""
 
     knots: tuple[tuple[float, float], ...]
@@ -124,19 +137,10 @@ class PolylineSignal:
             raise DomainError("polyline knots must be finite")
         object.__setattr__(self, "times", times)
 
-    @property
-    def horizon(self) -> float:
-        return self.knots[-1][0]
-
     def final_value(self) -> float:
         return self.knots[-1][1]
 
-    def __call__(self, t: float) -> float:
-        j = _piece(self.times, t)
-        (t0, v0), (t1, v1) = self.knots[j], self.knots[j + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def affine_view(self):
+    def _view(self):
         t, v = np.array(self.times), np.array([v for _, v in self.knots])
         return t, v[:-1], (v[1:] - v[:-1]) / (t[1:] - t[:-1])
 
@@ -217,7 +221,7 @@ def derivative(p: PolylineSignal) -> StepSignal:
 # merged-grid combination and metrics
 
 @dataclass(frozen=True)
-class PiecewiseAffine:
+class PiecewiseAffine(_Affine):
     """Internal piecewise-affine (possibly discontinuous) representation.
 
     breaks[j] .. breaks[j+1] carries value pieces[j][0] + pieces[j][1]*(t-breaks[j]),
@@ -227,16 +231,7 @@ class PiecewiseAffine:
     breaks: tuple[float, ...]
     pieces: tuple[tuple[float, float], ...]  # (left value, slope) per interval
 
-    @property
-    def horizon(self) -> float:
-        return self.breaks[-1]
-
-    def __call__(self, t: float) -> float:
-        j = _piece(self.breaks, t)
-        lv, sl = self.pieces[j]
-        return lv + sl * (t - self.breaks[j])
-
-    def affine_view(self):
+    def _view(self):
         pieces = np.asarray(self.pieces).reshape(-1, 2)
         return np.asarray(self.breaks), pieces[:, 0], pieces[:, 1]
 
@@ -245,13 +240,12 @@ def breakpoints(s) -> tuple[float, ...]:
     return tuple(s.affine_view()[0].tolist())
 
 
-def merge_times(*time_lists) -> tuple[float, ...]:
-    merged = sorted(t for ts in time_lists for t in ts)
-    out = [merged[0]]
-    for t in merged[1:]:
-        if not _times_equal(t, out[-1]):
-            out.append(t)
-    return tuple(out)
+def merge_times(*time_lists) -> np.ndarray:
+    """Sorted union of the time lists (an array), each run of times within
+    KNOT_TOL of the one before (_times_equal) merged into its first time."""
+    t = np.sort(np.concatenate(time_lists))
+    bound = KNOT_TOL * np.maximum(1.0, np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
+    return t[np.concatenate(([True], np.diff(t) > bound))]
 
 
 def _point(p, n: int) -> tuple[float, ...]:
@@ -295,16 +289,15 @@ def _affine_on(view, grid: np.ndarray):
 def _merged(a, b, ca: float, cb: float):
     """ca*a + cb*b on the merged grid: (times, left, slope).
 
-    times are the merged breaks as floats; left and slope hold the value at
+    times are the merged breaks (an array); left and slope hold the value at
     the start and the slope of the sum on each merged interval (_affine_on).
     """
     _check_common_horizon(a, b)
     views = a.affine_view(), b.affine_view()
-    times = merge_times(views[0][0].tolist(), views[1][0].tolist())
-    grid = np.asarray(times)
-    left, slope = np.zeros(len(grid) - 1), np.zeros(len(grid) - 1)
+    times = merge_times(views[0][0], views[1][0])
+    left, slope = np.zeros(len(times) - 1), np.zeros(len(times) - 1)
     for c, view in zip((ca, cb), views):
-        lv, sl = _affine_on(view, grid)
+        lv, sl = _affine_on(view, times)
         left += c * lv
         slope += c * sl
     return times, left, slope
@@ -317,6 +310,7 @@ def combine(a, b, ca: float = 1.0, cb: float = 1.0):
     PiecewiseAffine since a polyline minus a step is discontinuous.
     """
     times, left, slope = _merged(a, b, ca, cb)
+    times = tuple(times.tolist())
     if isinstance(a, StepSignal) and isinstance(b, StepSignal):
         return StepSignal(TimeGrid(times), left.tolist())
     if isinstance(a, PolylineSignal) and isinstance(b, PolylineSignal):

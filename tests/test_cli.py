@@ -112,7 +112,11 @@ def test_usage_error_flag_value(argv, capsys):
     {"experiment": "fig5_density", "rho": 0.0},
     {"experiment": "heis_exact", "cases": 2.5},
     {"experiment": "fig5_density", "out": 5},
-], ids=["k-int", "rho-text", "rho-bool", "rho-zero", "cases-fraction", "out-int"])
+    [{"experiment": "fig5_density"}],
+    {"system": "heisenberg", "z0": [0.0, 0.0, 0.0],
+     "controls": [{"grid": [0.0, 1.0], "values": [1.0]}] * 2},
+], ids=["k-int", "rho-text", "rho-bool", "rho-zero", "cases-fraction", "out-int", "list",
+        "sim-without-out"])
 def test_usage_error_config_value(tmp_path, body, capsys):
     path = write_json(tmp_path / "cfg.json", body)
     assert main(["sim", "--config", path]) == 2
@@ -148,9 +152,10 @@ def test_missing_file_exit_1(capsys):
     (["bank", "--k", "4"], {"knots": [[0.0, 10**400], [1.0, 1.0]]}),
     (["play", "--w0", "1.0", "--rho", "0.2"], {"knots": [[0, True], [1, 2]]}),
     (["bank", "--k", "4"], {"grid": [0, 1], "values": [False]}),
+    (["play", "--w0", "0.0", "--rho", "0.2"], {"grid": [0.0, 1.0], "values": [1.0]}),
 ], ids=["play-dict", "bank-list", "relay-knots-int", "play-knot-text",
         "play-knot-short", "bank-no-values", "play-knot-numeric-text", "bank-knot-huge-int",
-        "play-knot-bool", "bank-values-bool"])
+        "play-knot-bool", "bank-values-bool", "play-step-signal"])
 def test_malformed_signal_exit_1(tmp_path, command, data, capsys):
     sig = write_json(tmp_path / "u.json", data)
     assert main(command + ["--input", sig]) == 1
@@ -261,8 +266,9 @@ HEIS_SIM = {
     ({"z0": [0.0, "a", 0.0]}, []),
     ({"step": "abc"}, []),
     ({"T": "x"}, []),
+    ({"controls": {"grid": [0.0, 1.0], "values": [1.0]}}, []),
 ], ids=["unknown-key", "no-controls", "no-z0", "experiment-flag", "z0-scalar",
-        "z0-text", "step-text", "T-text"])
+        "z0-text", "step-text", "T-text", "controls-not-list"])
 def test_config_driven_sim_usage_error(tmp_path, edit, flags, capsys):
     body = {k: v for k, v in {**HEIS_SIM, **edit}.items() if v is not None}
     path = write_json(tmp_path / "sim.json", body)
@@ -275,7 +281,8 @@ def test_config_driven_sim_usage_error(tmp_path, edit, flags, capsys):
     {"T": 5.0},  # the controls end at 1.0
     {"T": 0.5},
     {"controls": [{"foo": 1}, {"grid": [0.0, 1.0], "values": [1.0]}]},
-], ids=["T-past-horizon", "T-before-horizon", "bad-control"])
+    {"system": "dubins"},
+], ids=["T-past-horizon", "T-before-horizon", "bad-control", "system-not-heisenberg"])
 def test_config_driven_sim_domain_error(tmp_path, edit, capsys):
     path = write_json(tmp_path / "sim.json", {**HEIS_SIM, **edit})
     assert main(["sim", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1

@@ -248,6 +248,8 @@ def test_align_schedule_cases():
 def test_align_schedule_seed_validation():
     with pytest.raises(DomainError):
         align_schedule(0.0, 2 * RHO, RHO, 1)
+    with pytest.raises(DomainError, match="direction"):
+        align_schedule(0.0, 0.0, RHO, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +286,16 @@ def test_chain_schedule_slots():
     assert not np.any(sample(u3, ts[ts > 5.0])) and np.any(sample(u3, ts))
     assert antiderivative(u2).final_value() == pytest.approx(B[1], abs=1e-12)
     assert antiderivative(u3).final_value() == pytest.approx(B[2], abs=1e-12)
+
+
+def test_chain_schedule_outside_three_controls():
+    # m = 2 is the triangular schedule; m = 4 is not supported
+    f, A, B = (lambda x: x), (0.0, 0.0, 0.0), (0.4, -0.2, 0.3)
+    two = TriangularSpec((f,), RHO, (0.1,))
+    assert chain_schedule(two, A, B, 20) == thm3_schedule(plan_triangular(f, A, B), A, RHO, 0.1, 20)
+    four = TriangularSpec((f, lambda x1, w: x1, lambda x1, w1, w2: x1), RHO, (0.0,) * 3)
+    with pytest.raises(DomainError, match="m in"):
+        chain_schedule(four, (0.0,) * 7, (0.0,) * 7, 20)
 
 
 @pytest.mark.parametrize("build", [

@@ -128,6 +128,11 @@ def test_control_count_mismatch():
         integrate_plain(heisenberg_fields(), (const(1.0, 1.0),), (0.0, 0.0, 0.0))
 
 
+def test_controls_must_share_the_horizon():
+    with pytest.raises(DomainError, match="share the horizon"):
+        integrate_plain(heisenberg_fields(), (const(1.0, 1.0), const(2.0, 1.0)), (0.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("integrator", ["play_controls", "switching", "bank"])
 def test_relay_core_checks_control_count(integrator):
     # one control per field, checked once in the relay core for every front end
@@ -156,6 +161,12 @@ def test_bank_spec_shape():
     with pytest.raises(DomainError, match="one length"):
         BankSpec(xi=((1.0, 0.0), (0.0, 1.0, 0.0)), k=2,
                  fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
+    # and integrate_bank needs one bank of k relays per axis
+    spec, banks = _bank_heisenberg()
+    c = const(1.0, 1.0)
+    for wrong in (banks[:1], (RelayBank.staircase(3, 1),) * 2):
+        with pytest.raises(DomainError, match="one k-relay bank per axis"):
+            integrate_bank(spec, (c, c), (0.0, 0.0, 0.0), wrong, step=0.25)
 
 
 @pytest.mark.parametrize("case", ["long", "short", "after-switch"])
@@ -286,6 +297,8 @@ def test_play_controls_seed_validation():
     v = (PolylineSignal(((0.0, 1.0), (1.0, 1.0))),) * 2
     with pytest.raises(DomainError):
         integrate_play_controls(heisenberg_fields(), v, (0.0, 1.0), 0.2, (0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="one seed per input"):
+        integrate_play_controls(heisenberg_fields(), v, (1.0,), 0.2, (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

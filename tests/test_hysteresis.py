@@ -241,6 +241,11 @@ def test_relay_nonfinite_thresholds_rejected(lo, hi):
         RelayState(lo, hi, 1)
 
 
+def test_relay_output_must_be_a_sign():
+    with pytest.raises(DomainError, match="output"):
+        RelayState(-1.0, 1.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # relay banks
 
@@ -346,6 +351,13 @@ def test_saturation_prefix_enters_staircase():
     assert bank.consistent_with(zeta.knots[0][1])
     _, _, final = bank_trace(bank, saturation_prefix(zeta, lead=1.0, direction=1))
     assert final.is_staircase()
+
+
+@pytest.mark.parametrize("lead", [0.0, -1.0])
+def test_saturation_prefix_needs_a_positive_lead(lead):
+    zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4)))
+    with pytest.raises(DomainError, match="lead"):
+        saturation_prefix(zeta, lead=lead)
 
 
 def test_bank_serialization():

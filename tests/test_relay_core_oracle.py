@@ -196,8 +196,9 @@ SPEED = {1: 1.0, -1: 1.4}
 LINE_ETA = 0.25
 
 
-def line_system(intervals, calls):
-    """(spec, controls, expected events) of the line from z = 0.5, w = 1.
+def line_system(intervals, calls, offset=0.0):
+    """(spec, controls, expected events) of the line from z = 0.5 + offset,
+    w = 1, with thresholds offset +- LINE_ETA.
 
     Each interval aims 0.1-0.4 past the threshold the relay awaits, so it
     switches the relay once, well inside the interval; calls[0] counts the
@@ -213,8 +214,9 @@ def line_system(intervals, calls):
         grid.append(grid[-1] + dur)
         z, out = target, -out
     pieces = [(a, b, [u]) for a, b, u in zip(grid, grid[1:], values)]
+    relay = (offset - LINE_ETA, offset + LINE_ETA)
     expected, gap, _ = exact_events(lambda outs, u: (u[0] * SPEED[outs[0][0]],), ((1.0,),),
-                                    [[(-LINE_ETA, LINE_ETA, 1)]], (0.5,), pieces)
+                                    [[(*relay, 1)]], (0.5 + offset,), pieces)
     assert len(expected) == intervals and gap > 0.01
 
     def field(c):
@@ -224,7 +226,8 @@ def line_system(intervals, calls):
         return g
 
     table = {(w,): FieldSet(1, 1, (field(c),)) for w, c in SPEED.items()}
-    spec = SwitchingSpec(xi=((1.0,),), eta=LINE_ETA, field_table=table)
+    spec = SwitchingSpec(xi=((1.0,),), eta=LINE_ETA, field_table=table,
+                         thresholds=(relay,))
     return spec, (StepSignal(TimeGrid(tuple(grid)), tuple(values)),), expected
 
 
@@ -247,5 +250,20 @@ def test_event_location_cost_with_constant_fields():
     spec, controls, expected = line_system(100, calls)
     traj = integrate_switching(spec, controls, (0.5,), (1,), step=0.04)
     assert len(traj.events) == len(expected)
+    stepping = 4 * (len(traj.times) - 1)
+    assert (calls[0] - stepping) / len(traj.events) <= 12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(-1e3, 1e3))
+def test_event_location_cost_at_offset_thresholds(c):
+    # the same line shifted by c: the same events, and the locator's probe
+    # still closes the bracket where a probe below one ulp of z over the
+    # slope would leave the state unchanged and fall back to halving
+    calls = [0]
+    spec, controls, expected = line_system(100, calls, c)
+    traj = integrate_switching(spec, controls, (0.5 + c,), (1,), step=0.04)
+    assert [(e.index, e.new) for e in traj.events] == [(i + 1, s) for _, _, i, s in expected]
+    assert all(abs(e.time - t) <= TOL for e, (t, *_) in zip(traj.events, expected))
     stepping = 4 * (len(traj.times) - 1)
     assert (calls[0] - stepping) / len(traj.events) <= 12

@@ -1,6 +1,7 @@
 """Signal arithmetic: evaluation, calculus, merged-grid combination, metrics."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_polyline_rejects_nonfinite_knots(bad):
             PolylineSignal(knots)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_step_rejects_nonfinite_values(bad):
+    with pytest.raises(DomainError, match="finite"):
+        step([0.0, 1.0, 2.0], [1.0, bad])
+
+
+def test_polyline_needs_two_knots():
+    with pytest.raises(DomainError, match="2 knots"):
+        PolylineSignal(((0.0, 1.0),))
+
+
 def test_step_evaluation_convention():
     s = step([0.0, 1.0, 2.0], [1.0, -1.0])
     assert s(0.5) == 1.0
@@ -123,6 +135,18 @@ def test_sample_matches_scalar_evaluation():
         ts = np.sort(rng.uniform(0.0, s.horizon, 50))
         vals = sample(s, ts)
         assert max(abs(v - s(t)) for t, v in zip(ts, vals)) < 1e-12
+
+
+def test_affine_view_is_built_once_and_read_only():
+    poly = PolylineSignal(((0.0, 0.0), (2.0, 1.0)))
+    steps = step([0.0, 1.0, 2.0], [1.0, 2.0])
+    for s in (poly, steps, combine(poly, steps, 1.0, -1.0)):
+        view = s.affine_view()
+        assert all(x is y for x, y in zip(view, s.affine_view()))
+        with pytest.raises(ValueError):
+            view[1][0] = 5.0
+        # the kept view is no field: equality and hashing see the fields only
+        assert s == replace(s) and hash(s) == hash(replace(s))
 
 
 def test_sample_rejects_times_outside_horizon():
@@ -275,6 +299,32 @@ def test_csv_rows():
     assert p.csv_rows() == [(0.0, 0.0), (1.0, 1.0)]
 
 
+@pytest.mark.parametrize("lists, merged", [
+    (((1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12, 2.0),), (1.0, 2.0)),
+    (((1.0, 2.0), (1.0 + 1.8e-12, 1.0 + 0.9e-12)), (1.0, 2.0)),
+    (((0.0, 1.0, 2.0), (1.0, 2.0)), (0.0, 1.0, 2.0)),
+    (((1.0, 2.0), (1.0 + 1.01e-12,)), (1.0, 1.0 + 1.01e-12, 2.0)),
+], ids=["run", "run-across-lists", "duplicates", "pair-beyond-tol"])
+def test_merge_times_merges_a_run_into_its_first_time(lists, merged):
+    # each time within KNOT_TOL of the one before joins its run, even when
+    # the run spans more than KNOT_TOL
+    assert list(merge_times(*lists)) == list(merged)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
+                min_size=1, max_size=3))
+def test_merge_times_matches_the_loop_rule(lists):
+    # times k + 0.6e-12 i: runs from exact duplicates to 1.8e-12 long; the
+    # reference loop keeps a time unless it is within KNOT_TOL of the
+    # sorted time just before it
+    lists = [[k + 0.6 * KNOT_TOL * i for k, i in pairs] for pairs in lists]
+    ts = sorted(t for times in lists for t in times)
+    ref = ts[:1] + [t for prev, t in zip(ts, ts[1:])
+                    if abs(t - prev) > KNOT_TOL * max(1.0, abs(t), abs(prev))]
+    assert list(merge_times(*lists)) == ref
+
+
 # ---------------------------------------------------------------------------
 # randomized properties of the merged-grid core
 
@@ -321,6 +371,16 @@ def shifted(s, eps, vals=None):
         return step([t * (1.0 + eps) for t in s.grid.points], vals)
     vals = [v for _, v in s.knots] if vals is None else vals[: len(s.knots)]
     return PolylineSignal(tuple((t * (1.0 + eps), v) for t, v in zip(s.times, vals)))
+
+
+@PROPERTY
+@given(signals(), signals(), st.floats(0.0, HORIZON))
+def test_scalar_call_is_sample_bit_for_bit(a, b, t):
+    # one evaluation rule for every kind (a mixed sum is a PiecewiseAffine),
+    # at t and at every break, T included
+    for s in (a, combine(a, b, 1.5, -0.5)):
+        ts = [t, *breakpoints(s)]
+        assert [s(x).hex() for x in ts] == [v.hex() for v in sample(s, ts).tolist()]
 
 
 @PROPERTY
