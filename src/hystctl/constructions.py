@@ -20,9 +20,8 @@ from .signals import (
     PolylineSignal,
     StepSignal,
     TimeGrid,
-    _off_horizon,
+    _check_domain,
     _point,
-    _times_equal,
     antiderivative,
     derivative,
     sup_distance,
@@ -47,9 +46,7 @@ def _then(*legs: tuple[StepSignal, ...]) -> tuple[StepSignal, ...]:
     if not legs or not legs[0] or any(len(leg) != len(legs[0]) for leg in legs):
         raise DomainError("a schedule needs legs of the same number m >= 1 of controls")
     for leg in legs:
-        for c in leg:
-            if not _times_equal(c.grid.points[0], 0.0) or _off_horizon(c.horizon, leg[0].horizon):
-                raise DomainError("leg controls must live on [0, d]")
+        _check_domain(leg, "leg controls must live on [0, d]", 0.0)
     out = []
     for i in range(len(legs[0])):
         pts, vals, off = [0.0], [], 0.0
@@ -116,6 +113,11 @@ def _ride(x: PolylineSignal, rho: float, window) -> PolylineSignal:
     return PolylineSignal(tuple(knots))
 
 
+# Largest sup distance play_inverse_exact lets between the play output of its
+# result and the target (its postcondition).
+_INVERSE_TOL = 1e-9
+
+
 def play_inverse_exact(target: PolylineSignal, rho: float, ramp_width: float) -> PolylineSignal:
     """Polyline v with play output exactly equal to target.
 
@@ -138,7 +140,7 @@ def play_inverse_exact(target: PolylineSignal, rho: float, ramp_width: float) ->
         return t - ramp_width, t
 
     v = _ride(x, rho, window)
-    if sup_distance(play_apply(v, target.knots[0][1], rho), target) > 1e-9:
+    if sup_distance(play_apply(v, target.knots[0][1], rho), target) > _INVERSE_TOL:
         raise RuntimeError("play inversion postcondition failed")
     return v
 
@@ -268,6 +270,14 @@ def heis_exact_schedule(
 # ---------------------------------------------------------------------------
 # hysteresis-free reference planner
 
+# Least gap I2 - I1 between the leg integrals of a (p, q) the planner solves
+# for, relative to max(3, |I1|, |I2|).
+_DET_TOL = 1e-9
+# Largest miss of the z displacement when every (p, q) fails _DET_TOL and u2
+# is forced by dy, relative to max(1, |dz|, |dy|).
+_CONSISTENCY_TOL = 1e-8
+
+
 def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
     """Reference controls on [0, 3] steering the hysteresis-free triangular
     system A -> B.
@@ -299,7 +309,7 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
         det = I2 - I1
         if fallback is None:
             fallback = (p, q, I1, I2)
-        if abs(det) > 1e-9 * max(3.0, abs(I1), abs(I2)):
+        if abs(det) > _DET_TOL * max(3.0, abs(I1), abs(I2)):
             a = (dy * I2 - dz) / det
             b = (dz - I1 * dy) / det
             break
@@ -307,7 +317,7 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
         # equal leg averages for every candidate: u2 is forced by y displacement
         p, q, I1, I2 = fallback
         a = b = dy / 2.0
-        if abs(a * (I1 + I2) - dz) > 1e-8 * max(1.0, abs(dz), abs(dy)):
+        if abs(a * (I1 + I2) - dz) > _CONSISTENCY_TOL * max(1.0, abs(dz), abs(dy)):
             raise DomainError("target z displacement inconsistent with this f")
     grid = TimeGrid((0.0, 1.0, 2.0, 3.0))
     return StepSignal(grid, (p - xA, q - p, xB - q)), StepSignal(grid, (a, b, 0.0))

@@ -2,10 +2,10 @@
 
 Five flavours: plain (no hysteresis), play in the controls, play in the state
 (triangular/chain), delayed-relay switching, and relay-bank systems.  Each
-takes the system, its controls (or play inputs), z0 and the step: the horizon
-[0, T] is the one the controls share, a z0 that is not a point of finite
-coordinates raises DomainError, and a coordinate that leaves
-[-NORM_CAP, NORM_CAP] or is not finite raises DivergenceError.
+takes the system, its controls (or play inputs), z0 and the step.  Controls
+that do not share one domain [t0, T] (signals._check_domain) and a z0 that is
+not a point of finite coordinates raise DomainError, and a coordinate that
+leaves [-NORM_CAP, NORM_CAP] or is not finite raises DivergenceError.
 
 All but play in the state run one loop, the relay core: classical RK4 on each
 piece between the merged control breakpoints, on the piece's nominal grid
@@ -40,7 +40,7 @@ import numpy as np
 
 from .hysteresis import RelayBank, RelayState, SwitchEvent, _Walk, play_apply
 from .signals import (
-    DomainError, StepSignal, _affine_on, _off_horizon, _point, antiderivative, check_times,
+    DomainError, StepSignal, _affine_on, _check_domain, _point, antiderivative, check_times,
     merge_times, sample,
 )
 
@@ -105,10 +105,14 @@ class TriangularSpec:
         return len(self.fs) + 1
 
 
+# How far the Euclidean norm of a switching or bank axis xi_i may be from 1.
+_UNIT_TOL = 1e-9
+
+
 def _check_unit(xi):
     """DomainError unless every axis is a unit vector (a NaN norm is not)."""
     for v in xi:
-        if not abs(math.sqrt(sum(c * c for c in v)) - 1.0) <= 1e-9:
+        if not abs(math.sqrt(sum(c * c for c in v)) - 1.0) <= _UNIT_TOL:
             raise DomainError("xi must be unit vectors")
 
 
@@ -165,8 +169,8 @@ class BankSpec:
 
 
 def gronwall_bound(C_k: float, m: float, M: float, L: float, T: float) -> float:
-    if min(C_k, m, M, L, T) < 0.0:
-        raise DomainError("Gronwall inputs must be nonnegative")
+    if not all(x >= 0.0 for x in (C_k, m, M, L, T)):  # also refuses NaN
+        raise DomainError("Gronwall inputs must be nonnegative numbers")
     return C_k * math.exp(m * M * L * T)
 
 
@@ -239,14 +243,12 @@ def _check_cap(z):
 def _pieces(step, signals):
     """Pieces (a, b, nsteps) between the merged breakpoints of the signals.
 
-    All signals must share the first one's horizon; each piece gets the
+    All signals must share one domain (_check_domain); each piece gets the
     fewest equal steps that are no longer than step.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step}")
-    for s in signals:
-        if _off_horizon(s.horizon, signals[0].horizon):
-            raise DomainError("controls must share the horizon [0, T]")
+    _check_domain(signals, "controls must share the horizon")
     breaks = merge_times(*(s.affine_view()[0] for s in signals)).tolist()
     return [
         (a, b, max(1, math.ceil((b - a) / step - _PIECE_SLACK)))

@@ -297,8 +297,10 @@ def saturation_prefix(
 
     The returned input lives on [0, lead + T] and agrees with zeta afterwards.
     """
-    if lead <= 0.0:
-        raise DomainError("lead time must be positive")
+    if direction not in (-1, 1):
+        raise DomainError("direction must be -1 or +1")
+    if not 0.0 < lead < math.inf:
+        raise DomainError("lead time must be positive and finite")
     z0 = zeta.knots[0][1]
     peak = float(direction)
     knots = [(0.0, z0)]

@@ -1,4 +1,4 @@
-"""Piecewise-constant and piecewise-linear scalar time signals on [0, T].
+"""Piecewise-constant and piecewise-linear scalar time signals on [t0, T].
 
 Every control, play input/output and state coordinate in this package is one
 of these two signal kinds, so the whole toolkit can work with closed-form
@@ -13,7 +13,8 @@ on [breaks[j], breaks[j+1]).  Scalar calls, sampling, breakpoints,
 combination and the metrics are written once on that view, so s(t) and
 sample(s, [t]) agree bit for bit; the binary operations read both operands
 on their merged grid (merge_times), where a run of times each within
-KNOT_TOL of the one before merges into its first.
+KNOT_TOL of the one before merges into its first.  The three time rules
+(_check_breaks, _in_range, _check_domain) use no tolerance but KNOT_TOL.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import lt
 
 import numpy as np
 
@@ -38,29 +40,50 @@ def _times_equal(a: float, b: float) -> bool:
     return abs(a - b) <= KNOT_TOL * max(1.0, abs(a), abs(b))
 
 
+def _in_range(t: float, t0: float, T: float) -> bool:
+    """t lies in [t0, T] or equals an end (_times_equal); False for NaN."""
+    return t0 <= t <= T or _times_equal(t, t0) or _times_equal(t, T)
+
+
+def _check_breaks(times, what: str) -> None:
+    """DomainError unless the times are at least 2, finite and strictly increasing."""
+    if len(times) < 2:
+        raise DomainError(f"{what} needs at least 2 knots")
+    if not all(map(math.isfinite, times)):
+        raise DomainError(f"{what} times must be finite")
+    if not all(map(lt, times, times[1:])):
+        raise DomainError(f"{what} times must be strictly increasing")
+
+
+def _check_domain(signals, message: str, t0: float | None = None) -> None:
+    """DomainError(message) unless every signal lives on the first one's
+    [t0, T], or on [t0, T] for the t0 given, both ends to _times_equal."""
+    breaks = signals[0].affine_view()[0]
+    start, T = breaks[0] if t0 is None else t0, breaks[-1]
+    for s in signals:
+        b = s.affine_view()[0]
+        if not (_times_equal(b[0], start) and _times_equal(b[-1], T)):
+            raise DomainError(f"{message}: [{b[0]}, {b[-1]}] against [{start}, {T}]")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing subdivision 0 = t_0 < t_1 < ... < t_n = T."""
+    """Strictly increasing subdivision t_0 < t_1 < ... < t_n = T; t_0 need not be 0."""
 
     points: tuple[float, ...]
 
     def __post_init__(self):
         pts = tuple(float(t) for t in self.points)
         object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise DomainError("time grid needs at least 2 points")
-        if not all(np.isfinite(pts)):
-            raise DomainError("time grid points must be finite")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise DomainError("time grid points must be strictly increasing")
+        _check_breaks(pts, "time grid")
 
 
 def _piece(breaks, t: float) -> int:
-    """Index of the piece of breaks holding t (half-open, last closed);
-    DomainError unless breaks[0] <= t <= breaks[-1] (so also for NaN)."""
-    if not breaks[0] <= t <= breaks[-1]:
+    """Index of the piece of breaks holding t, half-open with the last closed
+    and a stray _in_range on the end piece; DomainError if not _in_range."""
+    if not _in_range(t, breaks[0], breaks[-1]):
         raise DomainError(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
-    return min(bisect_right(breaks, t) - 1, len(breaks) - 2)
+    return bisect_right(breaks, t, 1, len(breaks) - 1) - 1
 
 
 class _Affine:
@@ -128,12 +151,9 @@ class PolylineSignal(_Affine):
     def __post_init__(self):
         kn = tuple((float(t), float(v)) for t, v in self.knots)
         object.__setattr__(self, "knots", kn)
-        if len(kn) < 2:
-            raise DomainError("polyline needs at least 2 knots")
         times = tuple(t for t, _ in kn)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise DomainError("polyline knot times must be strictly increasing")
-        if not all(math.isfinite(t) and math.isfinite(v) for t, v in kn):
+        _check_breaks(times, "polyline")
+        if not all(math.isfinite(v) for _, v in kn):
             raise DomainError("polyline knots must be finite")
         object.__setattr__(self, "times", times)
 
@@ -159,13 +179,10 @@ class PolylineSignal(_Affine):
 
 
 def check_times(ts, t0: float, T: float) -> np.ndarray:
-    """ts as a float array; DomainError if a time (or NaN) strays outside
-    [t0, T] by more than KNOT_TOL."""
+    """ts as a float array; DomainError unless every time is _in_range
+    [t0, T] (so also for NaN)."""
     ts = np.asarray(ts, dtype=float)
-    if ts.size and not (
-        t0 - KNOT_TOL * max(1.0, abs(t0)) <= ts.min()
-        and ts.max() <= T + KNOT_TOL * max(1.0, abs(T))
-    ):
+    if ts.size and not (_in_range(ts.min(), t0, T) and _in_range(ts.max(), t0, T)):
         raise DomainError(f"sample times outside [{t0}, {T}]")
     return ts
 
@@ -260,19 +277,6 @@ def _point(p, n: int) -> tuple[float, ...]:
     return c
 
 
-def _off_horizon(h: float, T: float) -> bool:
-    """h misses the horizon T by more than 1e-9 relative to max(1, T), the
-    slack for horizons that are sums of durations or of steps."""
-    return abs(h - T) > 1e-9 * max(1.0, T)
-
-
-def _check_common_horizon(a, b) -> None:
-    if not _times_equal(a.horizon, b.horizon):
-        raise DomainError(
-            f"signals live on different horizons: {a.horizon} vs {b.horizon}"
-        )
-
-
 def _affine_on(view, grid: np.ndarray):
     """(left, slope) of a signal's affine_view() on each interval of grid.
 
@@ -292,7 +296,7 @@ def _merged(a, b, ca: float, cb: float):
     times are the merged breaks (an array); left and slope hold the value at
     the start and the slope of the sum on each merged interval (_affine_on).
     """
-    _check_common_horizon(a, b)
+    _check_domain((a, b), "signals must share the horizon")
     views = a.affine_view(), b.affine_view()
     times = merge_times(views[0][0], views[1][0])
     left, slope = np.zeros(len(times) - 1), np.zeros(len(times) - 1)

@@ -280,9 +280,11 @@ def test_config_driven_sim_usage_error(tmp_path, edit, flags, capsys):
 @pytest.mark.parametrize("edit", [
     {"T": 5.0},  # the controls end at 1.0
     {"T": 0.5},
+    {"T": 1.0 + 1e-10},  # T matches the horizon only to KNOT_TOL
     {"controls": [{"foo": 1}, {"grid": [0.0, 1.0], "values": [1.0]}]},
     {"system": "dubins"},
-], ids=["T-past-horizon", "T-before-horizon", "bad-control", "system-not-heisenberg"])
+], ids=["T-past-horizon", "T-before-horizon", "T-sliver-past-horizon", "bad-control",
+        "system-not-heisenberg"])
 def test_config_driven_sim_domain_error(tmp_path, edit, capsys):
     path = write_json(tmp_path / "sim.json", {**HEIS_SIM, **edit})
     assert main(["sim", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1

@@ -390,7 +390,8 @@ def test_thm3_schedule_phases():
 @pytest.mark.parametrize("u2b", [
     StepSignal(TimeGrid((0.0, 2.0)), (1.0,)),       # ends before the reference u1
     StepSignal(TimeGrid((0.5, 3.0)), (1.0,)),       # does not start at 0
-], ids=["other-horizon", "late-start"])
+    StepSignal(TimeGrid((0.0, 3.0 + 1e-10)), (1.0,)),  # ends a sliver past KNOT_TOL
+], ids=["other-horizon", "late-start", "sliver-past-end"])
 def test_thm3_schedule_rejects_reference_off_its_leg(u2b):
     u1b, _ = plan_triangular(lambda x: x, (0.0, 0.0, 0.0), (0.4, -0.2, 0.3))
     with pytest.raises(DomainError, match=r"on \[0, d"):

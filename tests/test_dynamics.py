@@ -133,6 +133,16 @@ def test_controls_must_share_the_horizon():
         integrate_plain(heisenberg_fields(), (const(1.0, 1.0), const(2.0, 1.0)), (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("controls", [
+    (const(1.0, 1.0), const(1.0 + 1e-10, 1.0)),  # a sliver past KNOT_TOL: no extra row
+    (const(4.0, 1.0), step([1.0, 4.0], [1.0])),   # same end, later start: no extrapolation
+], ids=["sliver-past-end", "late-start"])
+def test_controls_must_share_both_ends(controls):
+    for pair in (controls, controls[::-1]):
+        with pytest.raises(DomainError, match="share the horizon"):
+            integrate_plain(heisenberg_fields(), pair, (0.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("integrator", ["play_controls", "switching", "bank"])
 def test_relay_core_checks_control_count(integrator):
     # one control per field, checked once in the relay core for every front end
@@ -693,3 +703,11 @@ def test_gronwall_values():
     assert gronwall_bound(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(math.e)
     with pytest.raises(DomainError):
         gronwall_bound(-1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_gronwall_rejects_nan(position):
+    args = [1.0] * 5
+    args[position] = float("nan")
+    with pytest.raises(DomainError, match="nonnegative"):
+        gronwall_bound(*args)

@@ -353,11 +353,19 @@ def test_saturation_prefix_enters_staircase():
     assert final.is_staircase()
 
 
-@pytest.mark.parametrize("lead", [0.0, -1.0])
+@pytest.mark.parametrize("lead", [0.0, -1.0, float("nan"), float("inf")])
 def test_saturation_prefix_needs_a_positive_lead(lead):
     zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4)))
     with pytest.raises(DomainError, match="lead"):
         saturation_prefix(zeta, lead=lead)
+
+
+@pytest.mark.parametrize("direction", [0, 3, -2])
+def test_saturation_prefix_direction_is_a_sign(direction):
+    # the ramp goes to +-1; any other peak would not saturate the bank
+    zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4)))
+    with pytest.raises(DomainError, match="direction"):
+        saturation_prefix(zeta, direction=direction)
 
 
 def test_bank_serialization():
@@ -510,6 +518,48 @@ def test_generalized_play_properties(name, u, frac, rho):
     inside = (lo + 1e-9 < vals) & (vals < hi - 1e-9)
     pairs = inside[:-1] & inside[1:]
     assert np.all(vals[:-1][pairs] == vals[1:][pairs])
+
+
+def shifted(zeta, c):
+    return PolylineSignal(tuple((t, v + c) for t, v in zeta.knots))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(u=polylines(), frac=st.floats(0.0, 1.0), rho=st.floats(0.0, 1.0), c=st.floats(-1e3, 1e3))
+def test_play_commutes_with_a_shift(u, frac, rho, c):
+    # the play sees only u - w: shifting input and seed by c shifts the output
+    u0 = u.knots[0][1]
+    w0 = u0 - rho + frac * 2.0 * rho
+    moved = play_apply(shifted(u, c), w0 + c, rho)
+    assert sup_distance(moved, shifted(play_apply(u, w0, rho), c)) <= 16 * math.ulp(abs(c) + 4.0)
+
+
+MARGIN = 1e-3  # least distance from an input knot to a threshold
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), c=st.floats(-1e3, 1e3))
+def test_bank_trace_commutes_with_a_shift(data, c):
+    # thresholds and input shifted by c: the same switches, at times that
+    # move only by the rounding of the shifted values, about ulp(c) / MARGIN
+    k = data.draw(st.integers(1, 12))
+    thresholds = [-1.0 + i / k for i in range(1, k + 1)] + [i / k for i in range(1, k + 1)]
+    value = st.floats(-1.3, 1.3).filter(lambda v: min(abs(v - x) for x in thresholds) > MARGIN)
+    n = data.draw(st.integers(2, 10))
+    values = data.draw(st.lists(value, min_size=n, max_size=n))
+    gaps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    zeta = PolylineSignal(tuple(zip(np.concatenate([[0.0], np.cumsum(gaps)]), values)))
+    outs = [1 if values[0] > i / k or (values[0] >= -1.0 + i / k and up) else -1
+            for i, up in zip(range(1, k + 1), data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))]
+    bank = RelayBank.make(outs)
+    moved = RelayBank(tuple(RelayState(r.lo + c, r.hi + c, r.out) for r in bank.relays))
+    out, events, final = bank_trace(bank, zeta)
+    out_c, events_c, final_c = bank_trace(moved, shifted(zeta, c))
+    assert [(e.index, e.new) for e in events_c] == [(e.index, e.new) for e in events]
+    bound = 4 * math.ulp(abs(c) + 2.0) / MARGIN
+    assert all(abs(ec.time - e.time) <= bound for ec, e in zip(events_c, events))
+    assert out_c.values == out.values
+    assert [r.out for r in final_c.relays] == [r.out for r in final.relays]
 
 
 def test_truncated_crossing_knot_carries_frozen_value():

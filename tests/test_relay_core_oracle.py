@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hystctl.dynamics import (
-    EVENT_BUDGET, BankSpec, FieldSet, SwitchingSpec, integrate_bank, integrate_switching,
+    EVENT_BUDGET, EVENT_TOL, BankSpec, FieldSet, SwitchingSpec, integrate_bank,
+    integrate_switching,
 )
 from hystctl.hysteresis import RelayBank, RelayState
 from hystctl.signals import StepSignal, TimeGrid
@@ -147,9 +148,9 @@ def assert_same_events(a, b):
     assert all(abs(ea.time - eb.time) <= TOL for ea, eb in zip(a.events, b.events))
 
 
-@PROPERTY
-@given(case=systems(bank=False), data=st.data())
-def test_switching_events_match_exact_simulation(case, data):
+def switching_case(case, data):
+    """(spec, initial string, exact events) of a drawn switching system with
+    constant fields per string, skipping a draw whose events are not clear."""
     xi, banks, z0, controls, pieces, h = case
     m = len(xi)
     table = {s: data.draw(st.lists(vectors, min_size=m, max_size=m))
@@ -163,7 +164,14 @@ def test_switching_events_match_exact_simulation(case, data):
         xi=xi, eta=1.0, thresholds=tuple((bk[0][0], bk[0][1]) for bk in banks),
         field_table={s: FieldSet(2, m, tuple(lambda z, g=g: g for g in gs))
                      for s, gs in table.items()})
-    string = tuple(bk[0][2] for bk in banks)
+    return spec, tuple(bk[0][2] for bk in banks), expected
+
+
+@PROPERTY
+@given(case=systems(bank=False), data=st.data())
+def test_switching_events_match_exact_simulation(case, data):
+    xi, banks, z0, controls, _, h = case
+    spec, string, expected = switching_case(case, data)
     traj = integrate_switching(spec, controls, z0, string, step=h)
     check_events(traj, expected, xi, banks, lambda j, i: f"axis{j + 1}")
     assert_same_events(traj, integrate_switching(spec, controls, z0, string, step=h / 2))
@@ -267,3 +275,42 @@ def test_event_location_cost_at_offset_thresholds(c):
     assert all(abs(e.time - t) <= TOL for e, (t, *_) in zip(traj.events, expected))
     stepping = 4 * (len(traj.times) - 1)
     assert (calls[0] - stepping) / len(traj.events) <= 12
+
+
+@PROPERTY
+@given(case=systems(bank=False), data=st.data(), lam=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+def test_time_scaling_scales_the_event_times(case, data, lam):
+    # z(t) under u is z(t / lam) under u(t / lam) / lam on [0, lam T]: the
+    # same events, at lam times the time (each run locates to EVENT_TOL),
+    # with the step scaled too
+    _, _, z0, controls, _, h = case
+    spec, string, _ = switching_case(case, data)
+    slow = tuple(StepSignal(TimeGrid(tuple(lam * t for t in c.grid.points)),
+                            tuple(v / lam for v in c.values)) for c in controls)
+    traj = integrate_switching(spec, controls, z0, string, step=h)
+    scaled = integrate_switching(spec, slow, z0, string, step=lam * h)
+    assert [(e.operator, e.new) for e in scaled.events] == [(e.operator, e.new) for e in traj.events]
+    assert all(abs(es.time - lam * e.time) <= (1.0 + lam) * EVENT_TOL
+               for es, e in zip(scaled.events, traj.events))
+    assert np.abs(scaled.final_state - traj.final_state).max() <= TOL
+
+
+@PROPERTY
+@given(case=systems(bank=False), data=st.data())
+def test_axis_permutation_permutes_the_event_axes(case, data):
+    # swapping the two axes, with their thresholds, fields, controls and
+    # relay outputs, is the same system with the axes named the other way;
+    # a sum of two terms is the same either way round, so bit for bit
+    assume(len(case[0]) == 2)
+    _, _, z0, controls, _, h = case
+    spec, string, _ = switching_case(case, data)
+    swapped = SwitchingSpec(
+        xi=spec.xi[::-1], eta=1.0, thresholds=spec.thresholds[::-1],
+        field_table={s[::-1]: FieldSet(2, 2, fs.fields[::-1]) for s, fs in spec.field_table.items()})
+    traj = integrate_switching(spec, controls, z0, string, step=h)
+    other = integrate_switching(swapped, controls[::-1], z0, string[::-1], step=h)
+    rename = {"axis1": "axis2", "axis2": "axis1"}
+    assert [(rename[e.operator], e.new) for e in other.events] == [
+        (e.operator, e.new) for e in traj.events]
+    assert [e.time for e in other.events] == [e.time for e in traj.events]
+    assert np.array_equal(other.states, traj.states)

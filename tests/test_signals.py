@@ -163,6 +163,32 @@ def test_sample_rejects_times_outside_horizon():
     assert sample(poly, []).shape == (0,)
 
 
+def test_scalar_call_takes_the_sample_rule_for_strays():
+    # one range rule: a stray within KNOT_TOL of an end is evaluated on the
+    # end piece by s(t) as by sample, and a time past it is refused by both
+    poly = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+    late = PolylineSignal(((1.0, 2.0), (3.0, -1.0)))
+    for p, t0, T in ((poly, 0.0, 1.0), (late, 1.0, 3.0)):
+        for t in (T + 5e-13, t0 - 5e-13):
+            assert p(t) == sample(p, [t])[0]
+        for t in (T + 1e-11, t0 - 1e-11):
+            with pytest.raises(DomainError):
+                p(t)
+            with pytest.raises(DomainError):
+                sample(p, [t])
+
+
+def test_time_grid_and_polyline_share_the_break_checks():
+    bad = {"2 knots": (0.0,), "finite": (0.0, float("nan")), "increasing": (1.0, 0.5)}
+    for match, times in bad.items():
+        with pytest.raises(DomainError, match=match):
+            TimeGrid(times)
+        with pytest.raises(DomainError, match=match):
+            PolylineSignal(tuple((t, 0.0) for t in times))
+    # a signal may start after 0
+    assert step([1.0, 2.0], [3.0]).affine_view()[0][0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # calculus
 
@@ -225,6 +251,16 @@ def test_add_subtract_same_kind_closure():
 def test_combine_horizon_mismatch():
     with pytest.raises(DomainError):
         combine(step([0.0, 1.0], [1.0]), step([0.0, 2.0], [1.0]))
+
+
+@pytest.mark.parametrize("op", [combine, l1_distance, sup_distance])
+def test_operands_must_share_the_start_time(op):
+    # same end time, different start: no operand is extrapolated back to 0
+    for a, b in ((step([0.0, 4.0], [1.0]), step([1.0, 4.0], [1.0])),
+                 (PolylineSignal(((0.0, 0.0), (4.0, 1.0))), PolylineSignal(((1.0, 0.0), (4.0, 1.0))))):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DomainError, match="share the horizon"):
+                op(x, y)
 
 
 # ---------------------------------------------------------------------------
