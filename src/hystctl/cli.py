@@ -4,8 +4,8 @@ One subcommand per experiment, small operator utilities (play / relay / bank),
 and a free-form `sim` runner driven by a JSON config.  Experiment flags come
 from the registry in experiments.py, and flag strings and config values go
 through its parse_param, so a value it rejects is a usage error; so is an
-operator flag that the operator's own type (PlayState, RelayState,
-RelayBank.staircase) rejects.  Exit codes:
+operator flag that the operator's own type rejects: PlayState, the one-relay
+RelayBank of `relay`, or RelayBank.staircase.  Exit codes:
 0 all verdicts pass, 1 domain error or failed verdict, 2 usage error.
 """
 
@@ -28,7 +28,7 @@ from .experiments import (
     parse_params,
     run_experiment,
 )
-from .hysteresis import PlayState, RelayBank, RelayState, bank_trace, play_apply
+from .hysteresis import PlayState, RelayBank, bank_trace, play_apply
 from .signals import DomainError, PolylineSignal, _times_equal, signal_from_json
 
 @dataclass
@@ -113,7 +113,7 @@ def _resolve_experiment(name: str) -> str:
 # the operator subcommands: each builds its operator's state from the flags
 _OPERATORS = {
     "play": lambda a: PlayState(a["rho"], a["w0"]),
-    "relay": lambda a: RelayState(a["lo"], a["hi"], a["out0"]),
+    "relay": lambda a: RelayBank((a["lo"],), (a["hi"],), (a["out0"],)),
     "bank": lambda a: RelayBank.staircase(a["k"], a["nplus"]),
 }
 
@@ -201,7 +201,7 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "relay":
-        _, events, _ = bank_trace(RelayBank((a["state"],)), _load_polyline(a["input"]))
+        _, events, _ = bank_trace(a["state"], _load_polyline(a["input"]))
         rows = [(e.time, e.old, e.new) for e in events]
         _write_or_print(rows, ["time", "old", "new"], a.get("out"))
         return 0

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .hysteresis import RelayBank, RelayState, SwitchEvent, _Walk, play_apply
+from .hysteresis import RelayBank, SwitchEvent, _Walk, play_apply
 from .signals import (
     DomainError, StepSignal, _affine_on, _check_domain, _point, antiderivative, check_times,
     merge_times, sample,
@@ -142,8 +142,8 @@ class SwitchingSpec:
             object.__setattr__(self, "thresholds", ((-self.eta, self.eta),) * m)
         if len(self.thresholds) != m or any(len(pair) != 2 for pair in self.thresholds):
             raise DomainError("need one (lo, hi) threshold pair per axis")
-        for pair in self.thresholds:
-            RelayState(*pair, 1)  # checks the thresholds
+        for lo, hi in self.thresholds:
+            RelayBank((lo,), (hi,), (1,))  # checks the thresholds
 
     @property
     def m(self) -> int:
@@ -169,8 +169,8 @@ class BankSpec:
 
 
 def gronwall_bound(C_k: float, m: float, M: float, L: float, T: float) -> float:
-    if not all(x >= 0.0 for x in (C_k, m, M, L, T)):  # also refuses NaN
-        raise DomainError("Gronwall inputs must be nonnegative numbers")
+    if not all(0.0 <= x < math.inf for x in (C_k, m, M, L, T)):  # also refuses NaN
+        raise DomainError("Gronwall inputs must be finite nonnegative numbers")
     return C_k * math.exp(m * M * L * T)
 
 
@@ -494,11 +494,8 @@ def integrate_play_state(spec: TriangularSpec, controls, z0, step=1e-3) -> Traje
 
 def sector_index(z, spec: SwitchingSpec) -> set:
     """All m-strings compatible with z under closure semantics."""
-    options = []
-    for xi, thr in zip(spec.xi, spec.thresholds):
-        proj = _proj(z, xi)
-        options.append([w for w in (1, -1)
-                        if RelayBank((RelayState(*thr, w),)).consistent_with(proj)])
+    options = [[w for w in (1, -1) if RelayBank((lo,), (hi,), (w,)).consistent_with(_proj(z, xi))]
+               for xi, (lo, hi) in zip(spec.xi, spec.thresholds)]
     return set(itertools.product(*options))
 
 
@@ -507,7 +504,7 @@ def integrate_switching(spec: SwitchingSpec, controls, z0, w0_string, step=1e-3)
     string = tuple(w0_string)
     if string not in spec.field_table:
         raise DomainError("initial string must be in {-1,+1}^m")
-    banks = [RelayBank((RelayState(*thr, int(w)),)) for thr, w in zip(spec.thresholds, string)]
+    banks = [RelayBank((lo,), (hi,), (int(w),)) for (lo, hi), w in zip(spec.thresholds, string)]
 
     def select(walks):
         s = tuple(walk.outs[0] for walk in walks)

@@ -5,11 +5,12 @@ we ever feed them (polylines are piecewise monotone).  The play and the
 truncated play are front ends of one generalized play: its output is clamped
 between two nondecreasing piecewise-affine boundary curves of the input, each
 given as (breaks, pieces), its sorted kinks and one (intercept, slope) per
-piece.  A delayed relay is a one-relay bank.  A bank's thresholds strictly
-increase with the relay index, so the next relay to switch is one index each
-way (wiping-out); _Walk keeps that pair, and bank_trace and the relay core of
-dynamics both read it.  States are small frozen value types; updates return
-new states.
+piece.  A relay bank is RelayBank(lo, hi, outs), its thresholds and one
+output per relay, and a delayed relay is the one-relay bank.  Both
+thresholds strictly increase with the relay index, so the next relay to
+switch is one index each way (wiping-out); _Walk keeps that pair, and
+bank_trace and the relay core of dynamics both read it.  States are small
+frozen value types; updates return new states.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import ge, lt
 
 from .signals import DomainError, PolylineSignal, StepSignal, TimeGrid
 
@@ -130,17 +132,15 @@ def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
 
 @dataclass(frozen=True)
 class RelayState:
-    """Two-threshold switch: output -1/+1, switching strictly beyond lo/hi."""
+    """One relay of a bank, as RelayBank.relays shows it: output -1/+1,
+    switching strictly beyond lo/hi.  The one-relay bank checks it."""
 
     lo: float
     hi: float
     out: int
 
     def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise DomainError(f"relay needs finite thresholds lo < hi, got ({self.lo}, {self.hi})")
-        if self.out not in (-1, 1):
-            raise DomainError("relay output must be -1 or +1")
+        RelayBank((self.lo,), (self.hi,), (self.out,))
 
 
 @dataclass(frozen=True)
@@ -160,49 +160,63 @@ class SwitchEvent:
 
 @dataclass(frozen=True)
 class RelayBank:
-    """Finite Preisach superposition: relays whose lo and hi both strictly
-    increase with the index; its output is the mean of theirs.
+    """Finite Preisach superposition of k relays, as three tuples checked
+    once, here: relay i has thresholds lo[i] < hi[i] and output outs[i] in
+    {-1, +1}, and the bank's output is the mean of outs.
 
-    A delayed relay is the one-relay bank.  With sorted thresholds the next
-    relay to switch is one index each way (wiping-out): the lowest-index
-    relay at -1 on a rise, at its hi, and the highest-index one at +1 on a
-    fall, at its lo.  make and staircase give relay i of k thresholds (-1+i/k, i/k).
+    lo and hi strictly increase, so the next relay to switch is one index each
+    way (wiping-out): the lowest-index relay at -1 on a rise, at its hi, and
+    the highest-index one at +1 on a fall, at its lo.  make and staircase give
+    relay i of k thresholds (-1+i/k, i/k).
     """
 
-    relays: tuple[RelayState, ...]
+    lo: tuple
+    hi: tuple
+    outs: tuple
 
     def __post_init__(self):
-        if not self.relays:
-            raise DomainError("bank needs at least one relay")
-        for a, b in zip(self.relays, self.relays[1:]):
-            if not (a.lo < b.lo and a.hi < b.hi):
-                raise DomainError("bank thresholds must strictly increase with the index")
+        for name in ("lo", "hi", "outs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        lo, hi, outs = self.lo, self.hi, self.outs
+        if not outs or not len(lo) == len(hi) == len(outs):
+            raise DomainError(f"bank needs a relay, and one lo, hi and output per relay; got "
+                              f"{len(lo)}, {len(hi)} and {len(outs)}")
+        if not (-math.inf < lo[0] and hi[-1] < math.inf and all(map(lt, lo, hi))):
+            raise DomainError("relay needs finite thresholds lo < hi")
+        if not set(outs) <= {-1, 1}:
+            raise DomainError("relay output must be -1 or +1")
+        if not (all(map(lt, lo, lo[1:])) and all(map(lt, hi, hi[1:]))):
+            raise DomainError("bank thresholds must strictly increase with the index")
+
+    @property
+    def relays(self) -> tuple:
+        """The relays as RelayStates (a read-only view)."""
+        return tuple(map(RelayState, self.lo, self.hi, self.outs))
 
     @property
     def k(self) -> int:
-        return len(self.relays)
+        return len(self.outs)
 
     @property
     def output(self) -> float:
-        return sum(r.out for r in self.relays) / self.k
+        return sum(self.outs) / self.k
 
     @staticmethod
     def make(outputs) -> "RelayBank":
         """One relay per output, k = len(outputs)."""
         k = len(outputs)
-        return RelayBank(tuple(
-            RelayState(-1.0 + i / k, i / k, out) for i, out in enumerate(outputs, 1)))
+        return RelayBank(tuple(-1.0 + i / k for i in range(1, k + 1)),
+                         tuple(i / k for i in range(1, k + 1)), outputs)
 
     @staticmethod
     def staircase(k: int, n_plus: int) -> "RelayBank":
         """Bank in the staircase configuration (+1 x n_plus, -1 x rest)."""
         if not 0 <= n_plus <= k:
             raise DomainError("n_plus must be in 0..k")
-        return RelayBank.make([1] * n_plus + [-1] * (k - n_plus))
+        return RelayBank.make((1,) * n_plus + (-1,) * (k - n_plus))
 
     def is_staircase(self) -> bool:
-        outs = [r.out for r in self.relays]
-        return all(a >= b for a, b in zip(outs, outs[1:]))
+        return all(map(ge, self.outs, self.outs[1:]))
 
     def consistent_with(self, zeta: float) -> bool:
         """Whether every relay's output is one it may hold at the input zeta
@@ -218,9 +232,9 @@ class _Walk:
     switched index, one step in a staircase bank."""
 
     def __init__(self, bank: RelayBank):
-        self.outs = [r.out for r in bank.relays]
-        self.his = [r.hi for r in bank.relays] + [math.inf]
-        self.los = [r.lo for r in bank.relays] + [-math.inf]
+        self.outs = list(bank.outs)
+        self.his = bank.hi + (math.inf,)
+        self.los = bank.lo + (-math.inf,)
         self.total = sum(self.outs)
         self.up = self._scan(0, 1)
         self.down = self._scan(bank.k - 1, -1)
@@ -286,27 +300,25 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
                 levels[-1] = walk.total / k
     break_times.append(T)
     output = StepSignal(TimeGrid(tuple(break_times)), tuple(levels))
-    final = RelayBank(tuple(replace(r, out=o) for r, o in zip(bank.relays, walk.outs)))
-    return output, events, final
+    return output, events, RelayBank(bank.lo, bank.hi, tuple(walk.outs))
 
 
-def saturation_prefix(
-    zeta: PolylineSignal, lead: float = 1.0, direction: int = 1
-) -> PolylineSignal:
+def saturation_prefix(zeta: PolylineSignal, lead: float = 1.0, direction: int = 1) -> PolylineSignal:
     """Prepend a there-and-back ramp to +-1 so the bank enters its staircase loop.
 
-    The returned input lives on [0, lead + T] and agrees with zeta afterwards.
+    The ramp starts at zeta's t0; the returned input w lives on
+    [t0, T + lead], with w(t + lead) = zeta(t) for t in [t0, T].
     """
     if direction not in (-1, 1):
         raise DomainError("direction must be -1 or +1")
     if not 0.0 < lead < math.inf:
         raise DomainError("lead time must be positive and finite")
-    z0 = zeta.knots[0][1]
+    t0, z0 = zeta.knots[0]
     peak = float(direction)
-    knots = [(0.0, z0)]
+    knots = [(t0, z0)]
     if peak != z0:
-        knots.append((0.5 * lead, peak))
-    knots.append((lead, z0))
+        knots.append((t0 + 0.5 * lead, peak))
+    knots.append((t0 + lead, z0))
     knots.extend((t + lead, v) for t, v in zeta.knots[1:])
     return PolylineSignal(tuple(knots))
 

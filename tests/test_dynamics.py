@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hystctl.dynamics import (
     EVENT_TOL,
@@ -121,6 +123,57 @@ def test_polyline_controls_integrated_exactly():
     tri = TriangularSpec((lambda x: x,), 0.2, (0.0,))
     with pytest.raises(DomainError):
         integrate_play_state(tri, (ramp, ramp), (0.0, 0.0, 0.0))
+
+
+def heisenberg_exact(controls, z0, ts):
+    """The Heisenberg flow (dx = u1, dy = u2, dz = x u2) at the sorted times
+    ts in closed form: on each piece between the controls' merged knots the
+    controls are p + s (t - a), x and y are quadratics and z a quartic."""
+    ts, out = np.asarray(ts), np.empty((len(ts), 3))
+    x, y, z = z0
+    times = merge_times(*(c.affine_view()[0] for c in controls)).tolist()
+    for a, b in zip(times, times[1:]):
+        p1, p2 = [c(a) for c in controls]
+        s1, s2 = [slope[np.searchsorted(breaks, 0.5 * (a + b)) - 1]
+                  for breaks, _, slope in (c.affine_view() for c in controls)]
+
+        def flow(tau, x=x, y=y, z=z):
+            return (x + p1 * tau + s1 * tau**2 / 2, y + p2 * tau + s2 * tau**2 / 2,
+                    z + x * (p2 * tau + s2 * tau**2 / 2) + p1 * p2 * tau**2 / 2
+                    + (p1 * s2 / 3 + s1 * p2 / 6) * tau**3 + s1 * s2 * tau**4 / 8)
+
+        on = (a <= ts) & (ts <= b)
+        out[on] = np.column_stack(flow(ts[on] - a))
+        x, y, z = flow(b - a)
+    return out
+
+
+def assert_closed_form(traj, controls, z0):
+    exact = heisenberg_exact(controls, z0, traj.times)
+    assert np.all(np.abs(traj.states - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+
+
+@st.composite
+def heisenberg_cases(draw, kind):
+    """Two step signals or polylines (kind) on one [0, T], knots on a 1/16
+    lattice and values in [-2, 2], a z0 and a step in [1e-3, 0.1]."""
+    values = st.floats(-2.0, 2.0)
+    n = draw(st.integers(4, 32))
+    signals = []
+    for _ in range(2):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6)))
+        times = [0.0, *(c / 16 for c in cuts), n / 16]
+        vals = draw(st.lists(values, min_size=len(times), max_size=len(times)))
+        signals.append(step(times, vals[1:]) if kind == "step"
+                       else PolylineSignal(tuple(zip(times, vals))))
+    return signals, draw(st.tuples(values, values, values)), draw(st.floats(1e-3, 0.1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=heisenberg_cases("step"))
+def test_plain_rows_match_the_closed_form(case):
+    controls, z0, h = case
+    assert_closed_form(integrate_plain(heisenberg_fields(), controls, z0, step=h), controls, z0)
 
 
 def test_control_count_mismatch():
@@ -301,6 +354,17 @@ def test_play_controls_constant_inputs_reduce_to_plain():
                           (0.0, 0.0, 0.0))
     assert np.abs(traj.final_state - ref.final_state).max() < 1e-12
     assert np.abs(traj.hysteresis_log["play1"] - w0[0]).max() == 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=heisenberg_cases("polyline"), rho=st.floats(0.0, 1.0),
+       fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_play_control_rows_match_the_closed_form(case, rho, fracs):
+    # the rows against the closed form driven by the play outputs (polylines)
+    v, z0, h = case
+    w0 = [vi.knots[0][1] + (2.0 * f - 1.0) * rho for vi, f in zip(v, fracs)]
+    traj = integrate_play_controls(heisenberg_fields(), v, w0, rho, z0, step=h)
+    assert_closed_form(traj, [play_apply(vi, wi, rho) for vi, wi in zip(v, w0)], z0)
 
 
 def test_play_controls_seed_validation():
@@ -707,7 +771,9 @@ def test_gronwall_values():
 
 @pytest.mark.parametrize("position", range(5))
 def test_gronwall_rejects_nan(position):
-    args = [1.0] * 5
-    args[position] = float("nan")
-    with pytest.raises(DomainError, match="nonnegative"):
-        gronwall_bound(*args)
+    # NaN, and inf (0 * inf is nan), are refused at every position
+    for bad in (math.nan, math.inf):
+        args = [1.0] * 5
+        args[position] = bad
+        with pytest.raises(DomainError, match="nonnegative"):
+            gronwall_bound(*args)

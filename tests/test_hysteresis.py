@@ -198,7 +198,7 @@ def test_play_nonexpansiveness():
 
 def relay_trace(lo, hi, out, *knots):
     """bank_trace of the one-relay bank along the polyline through knots."""
-    return bank_trace(RelayBank((RelayState(lo, hi, out),)), PolylineSignal(knots))
+    return bank_trace(RelayBank((lo,), (hi,), (out,)), PolylineSignal(knots))
 
 
 def test_relay_switch_down():
@@ -228,8 +228,8 @@ def test_relay_switch_count_bound():
     for _ in range(30):
         lo, width = rng.uniform(-1, 0), rng.uniform(0.2, 1.0)
         z = random_polyline(rng, n_knots=10)
-        relay = RelayState(lo, lo + width, 1 if z.knots[0][1] >= lo else -1)
-        _, events, _ = bank_trace(RelayBank((relay,)), z)
+        relay = RelayBank((lo,), (lo + width,), (1 if z.knots[0][1] >= lo else -1,))
+        _, events, _ = bank_trace(relay, z)
         tv = sum(abs(b[1] - a[1]) for a, b in zip(z.knots, z.knots[1:]))
         assert len(events) <= math.ceil(tv / width) + 1
 
@@ -251,12 +251,16 @@ def test_relay_output_must_be_a_sign():
 
 def test_bank_validation():
     with pytest.raises(DomainError):
-        RelayBank(())
+        RelayBank((), (), ())
     for lows, highs in (((0.0, -0.5), (1.0, 1.5)), ((0.0, 0.5), (1.0, 0.8)),
                         ((0.0, 0.0), (1.0, 1.5))):
-        relays = tuple(RelayState(lo, hi, 1) for lo, hi in zip(lows, highs))
         with pytest.raises(DomainError):
-            RelayBank(relays)
+            RelayBank(lows, highs, (1, 1))
+    # one lo, one hi and one output per relay
+    for lows, highs, outs in (((0.0,), (1.0, 1.5), (1, 1)), ((0.0, 0.5), (1.0,), (1, 1)),
+                              ((0.0, 0.5), (1.0, 1.5), (1,)), ((0.0,), (1.0,), ())):
+        with pytest.raises(DomainError, match="one lo, hi and output per relay"):
+            RelayBank(lows, highs, outs)
 
 
 def test_bank_thresholds():
@@ -328,9 +332,9 @@ def test_bank_inconsistent_seed():
 
 def test_bank_consistency_rejects_nan():
     # a NaN input is consistent with no relay output, in a bank as for one relay
-    assert not RelayBank((RelayState(-1.0, 1.0, 1),)).consistent_with(math.nan)
+    assert not RelayBank((-1.0,), (1.0,), (1,)).consistent_with(math.nan)
     assert not RelayBank.staircase(4, 2).consistent_with(math.nan)
-    assert RelayBank((RelayState(-1.0, 1.0, 1),)).consistent_with(0.0)
+    assert RelayBank((-1.0,), (1.0,), (1,)).consistent_with(0.0)
 
 
 def test_bank_event_at_the_horizon():
@@ -351,6 +355,14 @@ def test_saturation_prefix_enters_staircase():
     assert bank.consistent_with(zeta.knots[0][1])
     _, _, final = bank_trace(bank, saturation_prefix(zeta, lead=1.0, direction=1))
     assert final.is_staircase()
+
+
+def test_saturation_prefix_starts_at_the_input_start():
+    # zeta on [1, 2]: the ramp fills [1, 2], and w(t + lead) = zeta(t) after it
+    zeta = PolylineSignal(((1.0, 0.1), (2.0, -0.4)))
+    w = saturation_prefix(zeta, lead=1.0, direction=1)
+    assert w.knots == ((1.0, 0.1), (1.5, 1.0), (2.0, 0.1), (3.0, -0.4))
+    assert w(2.5) == pytest.approx(zeta(1.5))
 
 
 @pytest.mark.parametrize("lead", [0.0, -1.0, float("nan"), float("inf")])
@@ -435,6 +447,24 @@ def test_bank_trace_matches_relays_stepped_alone(case):
     levels = [(total + 2 * sum(new for _, s, _, _, new in want if s <= t)) / bank.k
               for t in out.grid.points[:-2]]
     assert list(out.values) == levels + [final.output]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=banks_and_inputs())
+def test_bank_is_its_thresholds_and_outputs(case):
+    bank, zeta = case
+    again = RelayBank(bank.lo, bank.hi, bank.outs)
+    assert again == bank and hash(again) == hash(bank)
+    assert bank.relays == tuple(RelayState(*r) for r in zip(bank.lo, bank.hi, bank.outs))
+    # the final bank shares the thresholds: nothing is rebuilt per relay
+    _, _, final = bank_trace(bank, zeta)
+    assert final.lo is bank.lo and final.hi is bank.hi
+
+
+def test_bank_fields_are_tuples():
+    bank = RelayBank([-0.5, 0.0], np.array([0.5, 1.0]), [1, -1])
+    assert bank == RelayBank.staircase(2, 1)
+    assert all(type(v) is tuple for v in (bank.lo, bank.hi, bank.outs))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +582,7 @@ def test_bank_trace_commutes_with_a_shift(data, c):
     outs = [1 if values[0] > i / k or (values[0] >= -1.0 + i / k and up) else -1
             for i, up in zip(range(1, k + 1), data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))]
     bank = RelayBank.make(outs)
-    moved = RelayBank(tuple(RelayState(r.lo + c, r.hi + c, r.out) for r in bank.relays))
+    moved = RelayBank(tuple(lo + c for lo in bank.lo), tuple(hi + c for hi in bank.hi), bank.outs)
     out, events, final = bank_trace(bank, zeta)
     out_c, events_c, final_c = bank_trace(moved, shifted(zeta, c))
     assert [(e.index, e.new) for e in events_c] == [(e.index, e.new) for e in events]

@@ -20,7 +20,7 @@ from hystctl.dynamics import (
     EVENT_BUDGET, EVENT_TOL, BankSpec, FieldSet, SwitchingSpec, integrate_bank,
     integrate_switching,
 )
-from hystctl.hysteresis import RelayBank, RelayState
+from hystctl.hysteresis import RelayBank
 from hystctl.signals import StepSignal, TimeGrid
 
 TOL = 1e-9
@@ -192,7 +192,7 @@ def test_bank_events_match_exact_simulation(case, data):
     expected = clear_events(velocity, xi, banks, z0, pieces, h)
     spec = BankSpec(xi=xi, k=len(banks[0]), fields=tuple(
         lambda w, z, a=a, b=b: (a[0] + w * b[0], a[1] + w * b[1]) for a, b in ab))
-    relays = tuple(RelayBank(tuple(RelayState(*r) for r in bk)) for bk in banks)
+    relays = tuple(RelayBank(*zip(*bk)) for bk in banks)
     traj = integrate_bank(spec, controls, z0, relays, step=h)
     check_events(traj, expected, xi, banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
     assert_same_events(traj, integrate_bank(spec, controls, z0, relays, step=h / 2))
