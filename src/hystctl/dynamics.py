@@ -7,17 +7,27 @@ that do not share one domain [t0, T] (signals._check_domain) and a z0 that is
 not a point of finite coordinates raise DomainError, and a coordinate that
 leaves [-NORM_CAP, NORM_CAP] or is not finite raises DivergenceError.
 
-All but play in the state run one loop, the relay core: classical RK4 on each
-piece between the merged control breakpoints, on the piece's nominal grid
-a + q*h whose last point is exactly b.  Controls are affine on a piece (a
-step signal with slope 0, a polyline such as a play output with its own), so
-the right-hand side is sum_i (u_i(a) + s_i (t - a)) g_i(z).  Switching and
-bank systems carry relay banks on the projections z.xi_j: a switching axis a
-one-relay bank, a bank axis k relays.  A step is checked against the next
-relay to switch on each axis in each direction, one index each way as
-hysteresis keeps it; a step that crosses one is cut at the earliest crossing,
-located to EVENT_TOL by Illinois regula falsi on the RK4 map (_locate_event),
-and after the switch resumes to the same grid point.
+All but play in the state run one loop, the relay core.  Its rows are the
+nominal grid a + q*h of each piece between the merged control breakpoints,
+the last exactly b, and Trajectory.sample interpolates linearly between them.
+Controls are affine on a piece (a step signal with slope 0, a polyline such
+as a play output with its own), so the right-hand side is
+sum_i (u_i(a) + s_i (t - a)) g_i(z).  A stretch of at least _EXACT_STEPS
+steps, from a piece's start or from an event after a closed-form stretch, is
+tested once (_exact_rows): where its solution has degree <= 4, as with the
+Heisenberg or constant fields, its rows come from that quartic, up to the
+first that passes a pending relay threshold.  Every other row is one
+classical RK4 step, so a field that fails the test gives plain RK4's rows.
+
+Switching and bank systems carry relay banks on the projections z.xi_j: a
+switching axis a one-relay bank, a bank axis k relays.  A step is checked
+against the next relay to switch on each axis in each direction, one index
+each way as hysteresis keeps it; a step that crosses one is cut at the
+earliest crossing, located to EVENT_TOL by Illinois regula falsi on the RK4
+map (_locate_event), and after the switch resumes to the same grid point.  An
+event within EVENT_TOL of the step's end lands on the grid point, and one
+within EVENT_TOL after its start on the row there (but z0's), which keeps its
+time and state and takes the new log entry.
 A plain system is the core with no relays, and play in the controls is a
 plain system driven by the play outputs.  An axis may switch at most
 EVENT_BUDGET * (nominal steps + its relays) times; a relay that chatters
@@ -57,6 +67,10 @@ _PROBE_ULPS = 4
 # Relative slack when a piece is cut into steps (a piece a hair longer than
 # whole steps gets no sliver step).
 _PIECE_SLACK = 1e-9
+# Least nominal steps of a stretch tested for a closed-form solution (the
+# test costs five RK4 steps), and the relative agreement that passes it.
+_EXACT_STEPS = 32
+_EXACT_TOL = 1e-13
 # Events allowed on an axis per nominal step and per relay on the axis; more
 # means a relay chatters (the switching and bank runs measured stay below 1).
 EVENT_BUDGET = 4
@@ -186,7 +200,7 @@ class Trajectory:
         return self.states[-1]
 
     def sample(self, ts) -> np.ndarray:
-        """States at the times ts, linear between steps; DomainError for
+        """States at the times ts, linear between rows; DomainError for
         times outside [t0, T] by more than KNOT_TOL."""
         ts = check_times(ts, self.times[0], self.times[-1])
         return np.column_stack(
@@ -294,18 +308,21 @@ def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
     (s, z_s) with the crossing bracketed to EVENT_TOL (or to neighbouring
     floats) and z_s = RK4(z, s) strictly past the threshold.
 
-    Illinois regula falsi on g(s) = d (RK4(z, s).xi - thr) keeps a bracket
-    [lo, hi] with g(lo) <= 0 < g(hi) (a g(0) > 0, left by a tie, counts as
-    0), and an end kept twice in a row weighs half.  Each iterate is probed
-    to its other side, by twice its distance to the root as the secant slope
-    estimates it plus _PROBE_ULPS ulps of thr, and at least _PROBE, so the
-    bracket closes around a close iterate at once; with constant fields g is
-    affine and the first iterate is the root to rounding.  An iterate that
+    A z already past thr (g(0) > 0 below, left by a tie) gives (0, z) at
+    once.  Otherwise Illinois regula falsi on g(s) = d (RK4(z, s).xi - thr)
+    keeps a bracket [lo, hi] with g(lo) <= 0 < g(hi), and an end kept twice
+    in a row weighs half.  Each iterate is probed to its other side, by
+    twice its distance to the root as the secant slope estimates it plus
+    _PROBE_ULPS ulps of thr, and at least _PROBE, so the bracket closes
+    around a close iterate at once; with constant fields g is affine and
+    the first iterate is the root to rounding.  An iterate that
     does not halve the bracket is followed by a halving, so a call takes at
     most about 2 log2(h / EVENT_TOL) iterates of two RK4 steps each.
     """
     lo, hi = 0.0, h
-    g_lo, g_hi = min(d * (_proj(z, xi) - thr), 0.0), d * (_proj(z_hi, xi) - thr)
+    g_lo, g_hi = d * (_proj(z, xi) - thr), d * (_proj(z_hi, xi) - thr)
+    if g_lo > 0.0:
+        return lo, z
     kept = 0  # the end the last evaluation moved: 1 for hi, -1 for lo
     floor = _PROBE_ULPS * math.ulp(abs(thr) + 1.0)
     halve = False
@@ -337,6 +354,40 @@ def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
     return hi, z_hi
 
 
+def _exact_rows(rhs, t, z, b, ts, xi, walks):
+    """Rows at the times ts (ts[-1] is b) of the solution from (t, z), up to
+    the first whose z.xi_j passes a pending threshold of walks[j], if one RK4
+    step over [t, b] agrees with four quarter steps to _EXACT_TOL relative:
+    RK4 reproduces a solution of degree <= 4 to rounding.  These speculative
+    steps probe the fields off the trajectory, so an exception or a
+    non-finite state there fails the test (numpy warnings silenced).  The
+    rows are the quartic through the quarter points in Newton form, so a
+    constant coordinate stays bit-constant."""
+    quarter = 0.25 * (b - t)
+    nodes = [z]
+    with np.errstate(all="ignore"):
+        try:
+            whole = _rk4(rhs, t, z, b - t)
+            for i in range(4):
+                nodes.append(_rk4(rhs, t + i * quarter, nodes[-1], quarter))
+            nodes, whole = np.array(nodes, dtype=float), np.array(whole, dtype=float)
+            scale = np.abs(np.vstack([nodes, whole])).max(axis=0)
+            exact = np.isfinite(scale).all() and (np.abs(whole - nodes[4]) <= _EXACT_TOL * scale).all()
+        except Exception:
+            exact = False
+    if not exact:
+        return np.empty((0, len(z)))
+    theta = ((ts - t) / quarter)[:, None]
+    rows = 0.0
+    for k in (4, 3, 2, 1, 0):
+        rows = np.diff(nodes, k, axis=0)[0] / math.factorial(k) + (theta - k) * rows
+    proj = rows @ np.reshape(xi, (len(xi), len(z))).T
+    his = [walk.his[walk.up] for walk in walks]
+    los = [walk.los[walk.down] for walk in walks]
+    passed = np.append(((proj > his) | (proj < los)).any(axis=1), True)
+    return rows[: passed.argmax()]
+
+
 def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     """RK4 on R^n on the nominal grid of every piece, with delayed-relay
     events on the projections z.xi_j: (times, states, log, events).
@@ -349,11 +400,13 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     on axis j is SwitchEvent(t, i + 1, new, label(j, i)).
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
-    its grid point if within EVENT_TOL of it), and the next step resumes to
-    the same grid point.  Only the next relay to switch on each axis in each
-    direction is located: z.xi_j passes a nearer relay's threshold before a
-    farther one's, so the farther relay switches at the nearer one's event
-    or later (on the next step if it is past its threshold there too).
+    its grid point if within EVENT_TOL of it; if within EVENT_TOL after its
+    start, on the row there, which keeps its time and state), and the next
+    step resumes to the same grid point.  Only the next relay to switch on
+    each axis in each direction is located: z.xi_j passes a nearer relay's
+    threshold before a farther one's, so the farther relay switches at the
+    nearer one's event or later (on the next step if it is past its
+    threshold there too).
     """
     walks = [_Walk(bank) for bank in banks]
     z = _point(z0, n)
@@ -379,38 +432,65 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
         rhs = _affine_rhs(fields, c0, sl, a, n)
         h = (b - a) / nsteps
         t = a
-        for q in range(1, nsteps + 1):
+        q = 1  # the next row is grid point q
+        dt = h
+        test = True  # test the stretch from t for a closed form
+        stretch = 0  # closed-form rows since the last event
+        while q <= nsteps:
+            if test and nsteps - q + 1 >= _EXACT_STEPS:
+                test = False
+                ts = a + np.arange(q, nsteps + 1) * h
+                ts[-1] = b
+                rows = _exact_rows(rhs, t, z, b, ts, xi, walks)
+                stretch = len(rows)
+                if stretch:
+                    _check_cap(np.abs(rows).max(axis=0))
+                    times.extend(ts[:stretch].tolist())
+                    states.extend(map(tuple, rows.tolist()))
+                    log.extend([entry] * stretch)
+                    t, z = times[-1], states[-1]
+                    q += stretch
+                    dt = h
+                    continue
             t_end = b if q == nsteps else a + q * h
-            dt = h
-            while True:
-                z_new = _rk4(rhs, t, z, dt)
-                hit = None
-                for j, (v, walk) in enumerate(zip(xi, walks)):
-                    crossed = walk.crossed(_proj(z_new, v))
-                    if crossed:
-                        d, thr = crossed
-                        s, z_s = _locate_event(rhs, t, z, dt, z_new, v, thr, d)
-                        if hit is None or s < hit[0]:
-                            hit = (s, z_s, j, d)
-                if hit is None:
-                    z, t = z_new, t_end
-                else:
-                    s, z, j, d = hit
+            z_new = _rk4(rhs, t, z, dt)
+            hit = None
+            for j, (v, walk) in enumerate(zip(xi, walks)):
+                crossed = walk.crossed(_proj(z_new, v))
+                if crossed:
+                    d, thr = crossed
+                    s, z_s = _locate_event(rhs, t, z, dt, z_new, v, thr, d)
+                    if hit is None or s < hit[0]:
+                        hit = (s, z_s, j, d)
+            if hit is None:
+                z, t = z_new, t_end
+            else:
+                s, z_s, j, d = hit
+                at_row = s <= EVENT_TOL and len(times) > 1  # on the row at the step start
+                if not at_row:
+                    z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
-                    i = walks[j].switch(d)
-                    events.append(SwitchEvent(t, i + 1, d, label(j, i)))
-                    switches[j] += 1
-                    if switches[j] > budgets[j]:
-                        raise DivergenceError(
-                            f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
-                    fields, entry = _checked(select(walks), z, n)
-                    rhs = _affine_rhs(fields, c0, sl, a, n)
-                _check_cap(z)
-                times.append(t)
-                states.append(z)
-                log.append(entry)
-                if t == t_end:
-                    break
+                i = walks[j].switch(d)
+                events.append(SwitchEvent(t, i + 1, d, label(j, i)))
+                switches[j] += 1
+                if switches[j] > budgets[j]:
+                    raise DivergenceError(
+                        f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
+                fields, entry = _checked(select(walks), z, n)
+                rhs = _affine_rhs(fields, c0, sl, a, n)
+                test = stretch >= _EXACT_STEPS
+                stretch = 0
+                if at_row:
+                    log[-1] = entry
+                    continue
+            _check_cap(z)
+            times.append(t)
+            states.append(z)
+            log.append(entry)
+            if t == t_end:
+                q += 1
+                dt = h
+            else:
                 dt = t_end - t
     return np.asarray(times), np.asarray(states), log, tuple(events)
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,38 @@ def test_divergence_cap_catches_nan():
         integrate_plain(nan_field, (const(1.0, 1.0),), (1.0,), step=0.25)
 
 
+@pytest.mark.parametrize("fourth", [lambda x: x ** 4, lambda x: x * x * x * x])
+def test_divergence_cap_when_the_exactness_test_overflows(fourth):
+    # one RK4 step over the whole piece overflows (x ** 4 raises
+    # OverflowError, x * x * x * x gives inf) where the first nominal step
+    # only leaves the cap; that is no exact piece, and the blow-up is left to
+    # the nominal steps
+    blowup = FieldSet(1, 1, (lambda z: (fourth(z[0]),),))
+    with pytest.raises(DivergenceError):
+        integrate_plain(blowup, (const(1.0, 1e4),), (1.0,), step=1e-3)
+
+
+@pytest.mark.parametrize("root", [math.sqrt, np.sqrt])
+def test_exactness_test_off_the_fields_domain(root):
+    # z' = -1.9 sqrt(z) from 1 has the solution (1 - 0.95 t)^2 > 0 on [0, 1];
+    # one RK4 step over the whole piece takes sqrt of a negative number (a
+    # ValueError, or a NaN and a numpy warning), which is no exact piece and
+    # raises nothing, while the nominal steps stay in the domain
+    root_field = FieldSet(1, 1, (lambda z: (-root(z[0]),),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_plain(root_field, (const(1.0, 1.9),), (1.0,), step=1e-3)
+    assert len(traj.times) == 1001
+    assert traj.final_state[0] == pytest.approx(0.05 ** 2, rel=1e-6)
+
+
+def test_closed_form_rows_past_the_cap_diverge():
+    # an exact piece whose rows z = 1e7 t leave the cap at t = 0.1
+    with pytest.raises(DivergenceError):
+        integrate_plain(FieldSet(1, 1, (lambda z: (1.0,),)), (const(1.0, 1e7),), (0.0,),
+                        step=1e-3)
+
+
 def test_polyline_controls_integrated_exactly():
     # a control is affine on each piece, so a ramp is not held at its
     # midpoint value: Heisenberg with u1 = t, u2 = 1 gives z = t^3/6, which
@@ -174,6 +207,60 @@ def heisenberg_cases(draw, kind):
 def test_plain_rows_match_the_closed_form(case):
     controls, z0, h = case
     assert_closed_form(integrate_plain(heisenberg_fields(), controls, z0, step=h), controls, z0)
+
+
+def nominal_grid(grid, h):
+    """Row times of the relay core for the pieces between the grid points:
+    a + q * (b - a) / n on each, its last exactly b."""
+    times = [grid[0]]
+    for a, b in zip(grid, grid[1:]):
+        n = round((b - a) / h)
+        times += [a + q * ((b - a) / n) for q in range(1, n)] + [b]
+    return np.array(times)
+
+
+def test_exact_pieces_cost_one_test_each():
+    # Heisenberg with step controls has quadratic and cubic solutions, so
+    # each of the four pieces costs one RK4 step and four quarter steps (40
+    # evaluations of each field) in place of 1000 nominal steps (8000), and
+    # keeps its 1000 rows on the nominal grid
+    calls = [0]
+
+    def counted(g):
+        def field(z):
+            calls[0] += 1
+            return g(z)
+        return field
+
+    sysf = FieldSet(3, 2, tuple(map(counted, heisenberg_fields().fields)))
+    grid = (0.0, 1.0, 2.0, 3.0, 4.0)
+    controls = (step(grid, (1.0, -1.0, 0.5, 2.0)), step(grid, (-1.0, 0.5, 2.0, 1.0)))
+    traj = integrate_plain(sysf, controls, (0.1, -0.2, 0.3), step=1e-3)
+    assert calls[0] <= 200
+    assert np.array_equal(traj.times, nominal_grid(grid, 1e-3))
+    assert_closed_form(traj, controls, (0.1, -0.2, 0.3))
+
+
+def test_inexact_field_steps_the_nominal_grid():
+    # a rotation is not polynomial in t: one RK4 step over a piece and four
+    # quarter steps disagree, so the rows are those of a plain RK4 loop on the
+    # nominal grid, bit for bit
+    grid, values = (0.0, 0.5, 1.5), (1.0, -0.5)
+    traj = integrate_plain(FieldSet(2, 1, (lambda z: (-z[1], z[0]),)), (step(grid, values),),
+                           (1.0, 0.0), step=1e-3)
+    z, rows = (1.0, 0.0), [(1.0, 0.0)]
+    for a, b, c in zip(grid, grid[1:], values):
+        h = (b - a) / round((b - a) / 1e-3)
+        for _ in range(round((b - a) / 1e-3)):
+            k1 = (c * -z[1], c * z[0])
+            k2 = (c * -(z[1] + 0.5 * h * k1[1]), c * (z[0] + 0.5 * h * k1[0]))
+            k3 = (c * -(z[1] + 0.5 * h * k2[1]), c * (z[0] + 0.5 * h * k2[0]))
+            k4 = (c * -(z[1] + h * k3[1]), c * (z[0] + h * k3[0]))
+            z = tuple(zi + h / 6.0 * (p + 2.0 * q + 2.0 * r + s)
+                      for zi, p, q, r, s in zip(z, k1, k2, k3, k4))
+            rows.append(z)
+    assert np.array_equal(traj.times, nominal_grid(grid, 1e-3))
+    assert np.array_equal(traj.states, np.array(rows))
 
 
 def test_control_count_mismatch():
@@ -551,6 +638,43 @@ def test_event_on_grid_point_leaves_no_resume_step():
     assert len(traj.times) == 4001
 
 
+def test_event_at_the_start_keeps_the_first_row():
+    # z0 on the threshold its relay waits for, moving past it: the event is
+    # located within EVENT_TOL after t0, but the first row keeps z0 and the
+    # initial outputs, so the event gets a row of its own
+    controls = (const(1.0, 1.0), const(1.0, 0.0))
+    traj = integrate_switching(demo_spec(), controls, (0.3, 0.0), (-1, 1), step=1e-2)
+    first = traj.events[0]
+    assert (first.operator, first.new) == ("axis1", 1) and 0.0 < first.time <= EVENT_TOL
+    assert tuple(traj.states[0]) == (0.3, 0.0) and traj.hysteresis_log["string"][0] == (-1, 1)
+    assert traj.times[1] == first.time and traj.hysteresis_log["string"][1] == (1, 1)
+
+
+def test_exact_pieces_are_tested_again_after_an_event():
+    # the switching_demo script with counted fields: each piece is tested at
+    # its start and again after its event, which switches the fields, so the
+    # run costs six tests (20 evaluations each with one active field) and a
+    # few steps around each event, where nominal steps cost 16,000
+    calls = [0]
+
+    def counted(g):
+        def field(z):
+            calls[0] += 1
+            return g(z)
+        return field
+
+    spec = demo_spec()
+    table = {s: FieldSet(2, 2, tuple(map(counted, fs.fields)))
+             for s, fs in spec.field_table.items()}
+    spec = SwitchingSpec(spec.xi, spec.eta, table)
+    grid = (0.0, 1.0, 2.0, 4.0)
+    controls = (step(grid, (-1.0, 0.0, 1.0)), step(grid, (0.0, -1.0, 0.0)))
+    traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-3)
+    assert [e.time for e in traj.events] == pytest.approx([0.8, 1.7, 2.95], abs=1e-9)
+    assert np.array_equal(traj.times, nominal_grid(grid, 1e-3))
+    assert calls[0] <= 300
+
+
 def test_chattering_relay_exceeds_event_budget():
     # opposing fields: output +1 pushes z down to -eta, -1 pushes it back up
     # to eta, so the relay switches every 2 eta: 5000 events on [0, 1], past
@@ -748,6 +872,70 @@ def test_bank_several_crossings_in_one_step(direction):
         thr = i / 8 if direction == 1 else -1.0 + i / 8
         assert abs(ev.time - abs(thr - z0)) < 1e-9
     assert traj.hysteresis_log["strings"][-1] == ((direction,) * 8,)
+
+
+def test_events_of_identical_axes_share_their_rows():
+    # both axes carry the same bank and move identically, so each relay
+    # switches on both axes at once: the second event of a pair is located
+    # within EVENT_TOL after the first's row and lands on that row
+    spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=8,
+                    fields=(lambda w, z: (1.0 + 0.25 * w, 0.0),
+                            lambda w, z: (0.0, 1.0 + 0.25 * w)))
+    sweep = step((0.0, 1.2, 3.4), (1.0, -1.0))
+    bank = RelayBank.staircase(8, 4)
+    traj = integrate_bank(spec, (sweep, sweep), (0.0, 0.0), (bank, bank), step=1e-2)
+    events = traj.events
+    assert len(events) == 24  # 4 up and 8 down on each axis
+    for a, b in zip(events[::2], events[1::2]):
+        assert {a.operator, b.operator} == {f"axis1.relay{a.index}", f"axis2.relay{a.index}"}
+        assert (a.time, a.new) == (b.time, b.new)
+    assert np.diff(traj.times).min() >= EVENT_TOL
+    for e in events:
+        row = np.flatnonzero(traj.times == e.time)
+        thr = bank.hi[e.index - 1] if e.new == 1 else bank.lo[e.index - 1]
+        assert len(row) == 1
+        assert abs(traj.states[row[0], int(e.operator[4]) - 1] - thr) <= 1e-9
+
+
+@pytest.mark.parametrize("before", [0.5e-12, 1.5e-12, 3e-12])
+def test_event_on_a_row_leaves_the_row_alone(before):
+    # both axes pass their one relay's threshold `before` short of the grid
+    # point 0.5.  Axis 1's event lands on the grid point (within EVENT_TOL of
+    # it) or gets its own row; axis 2's follows within EVENT_TOL after that
+    # row and lands on it, even when the step from the row to the grid point
+    # is within 2 EVENT_TOL: the row keeps its time and state, only its log
+    # entry changes, and every grid point keeps its row
+    spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=1,
+                    fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
+    controls = (const(1.0, 1.0), const(1.0, 1.0))
+    bank = RelayBank((-1.0,), (0.5 - before,), (-1,))
+    both = integrate_bank(spec, controls, (0.0, 0.0), (bank, bank), step=0.25)
+    one = integrate_bank(spec, controls, (0.0, 0.0), (bank, RelayBank((-1.0,), (9.0,), (-1,))),
+                         step=0.25)
+    assert np.array_equal(both.times, one.times)
+    assert np.array_equal(both.states, one.states)
+    assert set(both.times) >= {0.0, 0.25, 0.5, 0.75, 1.0}
+    assert np.diff(both.times).min() >= EVENT_TOL
+    first, second = both.events
+    assert first.time == second.time == one.events[0].time
+    row = np.flatnonzero(both.times == first.time)[0]
+    assert both.hysteresis_log["strings"][row] == ((1,), (1,))
+    assert one.hysteresis_log["strings"][row] == ((1,), (-1,))
+
+
+def test_locator_starting_past_the_threshold_takes_no_step():
+    # after a tie the step can start strictly past a pending threshold: the
+    # crossing is at the start, found without a bisection down to EVENT_TOL
+    from hystctl.dynamics import _locate_event
+
+    calls = []
+
+    def rhs(t, z):
+        calls.append(t)
+        return [1.0]
+
+    assert _locate_event(rhs, 0.0, (0.5,), 0.1, (0.6,), (1.0,), 0.5 - 1e-15, 1) == (0.0, (0.5,))
+    assert calls == []
 
 
 def test_bank_inconsistent_seed():
