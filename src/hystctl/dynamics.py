@@ -470,7 +470,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 if not at_row:
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
-                i = walks[j].switch(d)
+                i, = walks[j].switch(d)
                 events.append(SwitchEvent(t, i + 1, d, label(j, i)))
                 switches[j] += 1
                 if switches[j] > budgets[j]:

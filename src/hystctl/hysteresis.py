@@ -8,15 +8,16 @@ given as (breaks, pieces), its sorted kinks and one (intercept, slope) per
 piece.  A relay bank is RelayBank(lo, hi, outs), its thresholds and one
 output per relay, and a delayed relay is the one-relay bank.  Both
 thresholds strictly increase with the relay index, so the next relay to
-switch is one index each way (wiping-out); _Walk keeps that pair, and
-bank_trace and the relay core of dynamics both read it.  States are small
-frozen value types; updates return new states.
+switch is one index each way (wiping-out); _Walk keeps that pair.  The
+relay core of dynamics switches one relay per event, bank_trace every relay
+an input segment passes at once.  States are small frozen value types.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import ge, lt
 
@@ -228,8 +229,8 @@ class _Walk:
     """A bank's outputs while it switches, and its next switch each way: up,
     the lowest index at -1, and down, the highest at +1.  They are k and -1
     if there is none, where the sentinels his[k] = inf and los[-1] = -inf
-    are never passed.  A switch moves its pointer by a scan from the
-    switched index, one step in a staircase bank."""
+    are never passed.  A switch moves its pointer by a scan past the
+    switched relays, one step in a staircase bank."""
 
     def __init__(self, bank: RelayBank):
         self.outs = list(bank.outs)
@@ -256,51 +257,70 @@ class _Walk:
             return -1, self.los[self.down]
         return None
 
-    def switch(self, s: int) -> int:
-        """Switch the next relay in direction s to s; return its index."""
-        if s == 1:
-            i = self.up
-            self.up, self.down = self._scan(i + 1, 1), max(self.down, i)
-        else:
-            i = self.down
-            self.down, self.up = self._scan(i - 1, -1), min(self.up, i)
-        self.outs[i] = s
-        self.total += 2 * s
-        return i
+    def switch(self, s: int, stop: int | None = None) -> list:
+        """Switch to s every relay at -s from the pointer to stop, exclusive,
+        stepping by s (by default only the next one); return their indices."""
+        p = self.up if s == 1 else self.down
+        stop = p + s if stop is None else stop
+        hit = [i for i in range(p, stop, s) if self.outs[i] != s]
+        a, b = sorted((p, stop - s))  # the relays passed, in index order
+        self.outs[a:b + 1] = [s] * (b + 1 - a)
+        after, last = self._scan(stop, s), hit[-1]
+        self.up, self.down = (after, max(self.down, last)) if s == 1 else (min(self.up, last), after)
+        self.total += 2 * s * len(hit)
+        return hit
+
+
+class _Events(Sequence):
+    """bank_trace's events, read-only: columns time, index, new; rows are SwitchEvents."""
+
+    def __init__(self, time, index, new):
+        self._columns = (time, index, new)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        row = [c[i] for c in self._columns]
+        return _Events(*row) if isinstance(i, slice) else SwitchEvent(*row)
+
+    def __iter__(self):
+        return map(SwitchEvent, *self._columns)
 
 
 def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     """(macroscopic step output, switch events, final bank) along zeta.
 
-    On each input segment the pending relay switches while the segment's end
-    is strictly past its threshold, at the affinely interpolated crossing
-    time, so the events come in time order (two at a bit-equal time on a
-    fall list the higher index first).  An event at the horizon is listed and
-    switches the final bank, but no piece of the output follows it.
+    Each input segment switches every relay its end is strictly past in one
+    _Walk.switch, at the affinely interpolated crossing times: the events, a
+    read-only sequence of SwitchEvent rows, come in time order (a fall lists
+    the higher index first).  One at the horizon is listed but starts no piece.
     """
-    walk = _Walk(bank)
-    if walk.crossed(zeta.knots[0][1]):
+    walk, knots, k = _Walk(bank), zeta.knots, bank.k
+    if walk.crossed(knots[0][1]):
         raise DomainError("bank relay states inconsistent with zeta(0)")
-    k = bank.k
-    events: list[SwitchEvent] = []
-    break_times = [zeta.knots[0][0]]
-    levels = [walk.total / k]
-    T = zeta.horizon
-    for (t0, z0), (t1, z1) in zip(zeta.knots, zeta.knots[1:]):
-        while hit := walk.crossed(z1):
-            s, thr = hit
-            time = t0 + ((thr - z0) / (z1 - z0)) * (t1 - t0)
-            events.append(SwitchEvent(time, walk.switch(s) + 1, s))
-            if time >= T:
-                continue
-            if break_times[-1] < time:
-                break_times.append(time)
-                levels.append(walk.total / k)
-            else:  # simultaneous switches merge into one breakpoint
-                levels[-1] = walk.total / k
-    break_times.append(T)
-    output = StepSignal(TimeGrid(tuple(break_times)), tuple(levels))
-    return output, events, RelayBank(bank.lo, bank.hi, tuple(walk.outs))
+    times, index, new = [], [], []
+    breaks, totals, T = [knots[0][0]], [walk.total], knots[-1][0]
+    for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
+        total, up, down, dz, dt = walk.total, walk.up, walk.down, z1 - z0, t1 - t0
+        if z1 > walk.his[up]:  # the -1s below bisect_left(hi, z1) switch
+            s, thr, hit = 1, bank.hi, walk.switch(1, bisect_left(walk.his, z1, up))
+        elif z1 < walk.los[down]:  # the +1s from bisect_right(lo, z1) on switch
+            s, thr, hit = -1, bank.lo, walk.switch(-1, bisect_right(walk.los, z1, 0, down + 1) - 1)
+        else:
+            continue
+        ts = [t0 + ((thr[i] - z0) / dz) * dt for i in hit]
+        times += ts
+        index += [i + 1 for i in hit]
+        new += [s] * len(hit)
+        for t, level in zip(ts, range(total + 2 * s, walk.total + s, 2 * s)):
+            if breaks[-1] < t < T:
+                breaks.append(t)
+                totals.append(level)
+            elif t <= breaks[-1]:  # merges into the last breakpoint
+                totals[-1] = level
+    output = StepSignal(TimeGrid((*breaks, T)), tuple([v / k for v in totals]))
+    return output, _Events(times, index, new), RelayBank(bank.lo, bank.hi, tuple(walk.outs))
 
 
 def saturation_prefix(zeta: PolylineSignal, lead: float = 1.0, direction: int = 1) -> PolylineSignal:

@@ -73,7 +73,7 @@ class TimeGrid:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(t) for t in self.points)
+        pts = tuple(map(float, self.points))
         object.__setattr__(self, "points", pts)
         _check_breaks(pts, "time grid")
 
@@ -118,11 +118,11 @@ class StepSignal(_Affine):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) != len(self.grid.points) - 1:
             raise DomainError("need exactly one value per grid interval")
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise DomainError("step values must be finite")
 
     def _view(self):

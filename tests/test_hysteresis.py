@@ -1,5 +1,6 @@
 """Play, relay, bank and truncated-play operator semantics."""
 
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,7 @@ from hystctl.hysteresis import (
     PlayState,
     RelayBank,
     RelayState,
+    SwitchEvent,
     bank_trace,
     play_apply,
     play_update,
@@ -348,6 +350,54 @@ def test_bank_event_at_the_horizon():
     assert out.grid.points == (0.0, 4.0) and out.values == (-1.0,)
 
 
+def test_bank_events_are_a_read_only_sequence_of_rows():
+    # a rising sweep of the k=4 bank switches relays 1-3 at 1/4, 1/2, 3/4
+    out, events, _ = bank_trace(RelayBank.staircase(4, 0), PolylineSignal(((0.0, -1.0), (1.0, 1.0))))
+    rows = [(e.time, e.index, e.new) for e in events]
+    assert len(events) == 3 and [(i, new) for _, i, new in rows] == [(1, 1), (2, 1), (3, 1)]
+    assert events[-1] == events[2] == SwitchEvent(*rows[2]) and events[-1].old == -1
+    with pytest.raises(IndexError):
+        events[3]
+    assert list(events[1:]) == list(events)[1:] and len(events[:0]) == 0
+    assert [dataclasses.astuple(e)[:3] for e in events[::-1]] == rows[::-1]
+    assert all(type(t) is float and type(i) is int and type(n) is int for t, i, n in rows)
+    moved = dataclasses.replace(events[0], time=events[0].time + 1e-3)
+    assert type(moved) is SwitchEvent and moved.time == rows[0][0] + 1e-3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        events[0].time = 0.0
+    with pytest.raises(TypeError):
+        events[0] = moved
+    # the output is made of Python floats as well
+    assert all(type(v) is float for v in out.grid.points + out.values)
+
+
+def test_bank_switches_at_a_bit_equal_time_merge():
+    # a rise and a fall, each over two ulps of time: both relays switch at
+    # one float time in each, so one breakpoint carries the later level
+    t_up = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    t_down = math.nextafter(math.nextafter(2.0, 3.0), 3.0)
+    zeta = PolylineSignal(((0.0, 0.0), (1.0, 0.0), (t_up, 1.5), (2.0, 1.5), (t_down, -1.5), (3.0, -1.5)))
+    out, events, final = bank_trace(RelayBank.staircase(2, 0), zeta)
+    up, down = math.nextafter(1.0, 2.0), math.nextafter(2.0, 3.0)
+    assert [(e.time, e.index, e.new) for e in events] == [
+        (up, 1, 1), (up, 2, 1), (down, 2, -1), (down, 1, -1)]  # walk order
+    assert out.grid.points == (0.0, up, down, 3.0) and out.values == (-1.0, 1.0, -1.0)
+    assert final.outs == (-1, -1)
+
+
+def test_bank_switches_merge_across_a_knot():
+    # the first segment ends one ulp past relay 1's hi, so its crossing rounds
+    # onto the knot 1001, and the second starts one ulp below relay 2's hi,
+    # so its crossing rounds onto the knot too: one breakpoint at 1001
+    h = 0.5
+    bank = RelayBank((-1.0, -0.9), (h, math.nextafter(math.nextafter(h, 1.0), 1.0)), (-1, -1))
+    zeta = PolylineSignal(((1000.0, 0.0), (1001.0, math.nextafter(h, 1.0)), (1002.0, 1.0)))
+    out, events, final = bank_trace(bank, zeta)
+    assert [(e.time, e.index, e.new) for e in events] == [(1001.0, 1, 1), (1001.0, 2, 1)]
+    assert out.grid.points == (1000.0, 1001.0, 1002.0) and out.values == (-1.0, 1.0)
+    assert final.outs == (1, 1)
+
+
 def test_saturation_prefix_enters_staircase():
     # a non-staircase state becomes a staircase after the there-and-back ramp
     bank = RelayBank.make((-1, -1, 1, -1))
@@ -411,12 +461,13 @@ def relay_alone(relay, zeta):
 
 
 @st.composite
-def banks_and_inputs(draw):
-    """A bank of k <= 12 relays with consistent, not necessarily staircase,
-    outputs, and an input whose knots often lie exactly on thresholds."""
-    k = draw(st.integers(1, 12))
+def banks_and_inputs(draw, max_k=12, max_knots=10):
+    """A bank of k <= max_k relays with consistent, not necessarily
+    staircase, outputs, and an input of at most max_knots knots that often
+    lie exactly on thresholds."""
+    k = draw(st.integers(1, max_k))
     thresholds = [-1.0 + i / k for i in range(1, k + 1)] + [i / k for i in range(1, k + 1)]
-    n = draw(st.integers(2, 10))
+    n = draw(st.integers(2, max_knots))
     value = st.one_of(st.floats(-1.3, 1.3), st.sampled_from(thresholds))
     values = draw(st.lists(value, min_size=n, max_size=n))
     gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
@@ -431,7 +482,18 @@ def banks_and_inputs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=banks_and_inputs())
 def test_bank_trace_matches_relays_stepped_alone(case):
-    bank, zeta = case
+    assert_matches_relays_stepped_alone(*case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=banks_and_inputs(max_k=64, max_knots=40))
+def test_large_bank_trace_matches_relays_stepped_alone(case):
+    # large enough that a segment passes many relays, some of them already
+    # at its end state, so the pointers scan past several indices
+    assert_matches_relays_stepped_alone(*case)
+
+
+def assert_matches_relays_stepped_alone(bank, zeta):
     alone = [relay_alone(r, zeta) for r in bank.relays]
     # in time order within a segment; at a bit-equal time a rise lists the
     # lower index first and a fall the higher
