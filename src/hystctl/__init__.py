@@ -25,7 +25,6 @@ from .hysteresis import (
     bank_trace,
     play_apply,
     play_update,
-    saturation_prefix,
     truncated_play_apply,
 )
 from .constructions import (

@@ -16,8 +16,10 @@ sum_i (u_i(a) + s_i (t - a)) g_i(z).  A stretch of at least _EXACT_STEPS
 steps, from a piece's start or from an event after a closed-form stretch, is
 tested once (_exact_rows): where its solution has degree <= 4, as with the
 Heisenberg or constant fields, its rows come from that quartic, up to the
-first that passes a pending relay threshold.  Every other row is one
-classical RK4 step, so a field that fails the test gives plain RK4's rows.
+first that passes a pending relay threshold, and they stay one numpy block:
+the rows are kept as blocks (the RK4 rows since the last block as one array)
+and the trajectory is concatenated once.  Every other row is one classical
+RK4 step, so a field that fails the test gives plain RK4's rows.
 
 Switching and bank systems carry relay banks on the projections z.xi_j: a
 switching axis a one-relay bank, a bank axis k relays.  A step is checked
@@ -370,17 +372,19 @@ def _exact_rows(rhs, t, z, b, ts, xi, walks):
             whole = _rk4(rhs, t, z, b - t)
             for i in range(4):
                 nodes.append(_rk4(rhs, t + i * quarter, nodes[-1], quarter))
-            nodes, whole = np.array(nodes, dtype=float), np.array(whole, dtype=float)
-            scale = np.abs(np.vstack([nodes, whole])).max(axis=0)
-            exact = np.isfinite(scale).all() and (np.abs(whole - nodes[4]) <= _EXACT_TOL * scale).all()
+            exact = all(
+                all(map(math.isfinite, col)) and abs(w - q) <= _EXACT_TOL * max(map(abs, col))
+                for w, q, col in zip(whole, nodes[4], zip(whole, *nodes)))
         except Exception:
             exact = False
     if not exact:
         return np.empty((0, len(z)))
     theta = ((ts - t) / quarter)[:, None]
-    rows = 0.0
+    nodes, rows = np.array(nodes, dtype=float), 0.0
     for k in (4, 3, 2, 1, 0):
         rows = np.diff(nodes, k, axis=0)[0] / math.factorial(k) + (theta - k) * rows
+    if not walks:
+        return rows
     proj = rows @ np.reshape(xi, (len(xi), len(z))).T
     his = [walk.his[walk.up] for walk in walks]
     los = [walk.los[walk.down] for walk in walks]
@@ -424,6 +428,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     nominal = sum(nsteps for _, _, nsteps in pieces)
     budgets = [EVENT_BUDGET * (nominal + bank.k) for bank in banks]
     switches = [0] * len(banks)
+    blocks = []  # (times, states) arrays in row order; the RK4 rows since the last one are in lists
     times = [pieces[0][0]]
     states = [z]
     log = [entry]
@@ -445,10 +450,11 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 stretch = len(rows)
                 if stretch:
                     _check_cap(np.abs(rows).max(axis=0))
-                    times.extend(ts[:stretch].tolist())
-                    states.extend(map(tuple, rows.tolist()))
+                    blocks.append((np.array(times), np.reshape(states, (-1, n))))
+                    blocks.append((ts[:stretch].copy(), rows[:stretch].copy()))
+                    times, states = [], []
                     log.extend([entry] * stretch)
-                    t, z = times[-1], states[-1]
+                    t, z = float(ts[stretch - 1]), tuple(rows[stretch - 1].tolist())
                     q += stretch
                     dt = h
                     continue
@@ -466,7 +472,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 z, t = z_new, t_end
             else:
                 s, z_s, j, d = hit
-                at_row = s <= EVENT_TOL and len(times) > 1  # on the row at the step start
+                at_row = s <= EVENT_TOL and len(log) > 1  # on the row at the step start
                 if not at_row:
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
@@ -492,7 +498,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 dt = h
             else:
                 dt = t_end - t
-    return np.asarray(times), np.asarray(states), log, tuple(events)
+    blocks.append((np.array(times), np.reshape(states, (-1, n))))
+    times, states = zip(*blocks)
+    return np.concatenate(times), np.concatenate(states), log, tuple(events)
 
 
 # ---------------------------------------------------------------------------

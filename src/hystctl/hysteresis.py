@@ -322,23 +322,3 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     output = StepSignal(TimeGrid((*breaks, T)), tuple([v / k for v in totals]))
     return output, _Events(times, index, new), RelayBank(bank.lo, bank.hi, tuple(walk.outs))
 
-
-def saturation_prefix(zeta: PolylineSignal, lead: float = 1.0, direction: int = 1) -> PolylineSignal:
-    """Prepend a there-and-back ramp to +-1 so the bank enters its staircase loop.
-
-    The ramp starts at zeta's t0; the returned input w lives on
-    [t0, T + lead], with w(t + lead) = zeta(t) for t in [t0, T].
-    """
-    if direction not in (-1, 1):
-        raise DomainError("direction must be -1 or +1")
-    if not 0.0 < lead < math.inf:
-        raise DomainError("lead time must be positive and finite")
-    t0, z0 = zeta.knots[0]
-    peak = float(direction)
-    knots = [(t0, z0)]
-    if peak != z0:
-        knots.append((t0 + 0.5 * lead, peak))
-    knots.append((t0 + lead, z0))
-    knots.extend((t + lead, v) for t, v in zeta.knots[1:])
-    return PolylineSignal(tuple(knots))
-

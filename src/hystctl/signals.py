@@ -162,7 +162,11 @@ class PolylineSignal(_Affine):
 
     def _view(self):
         t, v = np.array(self.times), np.array([v for _, v in self.knots])
-        return t, v[:-1], (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+        if not (math.isfinite(self.times[-1] - self.times[0]) and np.isfinite(slope).all()):
+            raise DomainError("polyline segments need finite durations and slopes")
+        return t, v[:-1], slope
 
     def slopes(self) -> tuple[float, ...]:
         return tuple(self.affine_view()[2].tolist())

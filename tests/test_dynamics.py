@@ -129,6 +129,20 @@ def test_exactness_test_off_the_fields_domain(root):
     assert traj.final_state[0] == pytest.approx(0.05 ** 2, rel=1e-6)
 
 
+def test_exactness_test_needs_finite_states():
+    # the field is huge only off the times one RK4 step over [0, 1] samples
+    # (0, 1/2 and 1): that step stays at 0 while the quarter steps overflow
+    # to inf, which agrees with 0 to any tolerance relative to an inf scale;
+    # only the rule that all six states be finite refuses the stretch
+    from hystctl.dynamics import _exact_rows
+
+    def rhs(t, z):
+        return [0.0 if t in (0.0, 0.5, 1.0) else 1e308]
+
+    rows = _exact_rows(rhs, 0.0, (0.0,), 1.0, np.linspace(0.0, 1.0, 33), (), [])
+    assert rows.shape == (0, 1)
+
+
 def test_closed_form_rows_past_the_cap_diverge():
     # an exact piece whose rows z = 1e7 t leave the cap at t = 0.1
     with pytest.raises(DivergenceError):
@@ -648,6 +662,27 @@ def test_event_at_the_start_keeps_the_first_row():
     assert (first.operator, first.new) == ("axis1", 1) and 0.0 < first.time <= EVENT_TOL
     assert tuple(traj.states[0]) == (0.3, 0.0) and traj.hysteresis_log["string"][0] == (-1, 1)
     assert traj.times[1] == first.time and traj.hysteresis_log["string"][1] == (1, 1)
+
+
+def test_event_after_a_closed_form_stretch_keeps_its_last_row():
+    # z = (t, t/2) is closed form; axis 1's relay waits for 0.625 + 1e-14,
+    # just past the row at t = 0.625, which ends a stretch of 40 closed-form
+    # rows.  The event is located within EVENT_TOL after that row and lands
+    # on it: the row keeps its time and state and takes the new log entry,
+    # and there is no extra row
+    spec = demo_spec(thresholds=((-1.0, 0.625 + 1e-14), (-1.0, 1.0)))
+    controls = (const(1.0, 1.0), const(1.0, 0.0))
+    traj = integrate_switching(spec, controls, (0.0, 0.0), (-1, 1), step=1 / 64)
+    ref = integrate_plain(spec.field_table[(-1, 1)], controls, (0.0, 0.0), step=1 / 64)
+    assert traj.times.dtype == traj.states.dtype == np.float64
+    assert traj.times.shape == (65,) and traj.states.shape == (65, 2)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states[:41], ref.states[:41])
+    event, = traj.events
+    assert (event.time, event.operator, event.new) == (0.625, "axis1", 1)
+    log = traj.hysteresis_log["string"]
+    assert log[39] == (-1, 1) and log[40] == log[-1] == (1, 1)
+    assert traj.final_state[1] == traj.states[40][1]  # the new field is (1, 0)
 
 
 def test_exact_pieces_are_tested_again_after_an_event():

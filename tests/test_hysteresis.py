@@ -18,7 +18,6 @@ from hystctl.hysteresis import (
     bank_trace,
     play_apply,
     play_update,
-    saturation_prefix,
     truncated_play_apply,
 )
 from hystctl.signals import DomainError, PolylineSignal, sample, sup_distance
@@ -396,38 +395,6 @@ def test_bank_switches_merge_across_a_knot():
     assert [(e.time, e.index, e.new) for e in events] == [(1001.0, 1, 1), (1001.0, 2, 1)]
     assert out.grid.points == (1000.0, 1001.0, 1002.0) and out.values == (-1.0, 1.0)
     assert final.outs == (1, 1)
-
-
-def test_saturation_prefix_enters_staircase():
-    # a non-staircase state becomes a staircase after the there-and-back ramp
-    bank = RelayBank.make((-1, -1, 1, -1))
-    zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4), (2.0, 0.3)))
-    assert bank.consistent_with(zeta.knots[0][1])
-    _, _, final = bank_trace(bank, saturation_prefix(zeta, lead=1.0, direction=1))
-    assert final.is_staircase()
-
-
-def test_saturation_prefix_starts_at_the_input_start():
-    # zeta on [1, 2]: the ramp fills [1, 2], and w(t + lead) = zeta(t) after it
-    zeta = PolylineSignal(((1.0, 0.1), (2.0, -0.4)))
-    w = saturation_prefix(zeta, lead=1.0, direction=1)
-    assert w.knots == ((1.0, 0.1), (1.5, 1.0), (2.0, 0.1), (3.0, -0.4))
-    assert w(2.5) == pytest.approx(zeta(1.5))
-
-
-@pytest.mark.parametrize("lead", [0.0, -1.0, float("nan"), float("inf")])
-def test_saturation_prefix_needs_a_positive_lead(lead):
-    zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4)))
-    with pytest.raises(DomainError, match="lead"):
-        saturation_prefix(zeta, lead=lead)
-
-
-@pytest.mark.parametrize("direction", [0, 3, -2])
-def test_saturation_prefix_direction_is_a_sign(direction):
-    # the ramp goes to +-1; any other peak would not saturate the bank
-    zeta = PolylineSignal(((0.0, 0.1), (1.0, -0.4)))
-    with pytest.raises(DomainError, match="direction"):
-        saturation_prefix(zeta, direction=direction)
 
 
 def test_bank_serialization():

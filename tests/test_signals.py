@@ -1,6 +1,8 @@
 """Signal arithmetic: evaluation, calculus, merged-grid combination, metrics."""
 
 import json
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hystctl.hysteresis import play_apply
 from hystctl.signals import (
     KNOT_TOL,
     DomainError,
@@ -83,6 +86,38 @@ def test_polyline_rejects_nonfinite_knots(bad):
 def test_step_rejects_nonfinite_values(bad):
     with pytest.raises(DomainError, match="finite"):
         step([0.0, 1.0, 2.0], [1.0, bad])
+
+
+@pytest.mark.parametrize("knots", [
+    ((0.0, 0.0), (5e-324, 1.0), (1.0, 1.0)),  # the slope overflows
+    ((-1e308, 0.0), (1e308, 1.0)),  # the duration overflows
+    ((0.0, -1e308), (1.0, 1e308)),  # the rise overflows
+])
+def test_polyline_segments_without_a_finite_slope_are_refused(knots):
+    # such a slope would give left + inf * 0 = NaN at the segment's start;
+    # every read of the signal builds its view first, and that refuses it
+    # with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly = PolylineSignal(knots)
+        for read in (lambda: poly(0.0), lambda: poly.horizon, lambda: sample(poly, [0.0]),
+                     lambda: combine(poly, poly)):
+            with pytest.raises(DomainError, match="finite durations and slopes"):
+                read()
+
+
+def test_ulp_wide_segments_with_finite_slopes_build():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = PolylineSignal(((0.0, 0.0), (5e-324, 0.0), (1.0, 1.0)))
+        assert (flat(0.0), flat(5e-324), flat(0.5)) == (0.0, 0.0, 0.5)
+        # a play keeps the input's one-ulp segment at t = 1 in its output
+        t1 = math.nextafter(1.0, 2.0)
+        zeta = PolylineSignal(((0.0, 0.0), (1.0, 1.0), (t1, t1), (2.0, 0.0)))
+        out = play_apply(zeta, 0.0, 0.2)
+        assert 1.0 in out.times and t1 in out.times
+        assert np.isfinite(out.slopes()).all()
+        assert np.isfinite(sample(out, np.linspace(0.0, 2.0, 9))).all()
 
 
 def test_polyline_needs_two_knots():
