@@ -53,6 +53,5 @@ from .dynamics import (
     integrate_play_controls,
     integrate_play_state,
     integrate_switching,
-    sector_index,
 )
 from .experiments import ExperimentReport, run_experiment

@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from .dynamics import heisenberg_fields, integrate_plain
 from .experiments import (
@@ -56,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
+@cache  # built on the first call, not at import; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="hystctl",

@@ -26,10 +26,12 @@ switching axis a one-relay bank, a bank axis k relays.  A step is checked
 against the next relay to switch on each axis in each direction, one index
 each way as hysteresis keeps it; a step that crosses one is cut at the
 earliest crossing, located to EVENT_TOL by Illinois regula falsi on the RK4
-map (_locate_event), and after the switch resumes to the same grid point.  An
-event within EVENT_TOL of the step's end lands on the grid point, and one
-within EVENT_TOL after its start on the row there (but z0's), which keeps its
-time and state and takes the new log entry.
+map (_locate_event), and after the switch resumes to the same grid point.
+Every RK4 step from one point shares its first stage, computed once, and an
+axis is located only if it is past its threshold at the earliest event
+located so far too.  An event within EVENT_TOL of the step's end lands on
+the grid point, and one within EVENT_TOL after its start on the row there
+(but z0's), which keeps its time and state and takes the new log entry.
 A plain system is the core with no relays, and play in the controls is a
 plain system driven by the play outputs.  An axis may switch at most
 EVENT_BUDGET * (nominal steps + its relays) times; a relay that chatters
@@ -47,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -234,19 +237,17 @@ def _signs(outs: tuple) -> str:
 # ---------------------------------------------------------------------------
 # core stepping
 
-def _rk4(rhs, t, z, h):
-    """One classical RK4 step of z' = rhs(t, z) from (t, z) with step h."""
+def _rk4(rhs, t, z, k1, h):
+    """One classical RK4 step of z' = rhs(t, z) from (t, z) with step h and
+    first stage k1 = rhs(t, z), computed once for every step from (t, z)."""
     hh = 0.5 * h
     tm = t + hh
-    k1 = rhs(t, z)
-    k2 = rhs(tm, tuple(zi + hh * ki for zi, ki in zip(z, k1)))
-    k3 = rhs(tm, tuple(zi + hh * ki for zi, ki in zip(z, k2)))
-    k4 = rhs(t + h, tuple(zi + h * ki for zi, ki in zip(z, k3)))
+    k2 = rhs(tm, tuple([zi + hh * ki for zi, ki in zip(z, k1)]))
+    k3 = rhs(tm, tuple([zi + hh * ki for zi, ki in zip(z, k2)]))
+    k4 = rhs(t + h, tuple([zi + h * ki for zi, ki in zip(z, k3)]))
     h6 = h / 6.0
-    return tuple(
-        zi + h6 * (a + 2.0 * b + 2.0 * c + d)
-        for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
-    )
+    return tuple([zi + h6 * (a + 2.0 * b + 2.0 * c + d)
+                  for zi, a, b, c, d in zip(z, k1, k2, k3, k4)])
 
 
 def _check_cap(z):
@@ -299,16 +300,17 @@ def _checked(selected, z, n):
 
 
 def _proj(z, xi):
-    return sum(c * x for c, x in zip(z, xi))
+    return sum(map(mul, z, xi))
 
 
-def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
+def _locate_event(rhs, t, z, k1, h, z_hi, xi, thr, d):
     """Smallest step fraction at which z.xi first passes thr, rising for
     d = 1 and falling for d = -1.
 
-    z_hi is the RK4 state after the full step h, which is past thr; returns
-    (s, z_s) with the crossing bracketed to EVENT_TOL (or to neighbouring
-    floats) and z_s = RK4(z, s) strictly past the threshold.
+    z_hi is the RK4 state after the full step h, which is past thr, and k1
+    its first stage, shared by every RK4 step here; returns (s, z_s) with the
+    crossing bracketed to EVENT_TOL (or to neighbouring floats) and
+    z_s = RK4(z, s) strictly past the threshold.
 
     A z already past thr (g(0) > 0 below, left by a tie) gives (0, z) at
     once.  Otherwise Illinois regula falsi on g(s) = d (RK4(z, s).xi - thr)
@@ -337,7 +339,7 @@ def _locate_event(rhs, t, z, h, z_hi, xi, thr, d):
             if not lo < s < hi:
                 break  # lo and hi are neighbouring floats
         for _ in range(2):  # the iterate, then its probe
-            z_s = _rk4(rhs, t, z, s)
+            z_s = _rk4(rhs, t, z, k1, s)
             g_s = d * (_proj(z_s, xi) - thr)
             off = max(_PROBE, (2.0 * abs(g_s) + floor) / slope)
             if g_s > 0.0:
@@ -369,9 +371,11 @@ def _exact_rows(rhs, t, z, b, ts, xi, walks):
     nodes = [z]
     with np.errstate(all="ignore"):
         try:
-            whole = _rk4(rhs, t, z, b - t)
+            k1 = rhs(t, z)
+            whole = _rk4(rhs, t, z, k1, b - t)
             for i in range(4):
-                nodes.append(_rk4(rhs, t + i * quarter, nodes[-1], quarter))
+                ti = t + i * quarter
+                nodes.append(_rk4(rhs, ti, nodes[-1], rhs(ti, nodes[-1]) if i else k1, quarter))
             exact = all(
                 all(map(math.isfinite, col)) and abs(w - q) <= _EXACT_TOL * max(map(abs, col))
                 for w, q, col in zip(whole, nodes[4], zip(whole, *nodes)))
@@ -410,7 +414,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     each axis in each direction is located: z.xi_j passes a nearer relay's
     threshold before a farther one's, so the farther relay switches at the
     nearer one's event or later (on the next step if it is past its
-    threshold there too).
+    threshold there too).  An axis is located (on the whole step, with its
+    k1) only if also past its threshold at the earliest event located so
+    far: if not, it crosses later, unless z.xi_j turns back in the step.
     """
     walks = [_Walk(bank) for bank in banks]
     z = _point(z0, n)
@@ -459,13 +465,16 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                     dt = h
                     continue
             t_end = b if q == nsteps else a + q * h
-            z_new = _rk4(rhs, t, z, dt)
+            k1 = rhs(t, z)
+            z_new = _rk4(rhs, t, z, k1, dt)
             hit = None
             for j, (v, walk) in enumerate(zip(xi, walks)):
                 crossed = walk.crossed(_proj(z_new, v))
-                if crossed:
-                    d, thr = crossed
-                    s, z_s = _locate_event(rhs, t, z, dt, z_new, v, thr, d)
+                if not crossed:
+                    continue
+                d, thr = crossed
+                if hit is None or d * (_proj(hit[1], v) - thr) > 0.0:  # it can come first
+                    s, z_s = _locate_event(rhs, t, z, k1, dt, z_new, v, thr, d)
                     if hit is None or s < hit[0]:
                         hit = (s, z_s, j, d)
             if hit is None:
@@ -579,13 +588,6 @@ def integrate_play_state(spec: TriangularSpec, controls, z0, step=1e-3) -> Traje
 
 # ---------------------------------------------------------------------------
 # switching and bank systems: the relay core with one bank per axis
-
-def sector_index(z, spec: SwitchingSpec) -> set:
-    """All m-strings compatible with z under closure semantics."""
-    options = [[w for w in (1, -1) if RelayBank((lo,), (hi,), (w,)).consistent_with(_proj(z, xi))]
-               for xi, (lo, hi) in zip(spec.xi, spec.thresholds)]
-    return set(itertools.product(*options))
-
 
 def integrate_switching(spec: SwitchingSpec, controls, z0, w0_string, step=1e-3) -> Trajectory:
     """Relay-switched system: one delayed relay per axis drives the field choice."""

@@ -132,10 +132,6 @@ class StepSignal(_Affine):
     def to_json(self) -> dict:
         return {"grid": list(self.grid.points), "values": list(self.values)}
 
-    @staticmethod
-    def from_json(data: dict) -> "StepSignal":
-        return StepSignal(TimeGrid(tuple(data["grid"])), tuple(data["values"]))
-
     def csv_rows(self):
         """(t, value) sampled on the native grid."""
         return [(t, self(t)) for t in self.grid.points]
@@ -149,7 +145,10 @@ class PolylineSignal(_Affine):
     times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kn = tuple((float(t), float(v)) for t, v in self.knots)
+        try:
+            kn = tuple((float(t), float(v)) for t, v in self.knots)
+        except (TypeError, ValueError):
+            raise DomainError("polyline knots must be (t, v) pairs of numbers") from None
         object.__setattr__(self, "knots", kn)
         times = tuple(t for t, _ in kn)
         _check_breaks(times, "polyline")
@@ -173,10 +172,6 @@ class PolylineSignal(_Affine):
 
     def to_json(self) -> dict:
         return {"knots": [[t, v] for t, v in self.knots]}
-
-    @staticmethod
-    def from_json(data: dict) -> "PolylineSignal":
-        return PolylineSignal(tuple((t, v) for t, v in data["knots"]))
 
     def csv_rows(self):
         return list(self.knots)
@@ -209,9 +204,10 @@ def _has_bool(x) -> bool:
 
 def signal_from_json(data):
     """The signal whose to_json() equals data, with no JSON bools; else DomainError."""
-    kinds = {("knots",): PolylineSignal, ("grid", "values"): StepSignal}
+    kinds = {("knots",): lambda d: PolylineSignal(tuple(d["knots"])),
+             ("grid", "values"): lambda d: StepSignal(TimeGrid(tuple(d["grid"])), tuple(d["values"]))}
     try:
-        sig = kinds[tuple(sorted(data))].from_json(data)
+        sig = kinds[tuple(sorted(data))](data)
         if sig.to_json() != data or any(map(_has_bool, data.values())):
             raise ValueError("times and values must be JSON numbers")
         return sig

@@ -23,7 +23,6 @@ from hystctl.dynamics import (
     integrate_play_controls,
     integrate_play_state,
     integrate_switching,
-    sector_index,
 )
 from hystctl.hysteresis import RelayBank, play_apply
 from hystctl.signals import (
@@ -584,24 +583,6 @@ def demo_spec(thresholds=None):
                          field_table=table, thresholds=thresholds)
 
 
-def test_sector_index_interior():
-    spec = demo_spec()
-    assert sector_index((1.0, 1.0), spec) == {(1, 1)}
-    assert sector_index((0.0, 1.0), spec) == {(1, 1), (-1, 1)}
-
-
-def test_sector_index_paper_sector():
-    # the sector indexed by (1, -1) is [-eta, inf) x (-inf, eta]
-    spec = demo_spec()
-    assert (1, -1) in sector_index((-0.3, 0.3), spec)
-    assert (1, -1) not in sector_index((-0.31, 0.0), spec)
-    assert (1, -1) not in sector_index((0.0, 0.31), spec)
-
-
-def test_sector_index_nan_is_in_no_sector():
-    assert sector_index((math.nan, 0.0), demo_spec()) == set()
-
-
 def test_switching_one_sector_equals_plain():
     spec = demo_spec()
     controls = (const(1.0, 1.0), const(1.0, 1.0))
@@ -969,7 +950,8 @@ def test_locator_starting_past_the_threshold_takes_no_step():
         calls.append(t)
         return [1.0]
 
-    assert _locate_event(rhs, 0.0, (0.5,), 0.1, (0.6,), (1.0,), 0.5 - 1e-15, 1) == (0.0, (0.5,))
+    located = _locate_event(rhs, 0.0, (0.5,), [1.0], 0.1, (0.6,), (1.0,), 0.5 - 1e-15, 1)
+    assert located == (0.0, (0.5,))
     assert calls == []
 
 

@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -314,3 +315,71 @@ def test_axis_permutation_permutes_the_event_axes(case, data):
         (e.operator, e.new) for e in traj.events]
     assert [e.time for e in other.events] == [e.time for e in traj.events]
     assert np.array_equal(other.states, traj.states)
+
+
+def two_line_system(intervals, first, calls):
+    """(spec, controls, expected events) of two relay-switched lines, one per
+    axis, from z = (0.5, 0.5), w = (1, 1): each interval of 15 steps of 0.04
+    switches both relays once inside its 12th step, axis `first` 0.3 steps
+    in and the other 0.7 in on even intervals, the other way round on odd
+    ones; calls[0] counts the fields' evaluations."""
+    dur, nsteps = 0.6, 15
+    z, out, grid, values, expected = [0.5, 0.5], [1, 1], [0.0], [[], []], []
+    for q in range(intervals):
+        lead = first if q % 2 == 0 else 1 - first
+        cross = {lead: (nsteps - 3.7) * dur / nsteps, 1 - lead: (nsteps - 3.3) * dur / nsteps}
+        for j in (lead, 1 - lead):
+            thr = -LINE_ETA * out[j]
+            values[j].append((thr - z[j]) / (SPEED[out[j]] * cross[j]))
+            z[j] = thr + values[j][-1] * SPEED[-out[j]] * (dur - cross[j])
+            out[j] = -out[j]
+            expected.append((grid[-1] + cross[j], f"axis{j + 1}", out[j]))
+        grid.append(grid[-1] + dur)
+
+    def field(j, c):
+        def g(z):
+            calls[0] += 1
+            return (c, 0.0) if j == 0 else (0.0, c)
+        return g
+
+    table = {(w1, w2): FieldSet(2, 2, (field(0, SPEED[w1]), field(1, SPEED[w2])))
+             for w1 in (1, -1) for w2 in (1, -1)}
+    spec = SwitchingSpec(xi=((1.0, 0.0), (0.0, 1.0)), eta=LINE_ETA, field_table=table)
+    g = TimeGrid(tuple(grid))
+    return spec, tuple(StepSignal(g, tuple(v)) for v in values), expected
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_event_location_cost_when_two_axes_cross_in_one_step(first):
+    # two fields, so every row costs one RK4 step of 8 evaluations.  A step
+    # that crosses both axes is cut at the earlier crossing and the next one
+    # at the later: with k1 shared by every RK4 step from the step's start,
+    # a locator step costs 6 evaluations, and a crossing is located only if
+    # it is past its threshold at the earliest event located so far.  So the
+    # first cut locates one axis when the lower axis leads and two when the
+    # higher one does, the second cut one: 17 evaluations per event with the
+    # new fields' checks (26 if every crossing were located with 8 a step)
+    calls = [0]
+    spec, controls, expected = two_line_system(50, first, calls)
+    traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=0.04)
+    assert [(e.operator, e.new) for e in traj.events] == [(op, new) for _, op, new in expected]
+    assert all(abs(e.time - t) <= TOL for e, (t, _, _) in zip(traj.events, expected))
+    stepping = 8 * (len(traj.times) - 1)
+    assert (calls[0] - stepping) / len(traj.events) <= 20
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_identical_axes_switch_lower_axis_first(k):
+    # both axes carry the same bank and move identically, so each pair of
+    # relays crosses at the same float time: both are located, the tie goes
+    # to the lower axis, and the higher one's event follows on its row
+    spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=k,
+                    fields=(lambda w, z: (1.0 + 0.25 * w, 0.0),
+                            lambda w, z: (0.0, 1.0 + 0.25 * w)))
+    sweep = StepSignal(TimeGrid((0.0, 1.7, 3.9)), (1.0, -1.0))
+    bank = RelayBank.staircase(k, 0)
+    traj = integrate_bank(spec, (sweep, sweep), (-0.2, -0.2), (bank, bank), step=0.03)
+    assert len(traj.events) == 4 * k  # k up and k down on each axis
+    for a, b in zip(traj.events[::2], traj.events[1::2]):
+        assert (a.operator, b.operator) == (f"axis1.relay{a.index}", f"axis2.relay{a.index}")
+        assert (a.time, a.new) == (b.time, b.new)

@@ -125,6 +125,12 @@ def test_polyline_needs_two_knots():
         PolylineSignal(((0.0, 1.0),))
 
 
+@pytest.mark.parametrize("knot", [(1.0, 1.0, 5.0), (1.0,), 1.0, (1.0, "one"), (None, 1.0)])
+def test_polyline_knots_must_be_number_pairs(knot):
+    with pytest.raises(DomainError, match="pairs"):
+        PolylineSignal(((0.0, 0.0), knot))
+
+
 def test_step_evaluation_convention():
     s = step([0.0, 1.0, 2.0], [1.0, -1.0])
     assert s(0.5) == 1.0
