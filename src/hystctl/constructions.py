@@ -2,11 +2,7 @@
 
 Staircase approximants of step controls, exact play-operator inverses,
 alignment maneuvers, bracket loops, and the steering schedules assembled
-from them.  A schedule is m step controls on [0, T], its legs played one
-after another (_then).  The two play inputs, the exact inverse v^k and the
-density input v^j, are one ride of the dead-band edge (_ride) with two swing
-windows.  Everything here is a pure function emitting signals or schedules;
-integration lives in `dynamics`.
+from them, as pure functions emitting signals or schedules.
 """
 
 from __future__ import annotations

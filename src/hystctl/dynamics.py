@@ -1,45 +1,10 @@
 """Trajectory integration for driftless control-affine systems.
 
 Five flavours: plain (no hysteresis), play in the controls, play in the state
-(triangular/chain), delayed-relay switching, and relay-bank systems.  Each
-takes the system, its controls (or play inputs), z0 and the step.  Controls
-that do not share one domain [t0, T] (signals._check_domain) and a z0 that is
-not a point of finite coordinates raise DomainError, and a coordinate that
-leaves [-NORM_CAP, NORM_CAP] or is not finite raises DivergenceError.
-
-All but play in the state run one loop, the relay core.  Its rows are the
-nominal grid a + q*h of each piece between the merged control breakpoints,
-the last exactly b, and Trajectory.sample interpolates linearly between them.
-Controls are affine on a piece (a step signal with slope 0, a polyline such
-as a play output with its own), so the right-hand side is
-sum_i (u_i(a) + s_i (t - a)) g_i(z).  A stretch of at least _EXACT_STEPS
-steps, from a piece's start or from an event after a closed-form stretch, is
-tested once (_exact_rows): where its solution has degree <= 4, as with the
-Heisenberg or constant fields, its rows come from that quartic, up to the
-first that passes a pending relay threshold, and they stay one numpy block:
-the rows are kept as blocks (the RK4 rows since the last block as one array)
-and the trajectory is concatenated once.  Every other row is one classical
-RK4 step, so a field that fails the test gives plain RK4's rows.
-
-Switching and bank systems carry relay banks on the projections z.xi_j: a
-switching axis a one-relay bank, a bank axis k relays.  A step is checked
-against the next relay to switch on each axis in each direction, one index
-each way as hysteresis keeps it; a step that crosses one is cut at the
-earliest crossing, located to EVENT_TOL by Illinois regula falsi on the RK4
-map (_locate_event), and after the switch resumes to the same grid point.
-Every RK4 step from one point shares its first stage, computed once, and an
-axis is located only if it is past its threshold at the earliest event
-located so far too.  An event within EVENT_TOL of the step's end lands on
-the grid point, and one within EVENT_TOL after its start on the row there
-(but z0's), which keeps its time and state and takes the new log entry.
-A plain system is the core with no relays, and play in the controls is a
-plain system driven by the play outputs.  An axis may switch at most
-EVENT_BUDGET * (nominal steps + its relays) times; a relay that chatters
-past that raises DivergenceError.
-
-For triangular systems the x coordinates and the play outputs are computed
-in closed form and only the output integrals are quadratures: one Simpson
-pass over all pieces (_simpson, shared with the planner in `constructions`).
+(triangular/chain), delayed-relay switching, and relay-bank systems.  All but
+play in the state run one loop, the relay core (_integrate), whose rules are
+stated at its parts: _pieces, _affine_rhs, _rk4, _exact_rows, _locate_event.
+Play in the state is closed form but for one Simpson pass (_simpson).
 """
 
 from __future__ import annotations
@@ -53,7 +18,7 @@ from operator import mul
 
 import numpy as np
 
-from .hysteresis import RelayBank, SwitchEvent, _Walk, play_apply
+from .hysteresis import RelayBank, _Events, _Walk, play_apply
 from .signals import (
     DomainError, StepSignal, _affine_on, _check_domain, _point, antiderivative, check_times,
     merge_times, sample,
@@ -164,10 +129,6 @@ class SwitchingSpec:
         for lo, hi in self.thresholds:
             RelayBank((lo,), (hi,), (1,))  # checks the thresholds
 
-    @property
-    def m(self) -> int:
-        return len(self.xi)
-
 
 @dataclass(frozen=True)
 class BankSpec:
@@ -198,7 +159,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     hysteresis_log: dict = field(default_factory=dict)
-    events: tuple = ()
+    events: _Events | tuple = ()
 
     @property
     def final_state(self) -> np.ndarray:
@@ -397,26 +358,32 @@ def _exact_rows(rhs, t, z, b, ts, xi, walks):
 
 
 def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
-    """RK4 on R^n on the nominal grid of every piece, with delayed-relay
-    events on the projections z.xi_j: (times, states, log, events).
+    """RK4 on R^n on the nominal grid a + q*h of every piece, the last point
+    exactly b, with delayed-relay events on the projections z.xi_j:
+    (times, states, log, events).  A stretch of at least _EXACT_STEPS steps,
+    from a piece's start or from an event after a closed-form stretch, is
+    tested once by _exact_rows; every other row is one classical RK4 step.
 
     banks[j] is the RelayBank of axis j.  select(walks) maps the banks'
     current outputs to (fields, log entry); the fields, one per control
     (every selection has as many as the first), are driven by the controls,
     affine on each piece, and each gives n components, checked at every
     selection.  log holds the entry of every row, and the event of relay i
-    on axis j is SwitchEvent(t, i + 1, new, label(j, i)).
+    on axis j is the row (t, i + 1, new, label(j, i)) of events.  An axis
+    that switches more than EVENT_BUDGET * (nominal steps + its relays)
+    times chatters and raises DivergenceError.
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it; if within EVENT_TOL after its
-    start, on the row there, which keeps its time and state), and the next
-    step resumes to the same grid point.  Only the next relay to switch on
-    each axis in each direction is located: z.xi_j passes a nearer relay's
-    threshold before a farther one's, so the farther relay switches at the
-    nearer one's event or later (on the next step if it is past its
-    threshold there too).  An axis is located (on the whole step, with its
-    k1) only if also past its threshold at the earliest event located so
-    far: if not, it crosses later, unless z.xi_j turns back in the step.
+    start, on the row there but z0's, which keeps its time and state and
+    takes the new log entry), and the next step resumes to the same grid
+    point.  Only the next relay to switch on each axis in each direction is
+    located: z.xi_j passes a nearer relay's threshold before a farther
+    one's, so the farther relay switches at the nearer one's event or later
+    (on the next step if it is past its threshold there too).  An axis is
+    located (on the whole step, with its k1) only if also past its
+    threshold at the earliest event located so far: if not, it crosses
+    later, unless z.xi_j turns back in the step.
     """
     walks = [_Walk(bank) for bank in banks]
     z = _point(z0, n)
@@ -438,7 +405,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     times = [pieces[0][0]]
     states = [z]
     log = [entry]
-    events = []
+    events = [], [], [], []  # the columns time, index, new, operator
     for (a, b, nsteps), c0, sl in zip(pieces, u0, slope):
         rhs = _affine_rhs(fields, c0, sl, a, n)
         h = (b - a) / nsteps
@@ -486,7 +453,8 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
                 i, = walks[j].switch(d)
-                events.append(SwitchEvent(t, i + 1, d, label(j, i)))
+                for column, value in zip(events, (t, i + 1, d, label(j, i))):
+                    column.append(value)
                 switches[j] += 1
                 if switches[j] > budgets[j]:
                     raise DivergenceError(
@@ -509,7 +477,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 dt = t_end - t
     blocks.append((np.array(times), np.reshape(states, (-1, n))))
     times, states = zip(*blocks)
-    return np.concatenate(times), np.concatenate(states), log, tuple(events)
+    return np.concatenate(times), np.concatenate(states), log, _Events(*events)
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,6 @@ def _exp_fig5_density(*, j=(10, 20, 40), rho=DEFAULT_RHO):
     return rows, verdict
 
 
-def _thm3_bound(u2bar, xbar_slopes, L, T, j):
-    return L * T * max(abs(v) for v in u2bar.values) * max(abs(s) for s in xbar_slopes) / j
-
-
 def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7):
     rng = np.random.default_rng(seed)
     cases = {"id": (lambda x: x, 1.0), "sin": (np.sin, 1.0)}
@@ -219,14 +215,14 @@ def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7)
         w0 = float(A[0] + rng.uniform(-rho, rho))
         ubar = plan_triangular(f, A, B)
         spec = TriangularSpec((f,), rho, (w0,))
-        xbar_slopes = ubar[0].values
-        T = ubar[0].horizon
+        # Theorem 3 bounds ez by L * T * max|u2bar| * max|xbar'| / j
+        scale = L * ubar[0].horizon * max(map(abs, ubar[1].values)) * max(map(abs, ubar[0].values))
         ez_prev = None
         for ji in j:
             sched = thm3_schedule(ubar, tuple(A), rho, w0, ji)
             traj = integrate_play_state(spec, sched, tuple(A), step=step)
             ex, ey, ez = (abs(float(c)) for c in traj.final_state - B)
-            bound = _thm3_bound(ubar[1], xbar_slopes, L, T, ji)
+            bound = scale / ji
             rows.append({"f": name, "j": ji, "ex": ex, "ey": ey, "ez": ez, "bound": bound})
             verdict &= ex < 1e-8 and ey < 1e-8 and ez <= bound
             if ez_prev is not None:
@@ -276,14 +272,10 @@ SWITCHING_EXPECTED = (
 )
 
 
-def _switching_controls():
-    grid = TimeGrid((0.0, 1.0, 2.0, 4.0))
-    return (StepSignal(grid, (-1.0, 0.0, 1.0)), StepSignal(grid, (0.0, -1.0, 0.0)))
-
-
 def _exp_switching_demo(*, step=1e-3):
     spec = demo_switching_spec()
-    controls = _switching_controls()
+    grid = TimeGrid((0.0, 1.0, 2.0, 4.0))
+    controls = (StepSignal(grid, (-1.0, 0.0, 1.0)), StepSignal(grid, (0.0, -1.0, 0.0)))
     z0 = (0.5, 0.5)
     traj = integrate_switching(spec, controls, z0, (1, 1), step=step)
     traj_half = integrate_switching(spec, controls, z0, (1, 1), step=step / 2.0)
@@ -326,11 +318,6 @@ def _random_zeta(rng, n_knots=6):
     return PolylineSignal(tuple(zip(ts, vs)))
 
 
-def _staircase_seed(zeta0: float, k: int) -> int:
-    """n_plus making the staircase bank and the truncated play co-seeded."""
-    return max(0, min(k, math.ceil(k * zeta0)))
-
-
 def _exp_bank_vs_truncated(*, k=(4, 16, 64), cases=100, seed=3):
     rows = []
     verdict = True
@@ -339,8 +326,8 @@ def _exp_bank_vs_truncated(*, k=(4, 16, 64), cases=100, seed=3):
         worst = 0.0
         for _ in range(cases):
             zeta = _random_zeta(rng)
-            zeta0 = zeta.knots[0][1]
-            n_plus = _staircase_seed(zeta0, ki)
+            # the staircase bank co-seeded with the truncated play
+            n_plus = max(0, min(ki, math.ceil(ki * zeta.knots[0][1])))
             bank = RelayBank.staircase(ki, n_plus)
             w0 = 2.0 * n_plus / ki - 1.0
             wk, _, final = bank_trace(bank, zeta)

@@ -1,16 +1,7 @@
 """Scalar play operator, truncated play, delayed relays and relay banks.
 
 All operators are exact on piecewise-monotone inputs, which is the only class
-we ever feed them (polylines are piecewise monotone).  The play and the
-truncated play are front ends of one generalized play: its output is clamped
-between two nondecreasing piecewise-affine boundary curves of the input, each
-given as (breaks, pieces), its sorted kinks and one (intercept, slope) per
-piece.  A relay bank is RelayBank(lo, hi, outs), its thresholds and one
-output per relay, and a delayed relay is the one-relay bank.  Both
-thresholds strictly increase with the relay index, so the next relay to
-switch is one index each way (wiping-out); _Walk keeps that pair.  The
-relay core of dynamics switches one relay per event, bank_trace every relay
-an input segment passes at once.  States are small frozen value types.
+we ever feed them (polylines are piecewise monotone).
 """
 
 from __future__ import annotations
@@ -20,6 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import ge, lt
+from typing import NamedTuple
 
 from .signals import DomainError, PolylineSignal, StepSignal, TimeGrid
 
@@ -55,7 +47,9 @@ def _play_bounds(rho: float):
 
 
 def _generalized_play(u: PolylineSignal, w0: float, lower, upper) -> PolylineSignal:
-    """Exact output along u of the play between the boundaries lower <= upper.
+    """Exact output along u of the play between the boundaries lower <= upper,
+    nondecreasing piecewise-affine curves of the input, each given as
+    (breaks, pieces): its sorted kinks and one (intercept, slope) per piece.
 
     w is frozen strictly between them; a rising input drags it up along lower,
     a falling one down along upper, and such a segment ends in the one clamp.
@@ -131,17 +125,12 @@ def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
 # ---------------------------------------------------------------------------
 # delayed relays and relay banks (a delayed relay is a one-relay bank)
 
-@dataclass(frozen=True)
-class RelayState:
-    """One relay of a bank, as RelayBank.relays shows it: output -1/+1,
-    switching strictly beyond lo/hi.  The one-relay bank checks it."""
+class RelayState(NamedTuple):
+    """One relay of a bank, as RelayBank.relays shows it."""
 
     lo: float
     hi: float
     out: int
-
-    def __post_init__(self):
-        RelayBank((self.lo,), (self.hi,), (self.out,))
 
 
 @dataclass(frozen=True)
@@ -198,10 +187,6 @@ class RelayBank:
     def k(self) -> int:
         return len(self.outs)
 
-    @property
-    def output(self) -> float:
-        return sum(self.outs) / self.k
-
     @staticmethod
     def make(outputs) -> "RelayBank":
         """One relay per output, k = len(outputs)."""
@@ -218,11 +203,6 @@ class RelayBank:
 
     def is_staircase(self) -> bool:
         return all(map(ge, self.outs, self.outs[1:]))
-
-    def consistent_with(self, zeta: float) -> bool:
-        """Whether every relay's output is one it may hold at the input zeta
-        (never at a NaN)."""
-        return not math.isnan(zeta) and _Walk(self).crossed(zeta) is None
 
 
 class _Walk:
@@ -272,10 +252,11 @@ class _Walk:
 
 
 class _Events(Sequence):
-    """bank_trace's events, read-only: columns time, index, new; rows are SwitchEvents."""
+    """Switch events, read-only: columns time, index, new and (in a relay-core
+    run) operator; rows are SwitchEvents, and a slice is another _Events."""
 
-    def __init__(self, time, index, new):
-        self._columns = (time, index, new)
+    def __init__(self, *columns):
+        self._columns = columns
 
     def __len__(self) -> int:
         return len(self._columns[0])

@@ -1,33 +1,21 @@
 """Piecewise-constant and piecewise-linear scalar time signals on [t0, T].
 
 Every control, play input/output and state coordinate in this package is one
-of these two signal kinds, so the whole toolkit can work with closed-form
-piecewise arithmetic instead of sampling.  Step signals use the half-open
-convention (value of [t_{j-1}, t_j) at t, last interval closed), which makes
-evaluation single-valued without changing any integral.
-
-Step signals, polylines and the PiecewiseAffine results of mixed combinations
-share one view, affine_view() -> (breaks, left, slope) as read-only numpy
-arrays, built once per signal: the signal is left[j] + slope[j]*(t - breaks[j])
-on [breaks[j], breaks[j+1]).  Scalar calls, sampling, breakpoints,
-combination and the metrics are written once on that view, so s(t) and
-sample(s, [t]) agree bit for bit; the binary operations read both operands
-on their merged grid (merge_times), where a run of times each within
-KNOT_TOL of the one before merges into its first.  The three time rules
-(_check_breaks, _in_range, _check_domain) use no tolerance but KNOT_TOL.
+of these signal kinds, so the whole toolkit can work with closed-form
+piecewise arithmetic instead of sampling.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lt
 
 import numpy as np
 
-# Knot times are considered equal when within this relative tolerance;
+# Knot times are considered equal when within this relative tolerance, the
+# one tolerance of the time rules (_check_breaks, _in_range, _check_domain);
 # no other snapping is ever applied.
 KNOT_TOL = 1e-12
 
@@ -78,17 +66,11 @@ class TimeGrid:
         _check_breaks(pts, "time grid")
 
 
-def _piece(breaks, t: float) -> int:
-    """Index of the piece of breaks holding t, half-open with the last closed
-    and a stray _in_range on the end piece; DomainError if not _in_range."""
-    if not _in_range(t, breaks[0], breaks[-1]):
-        raise DomainError(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
-    return bisect_right(breaks, t, 1, len(breaks) - 1) - 1
-
-
 class _Affine:
-    """The signal kinds' one view, built by _view() on first use and kept on
-    the instance (no dataclass field: ==, hash, repr, replace ignore it)."""
+    """The signal kinds' one view, affine_view() -> (breaks, left, slope) as
+    read-only numpy arrays: the signal is left[j] + slope[j]*(t - breaks[j])
+    on [breaks[j], breaks[j+1]).  It is built by _view() on first use and kept
+    on the instance (no dataclass field: ==, hash, repr, replace ignore it)."""
 
     @cached_property
     def _arrays(self):
@@ -105,14 +87,13 @@ class _Affine:
         return float(self._arrays[0][-1])
 
     def __call__(self, t: float) -> float:
-        breaks, left, slope = self._arrays
-        j = _piece(breaks, t)
-        return float(left[j] + slope[j] * (t - breaks[j]))
+        return float(sample(self, [t])[0])
 
 
 @dataclass(frozen=True)
 class StepSignal(_Affine):
-    """Piecewise-constant signal: value values[j] on [t_j, t_{j+1})."""
+    """Piecewise-constant signal: value values[j] on [t_j, t_{j+1}), the last
+    interval closed."""
 
     grid: TimeGrid
     values: tuple[float, ...]
@@ -187,7 +168,7 @@ def check_times(ts, t0: float, T: float) -> np.ndarray:
 
 
 def sample(s, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation (same conventions as scalar evaluation).
+    """The values of s at the times ts (s(t) is sample(s, [t])[0]).
 
     Times outside the horizon raise DomainError, except strays within
     KNOT_TOL, which are evaluated on the nearest piece.
@@ -251,10 +232,6 @@ class PiecewiseAffine(_Affine):
     def _view(self):
         pieces = np.asarray(self.pieces).reshape(-1, 2)
         return np.asarray(self.breaks), pieces[:, 0], pieces[:, 1]
-
-
-def breakpoints(s) -> tuple[float, ...]:
-    return tuple(s.affine_view()[0].tolist())
 
 
 def merge_times(*time_lists) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Integrators: plain RK4, play-in-controls, play-in-state, switching, banks."""
 
 import csv
+import dataclasses
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from hystctl.dynamics import (
     integrate_play_state,
     integrate_switching,
 )
-from hystctl.hysteresis import RelayBank, play_apply
+from hystctl.hysteresis import RelayBank, SwitchEvent, bank_trace, play_apply
 from hystctl.signals import (
     DomainError, PolylineSignal, StepSignal, TimeGrid, antiderivative, merge_times, sample,
 )
@@ -725,6 +726,28 @@ def test_events_of_a_nonlinear_field_lie_on_their_thresholds():
         gap = traj.states[r][0] - (relay.hi if ev.new == 1 else relay.lo)
         assert abs(gap) <= 1e-9 and ev.new * gap > 0.0
     assert (calls[0] - 4 * (len(traj.times) - 1)) / len(traj.events) <= 40
+
+
+def test_relay_core_and_bank_trace_share_one_events_type():
+    # one read-only sequence of SwitchEvent rows; the relay core's rows name
+    # their axis (and relay, in a bank system), bank_trace's have no name
+    _, traced, _ = bank_trace(RelayBank.staircase(2, 0), PolylineSignal(((0.0, 0.0), (2.0, 2.0))))
+    spec = BankSpec(xi=((1.0,),), k=2, fields=(lambda w, z: (1.0,),))
+    bank = integrate_bank(spec, (const(2.0, 1.0),), (0.0,), (RelayBank.staircase(2, 0),), step=0.1)
+    controls = (const(2.0, -1.0), const(2.0, -1.0))
+    switching = integrate_switching(demo_spec(), controls, (0.5, 0.5), (1, 1), step=0.1)
+    for events in (traced, bank.events, switching.events):
+        assert type(events) is type(traced) and len(events) == 2
+        assert all(type(e) is SwitchEvent for e in [*events, events[0], events[-1]])
+        assert list(events) == [events[0], events[1]]
+        head = events[:1]
+        assert type(head) is type(traced) and list(head) == [events[0]]
+    assert [(e.index, e.old, e.new, e.operator) for e in traced] == [(1, -1, 1, ""), (2, -1, 1, "")]
+    assert [(e.index, e.new, e.operator) for e in bank.events] == [
+        (1, 1, "axis1.relay1"), (2, 1, "axis1.relay2")]
+    assert [e.time for e in bank.events] == pytest.approx([e.time for e in traced], abs=1e-12)
+    assert sorted(e.operator for e in switching.events) == ["axis1", "axis2"]
+    assert len(dataclasses.replace(bank, events=bank.events[:-1]).events) == 1
 
 
 def test_event_located_where_floats_are_coarser_than_event_tol():

