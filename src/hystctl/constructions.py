@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import _simpson
-from .hysteresis import _play_bounds, _seed, play_apply
+from .hysteresis import _check_rho, _seed, play_apply
 from .signals import (
     DomainError,
     PolylineSignal,
@@ -122,7 +122,7 @@ def play_inverse_exact(target: PolylineSignal, rho: float, ramp_width: float) ->
     `ramp_width` hosts the 2*rho swing that carries the pair across the
     dead band without moving the output.
     """
-    _play_bounds(rho)  # checks rho
+    _check_rho(rho)
     signs = [_sign(s) for s in target.slopes()]
     x = PolylineSignal(tuple(
         k for k, before, after in zip(target.knots, [1] + signs, signs + [1]) if before or after
@@ -143,7 +143,7 @@ def play_inverse_exact(target: PolylineSignal, rho: float, ramp_width: float) ->
 
 def build_vk(ubar: StepSignal, w0: float, rho: float, k: int) -> PolylineSignal:
     """Input whose play output is exactly build_uk(ubar, w0, k)."""
-    _play_bounds(rho)  # checks rho
+    _check_rho(rho)
     target = build_uk(ubar, w0, k)
     try:
         return play_inverse_exact(target, rho, 1.0 / k)
@@ -161,7 +161,7 @@ def build_vj(x: PolylineSignal, rho: float, j: int) -> PolylineSignal:
     t + 1/j] at each slope reversal t; the play seeded at x(0) then
     reproduces x exactly outside these windows.
     """
-    _play_bounds(rho)  # checks rho
+    _check_rho(rho)
     if rho == 0.0:
         raise DomainError("rho must be positive")
     if j < 1 or 2.0 / j >= np.diff(x.times).min():
@@ -198,7 +198,7 @@ def align_schedule(xA: float, w0: float, rho: float, direction: int) -> tuple[St
     """
     if direction not in (-1, 1):
         raise DomainError("direction must be -1 or +1")
-    _seed(xA, w0, *_play_bounds(rho))
+    _seed(xA, w0, xA - _check_rho(rho), xA + rho)
     legs = ((0.5, -2.0 * rho * direction), (0.5, 4.0 * rho * direction))
     return _then(*((_const(d, s), _const(d, 0.0)) for d, s in legs))
 
@@ -244,7 +244,7 @@ def heis_exact_schedule(
     """
     xA, yA, zA = _point(A, 3)
     xB, yB, zB = _point(B, 3)
-    _seed(xA, w0, *_play_bounds(rho))
+    _seed(xA, w0, xA - _check_rho(rho), xA + rho)
     dy = yB - yA
     legs = [(_const(1.0, 0.0), _const(1.0, dy))]
     dz = zB - (zA + w0 * dy)

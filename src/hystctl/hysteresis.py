@@ -23,65 +23,45 @@ def _clamp(w: float, lo: float, hi: float) -> float:
     return lo if w < lo else hi if w > hi else w
 
 
-def _curve(boundary, xs) -> list:
-    """The boundary's values at the inputs xs."""
-    breaks, pieces = boundary
-    return [a + b * x for x in xs for a, b in (pieces[bisect_right(breaks, x)],)]
-
-
-def _seed(u0: float, w0: float, lower, upper) -> float:
-    """w0 clamped into [lower(u0), upper(u0)]; DomainError unless it is finite
-    and lies there up to _SEED_SLACK * max(1, |u0|, |w0|)."""
-    (lo,), (hi,) = _curve(lower, [u0]), _curve(upper, [u0])
+def _seed(u0: float, w0: float, lo: float, hi: float) -> float:
+    """w0 clamped into the band [lo, hi] at input u0; DomainError unless it
+    is finite and lies there up to _SEED_SLACK * max(1, |u0|, |w0|)."""
     slack = _SEED_SLACK * max(1.0, abs(u0), abs(w0))
     if not (math.isfinite(w0) and lo - slack <= w0 <= hi + slack):
         raise DomainError(f"seed w0={w0} outside [{lo}, {hi}] at input {u0}")
     return _clamp(float(w0), lo, hi)
 
 
-def _play_bounds(rho: float):
-    """The play's boundaries u - rho and u + rho."""
+def _check_rho(rho: float) -> float:
+    """The play's half-width rho as a float; DomainError unless 0 <= rho < inf."""
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"play half-width rho must be finite and >= 0, got {rho}")
-    return ((), ((-float(rho), 1.0),)), ((), ((float(rho), 1.0),))
+    return float(rho)
 
 
-def _generalized_play(u: PolylineSignal, w0: float, lower, upper) -> PolylineSignal:
-    """Exact output along u of the play between the boundaries lower <= upper,
-    nondecreasing piecewise-affine curves of the input, each given as
-    (breaks, pieces): its sorted kinks and one (intercept, slope) per piece.
+def _cross(out: list, t: float, v: float, t1: float) -> None:
+    """Append (t, v), a knot inside a segment ending at t1, t moved to within
+    (last knot, t1) if it rounded out (dropped if v repeats the last knot)."""
+    t = min(t, math.nextafter(t1, -math.inf))
+    t = t if v == out[-1][1] else max(t, math.nextafter(out[-1][0], math.inf))
+    if out[-1][0] < t < t1:
+        out.append((t, v))
 
-    w is frozen strictly between them; a rising input drags it up along lower,
-    a falling one down along upper, and such a segment ends in the one clamp.
-    A knot goes where w meets the boundary it is about to ride and at every
-    kink of that boundary while w rides it, so there is no sampling error.
+
+def _play(knots, w: float, rho: float) -> list:
+    """Exact output knots of the play of half-width rho along the input knots,
+    seeded at w in the strip [u - rho, u + rho]. w stays frozen until the edge
+    that drags it (u - rho on a rise, u + rho on a fall) meets it; a knot goes
+    there, and each segment ends in the one clamp.
     """
-    rides = {}  # direction s -> (kinks, pieces), in the order u passes them
-    for s, (breaks, pieces) in ((1, lower), (-1, upper)):
-        rides[s] = list(zip(breaks, _curve((breaks, pieces), breaks)))[::s], pieces[::s]
-    knots = u.knots
-    us = [v for _, v in knots]
-    lo, hi = _curve(lower, us), _curve(upper, us)
-    w = _seed(knots[0][1], w0, lower, upper)
     out = [(knots[0][0], w)]
-
-    def emit(t, v):
-        if t > out[-1][0]:
-            out.append((t, v))
-
-    for (t0, u0), (t1, u1), lo0, lo1, hi0, hi1 in zip(knots, knots[1:], lo, lo[1:], hi, hi[1:]):
-        s, r0, r1 = (1, lo0, lo1) if u1 > u0 else (-1, -hi0, -hi1)  # pushing boundary, times s
-        if r0 < r1 and s * w <= r1:  # it moves and reaches w within this segment
-            kinks, pieces = rides[s]
-            if r0 < s * w < r1:  # frozen first, then dragged, on the piece after the kinks below w
-                a, b = pieces[sum(s * v < s * w for _, v in kinks)]
-                emit(t0 + ((w - a) / b - u0) * (t1 - t0) / (u1 - u0), w)
-            for x, v in kinks:
-                if s * u0 < s * x < s * u1 and s * v >= s * w:
-                    emit(t0 + (x - u0) * (t1 - t0) / (u1 - u0), v)
-            w = _clamp(w, lo1, hi1)
-        emit(t1, w)
-    return PolylineSignal(tuple(out))
+    for (t0, u0), (t1, u1) in zip(knots, knots[1:]):
+        a = -rho if u1 > u0 else rho  # the edge u + a drags w
+        if u0 + a < w < u1 + a or u1 + a < w < u0 + a:
+            _cross(out, t0 + (w - a - u0) * (t1 - t0) / (u1 - u0), w, t1)
+        w = _clamp(w, u1 - rho, u1 + rho)
+        out.append((t1, w))
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,7 +72,7 @@ class PlayState:
     w: float
 
     def __post_init__(self):
-        _play_bounds(self.rho)  # checks rho
+        _check_rho(self.rho)
         if not math.isfinite(self.w):
             raise DomainError(f"play output w must be finite, got {self.w}")
 
@@ -108,18 +88,26 @@ def play_update(state: PlayState, u_next: float) -> PlayState:
 
 def play_apply(u: PolylineSignal, w0: float, rho: float) -> PolylineSignal:
     """Exact output polyline of the play operator driven by the polyline u."""
-    return _generalized_play(u, w0, *_play_bounds(rho))
-
-
-_TRUNCATED_BOUNDS = (
-    ((0.0, 1.0), ((-1.0, 0.0), (-1.0, 2.0), (1.0, 0.0))),
-    ((-1.0, 0.0), ((-1.0, 0.0), (1.0, 2.0), (1.0, 0.0))),
-)
+    u0, rho = u.knots[0][1], _check_rho(rho)
+    return PolylineSignal(tuple(_play(u.knots, _seed(u0, w0, u0 - rho, u0 + rho), rho)))
 
 
 def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
-    """Exact truncated-play (continuum relay bank) output, between clip(2*zeta -+ 1, -1, 1)."""
-    return _generalized_play(zeta, w0, *_TRUNCATED_BOUNDS)
+    """Exact truncated-play (continuum relay bank) output, between
+    clip(2*zeta -+ 1), clip to [-1, 1]: it is clip(P_1[2*zeta]), the play of
+    half-width 1 driven by 2*zeta, clipped with a knot at each crossing of -+1,
+    as clip is nondecreasing: clip(clamp(w, u - 1, u + 1)) = clamp(clip(w),
+    clip(u - 1), clip(u + 1))."""
+    z0 = zeta.knots[0][1]
+    w = _seed(z0, w0, _clamp(2.0 * z0 - 1.0, -1.0, 1.0), _clamp(2.0 * z0 + 1.0, -1.0, 1.0))
+    p = _play(zeta.knots, _clamp(0.5 * w, z0 - 0.5, z0 + 0.5), 0.5)  # P_1[2*zeta] / 2, 2*zeta may overflow
+    out = [(p[0][0], w)]
+    for (t0, p0), (t1, p1) in zip(p, p[1:]):
+        for c in ((-0.5, 0.5) if p1 > p0 else (0.5, -0.5)):  # in the order p meets them
+            if p0 < c < p1 or p1 < c < p0:
+                _cross(out, t0 + (c - p0) * (t1 - t0) / (p1 - p0), 2.0 * c, t1)
+        out.append((t1, _clamp(2.0 * p1, -1.0, 1.0)))
+    return PolylineSignal(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -284,19 +284,29 @@ def _merged(a, b, ca: float, cb: float):
     return times, left, slope
 
 
+def _finite(x: float, what: str) -> float:
+    """x; DomainError if the arithmetic that gave it overflowed the floats."""
+    if not math.isfinite(x):
+        raise DomainError(f"{what} overflows the floats")
+    return x
+
+
 def combine(a, b, ca: float = 1.0, cb: float = 1.0):
     """Exact ca*a + cb*b on the merged grid.
 
     Same-kind operands stay in their kind; a mixed pair is returned as a
     PiecewiseAffine since a polyline minus a step is discontinuous.
     """
-    times, left, slope = _merged(a, b, ca, cb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, left, slope = _merged(a, b, ca, cb)
+        right = left + slope * np.diff(times)  # the value at each interval's end
     times = tuple(times.tolist())
     if isinstance(a, StepSignal) and isinstance(b, StepSignal):
         return StepSignal(TimeGrid(times), left.tolist())
     if isinstance(a, PolylineSignal) and isinstance(b, PolylineSignal):
-        end = left[-1] + slope[-1] * (times[-1] - times[-2])
-        return PolylineSignal(tuple(zip(times, left.tolist() + [float(end)])))
+        return PolylineSignal(tuple(zip(times, left.tolist() + [float(right[-1])])))
+    if not np.isfinite(right).all():
+        raise DomainError("combine overflows the floats")
     return PiecewiseAffine(times, tuple(zip(left.tolist(), slope.tolist())))
 
 
@@ -306,19 +316,20 @@ def l1_distance(a, b) -> float:
     Each merged interval carries an affine difference, integrated in closed
     form with a split at its sign change.
     """
-    times, c, m = _merged(a, b, 1.0, -1.0)
-    tau = np.diff(times)
-    d0, d1 = np.abs(c), np.abs(c + m * tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        times, c, m = _merged(a, b, 1.0, -1.0)
+        tau = np.diff(times)
+        d0, d1 = np.abs(c), np.abs(c + m * tau)
         r = -c / m  # inf or nan where m == 0, and then no split
-    split = (0.0 < r) & (r < tau)
-    r = np.where(split, r, 0.0)
-    pieces = np.where(split, 0.5 * (d0 * r + d1 * (tau - r)), 0.5 * (d0 + d1) * tau)
-    return float(pieces.sum())
+        split = (0.0 < r) & (r < tau)
+        r = np.where(split, r, 0.0)
+        pieces = np.where(split, 0.5 * (d0 * r + d1 * (tau - r)), 0.5 * (d0 + d1) * tau)
+        return _finite(float(pieces.sum()), "l1_distance")
 
 
 def sup_distance(a, b) -> float:
     """Exact sup of |a - b|, attained at merged breakpoints (one-sided)."""
-    times, c, m = _merged(a, b, 1.0, -1.0)
-    d1 = c + m * np.diff(times)
-    return float(max(np.abs(c).max(initial=0.0), np.abs(d1).max(initial=0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, c, m = _merged(a, b, 1.0, -1.0)
+        d1 = c + m * np.diff(times)
+    return _finite(float(max(np.abs(c).max(initial=0.0), np.abs(d1).max(initial=0.0))), "sup_distance")

@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hystctl.hysteresis import (
@@ -534,7 +536,9 @@ def test_bank_approximates_truncated_play():
 
 
 # ---------------------------------------------------------------------------
-# both front ends of the one generalized-play kernel
+# the play and the truncated play, which is the play of half-width 1 driven
+# by 2*zeta and clipped to [-1, 1]; the dense oracle clamps between the
+# truncated band's own edges clip(2*zeta -+ 1) instead
 
 OPERATORS = {
     "play": (play_apply, play_bounds),
@@ -639,3 +643,72 @@ def test_seed_slack_snaps_and_far_seed_raises(name):
     assert w.knots[0][1] == lo  # snapped into the strip / band
     with pytest.raises(DomainError):
         apply(u, lo - 1e-9, rho)
+
+
+def test_end_knot_survives_a_crossing_rounded_onto_it():
+    # the clip reaches -1 at zeta = 0, a time that rounds to 1.0: that knot
+    # moves back one ulp, and the end knot keeps its value 2 * 0.75 - 1
+    w = truncated_play_apply(PolylineSignal(((0.0, -5e16), (1.0, 0.75))), -1.0)
+    assert w.knots == ((0.0, -1.0), (math.nextafter(1.0, 0.0), -1.0), (1.0, 0.5))
+    # the play's edge u - rho reaches w = rho at u = 2e17, which rounds to t = 1
+    w = play_apply(PolylineSignal(((0.0, 0.0), (1.0, 2e17 + 32.0))), 1e17, 1e17)
+    assert w.knots == ((0.0, 1e17), (math.nextafter(1.0, 0.0), 1e17), (1.0, 1e17 + 32.0))
+
+
+def test_truncated_play_near_the_float_limit():
+    # 2 * zeta would overflow here; the clip meets 1 within one ulp after
+    # t = 1, onto the knot there, so it moves one ulp on, as the crossing
+    # before t = 1 moves one ulp back
+    zeta = PolylineSignal(((0.0, 1e308), (1.0, -1.0), (2.0, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = truncated_play_apply(zeta, 1.0)
+    assert w.knots == ((0.0, 1.0), (math.nextafter(1.0, 0.0), 1.0), (1.0, -1.0),
+                       (math.nextafter(1.0, 2.0), 1.0), (2.0, 1.0))
+
+
+def knots_in_band(u, w, lower, upper):
+    """Every knot of w within [lower, upper] of u at its time, up to the
+    rounding of the values and, inside a segment of u, of the time."""
+    times = u.times
+    for t, v in w.knots:
+        j = min(max(np.searchsorted(times, t, side="right") - 1, 0), len(times) - 2)
+        (t0, u0), (t1, u1) = u.knots[j], u.knots[j + 1]
+        if t in (t0, t1):
+            ut, du = (u0 if t == t0 else u1), 0.0
+        else:  # u at t in exact arithmetic, and how far u moves over a few ulps of t
+            ut = float(Fraction(u0) + (Fraction(u1) - Fraction(u0)) * (Fraction(t) - Fraction(t0))
+                       / (Fraction(t1) - Fraction(t0)))
+            du = 8 * abs(u1 - u0) / (t1 - t0) * math.ulp(t1)
+        eps = 4 * math.ulp(1.0 + abs(v) + abs(ut))
+        assert lower(ut - du) - eps <= v <= upper(ut + du) + eps, (t, v, ut)
+
+
+@st.composite
+def large_start_polylines(draw):
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    values = [draw(st.floats(-1e17, 1e17))] + draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1))
+    return PolylineSignal(tuple(zip(np.concatenate([[0.0], np.cumsum(gaps)]), values)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(u=large_start_polylines(), frac=st.floats(0.0, 1.0), rho=st.floats(0.0, 1.0), c=st.floats(-1e3, 1e3))
+@example(u=PolylineSignal(((0.0, -5e16), (1.0, 0.75))), frac=0.0, rho=1.0, c=1.0)
+def test_play_operators_across_magnitudes(u, frac, rho, c):
+    # a first value up to 1e17 drags the output across many ulps of [-2, 2]
+    # in one segment: every knot stays in its strip or band, with no warning,
+    # and the play still commutes with a shift
+    u0 = u.knots[0][1]
+    lower, upper = truncated_bounds()
+    lo, hi = float(lower(u0)), float(upper(u0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = play_apply(u, u0 - rho + frac * 2.0 * rho, rho)
+        moved = play_apply(shifted(u, c), u0 - rho + frac * 2.0 * rho + c, rho)
+        tr = truncated_play_apply(u, lo + frac * (hi - lo))
+    knots_in_band(u, w, *play_bounds(rho))
+    knots_in_band(u, tr, lambda x: min(1.0, max(-1.0, 2.0 * x - 1.0)),
+                  lambda x: min(1.0, max(-1.0, 2.0 * x + 1.0)))
+    scale = max(abs(v) for _, v in u.knots) + abs(c) + 4.0
+    assert sup_distance(moved, shifted(w, c)) <= 16 * math.ulp(scale)

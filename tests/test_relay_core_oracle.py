@@ -9,6 +9,7 @@ switching_interval and bank_walk oracles, so that these tests do not import
 the benchmark).
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from hystctl.dynamics import (
     EVENT_BUDGET, EVENT_TOL, BankSpec, FieldSet, SwitchingSpec, integrate_bank,
     integrate_switching,
 )
+from hystctl.experiments import demo_switching_spec
 from hystctl.hysteresis import RelayBank
 from hystctl.signals import StepSignal, TimeGrid
 
@@ -276,6 +278,23 @@ def test_event_location_cost_at_offset_thresholds(c):
     assert all(abs(e.time - t) <= TOL for e, (t, *_) in zip(traj.events, expected))
     stepping = 4 * (len(traj.times) - 1)
     assert (calls[0] - stepping) / len(traj.events) <= 12
+
+
+@pytest.mark.parametrize("c", [1e3, -1e3, 1e5, -1e5])
+def test_switching_demo_commutes_with_a_translation(c):
+    # z0 and every threshold of the demo moved by c along both axes: its
+    # fields are constant, so the same switches, at times that move only by
+    # the rounding of the shifted state, a few ulp(c) per event
+    spec = demo_switching_spec()
+    moved = dataclasses.replace(spec, thresholds=tuple((lo + c, hi + c) for lo, hi in spec.thresholds))
+    grid = TimeGrid((0.0, 1.0, 2.0, 4.0))
+    controls = (StepSignal(grid, (-1.0, 0.0, 1.0)), StepSignal(grid, (0.0, -1.0, 0.0)))
+    traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-3)
+    traj_c = integrate_switching(moved, controls, (0.5 + c, 0.5 + c), (1, 1), step=1e-3)
+    assert [(e.operator, e.new) for e in traj_c.events] == [(e.operator, e.new) for e in traj.events]
+    assert len(traj.events) == 3
+    assert all(abs(ec.time - e.time) <= 4 * (i + 1) * math.ulp(c)
+               for i, (ec, e) in enumerate(zip(traj_c.events, traj.events)))
 
 
 @PROPERTY

@@ -303,6 +303,27 @@ def test_operands_must_share_the_start_time(op):
                 op(x, y)
 
 
+A_RISE = PolylineSignal(((0.0, 0.0), (1.0, 1e308)))
+A_FALL = PolylineSignal(((0.0, 0.0), (1.0, -1e308)))
+A_STEP = StepSignal(TimeGrid((0.0, 1.0)), (1e308,))
+
+
+@pytest.mark.parametrize("op, a, b, coefficients", [
+    (combine, A_RISE, A_FALL, (1.0, -1.0)),
+    (combine, A_STEP, A_STEP, (1e308, 1e308)),
+    (combine, A_STEP, A_RISE, (1e308, 1e308)),
+    (combine, A_RISE, A_STEP, (1.0, 1.0)),
+    (l1_distance, A_RISE, A_FALL, ()),
+    (sup_distance, A_RISE, A_FALL, ()),
+], ids=["polyline", "step", "mixed-scaled", "mixed", "l1", "sup"])
+def test_results_past_the_floats_raise_without_a_warning(op, a, b, coefficients):
+    # finite operands whose difference or scaled sum is past 1.8e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            op(a, b, *coefficients)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
