@@ -152,11 +152,14 @@ def _config(command: str, args: dict) -> RunConfig:
 
     if exp is not None:
         cfg.experiment = _resolve_experiment(str(exp))
+        named = raw.get("experiment")  # the config's, which the command line overrides
+        if named is not None and _resolve_experiment(str(named)) != cfg.experiment:
+            raise _UsageError(f"the config names experiment {named!r}, not {cfg.experiment}")
         cfg.params = parse_params(cfg.experiment, given)
         return cfg
     cfg.extra = _sim_extra(given)
-    if not cfg.out:
-        raise _UsageError("config-driven sim needs an --out path")
+    if not cfg.out or cfg.manifest:
+        raise _UsageError("config-driven sim needs an --out path and writes no manifest")
     return cfg
 
 

@@ -274,27 +274,27 @@ def _locate_event(rhs, t, z, k1, h, z_hi, xi, thr, d):
     z_s = RK4(z, s) strictly past the threshold.
 
     A z already past thr (g(0) > 0 below, left by a tie) gives (0, z) at
-    once.  Otherwise Illinois regula falsi on g(s) = d (RK4(z, s).xi - thr)
-    keeps a bracket [lo, hi] with g(lo) <= 0 < g(hi), and an end kept twice
-    in a row weighs half.  Each iterate is probed to its other side, by
-    twice its distance to the root as the secant slope estimates it plus
-    _PROBE_ULPS ulps of thr, and at least _PROBE, so the bracket closes
-    around a close iterate at once; with constant fields g is affine and
-    the first iterate is the root to rounding.  An iterate that
-    does not halve the bracket is followed by a halving, so a call takes at
-    most about 2 log2(h / EVENT_TOL) iterates of two RK4 steps each.
+    once.  Otherwise a bracket [lo, hi] with g(lo) <= 0 < g(hi), where
+    g(s) = d (RK4(z, s).xi - thr), shrinks by three rules, floor being
+    _PROBE_ULPS ulps of thr: the secant iterate, at least max(_PROBE,
+    floor / slope, ulp(t)) above lo (so a z on thr pins neither s to lo nor
+    t + s to t); its probe to the other side, by twice its distance to the
+    root as the secant slope estimates it plus floor, and at least _PROBE,
+    which closes the bracket around a close iterate at once (with constant
+    fields g is affine and the first iterate is the root to rounding); and
+    a bisection after a round that does not halve the bracket, which alone
+    bounds a call to about 2 log2(h / EVENT_TOL) rounds of two RK4 steps.
     """
     lo, hi = 0.0, h
     g_lo, g_hi = d * (_proj(z, xi) - thr), d * (_proj(z_hi, xi) - thr)
     if g_lo > 0.0:
         return lo, z
-    kept = 0  # the end the last evaluation moved: 1 for hi, -1 for lo
     floor = _PROBE_ULPS * math.ulp(abs(thr) + 1.0)
     halve = False
     while hi - lo > EVENT_TOL:
         width = hi - lo
         slope = (g_hi - g_lo) / width
-        s = lo - g_lo / slope
+        s = max(lo - g_lo / slope, lo + max(_PROBE, floor / slope, math.ulp(t)))
         if halve or not lo < s < hi:
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
@@ -304,14 +304,10 @@ def _locate_event(rhs, t, z, k1, h, z_hi, xi, thr, d):
             g_s = d * (_proj(z_s, xi) - thr)
             off = max(_PROBE, (2.0 * abs(g_s) + floor) / slope)
             if g_s > 0.0:
-                if kept == 1:
-                    g_lo *= 0.5
-                hi, g_hi, z_hi, kept = s, g_s, z_s, 1
+                hi, g_hi, z_hi = s, g_s, z_s
                 s = hi - off
             else:
-                if kept == -1:
-                    g_hi *= 0.5
-                lo, g_lo, kept = s, g_s, -1
+                lo, g_lo = s, g_s
                 s = lo + off
             if not lo < s < hi:
                 break

@@ -107,7 +107,8 @@ def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
             if p0 < c < p1 or p1 < c < p0:
                 _cross(out, t0 + (c - p0) * (t1 - t0) / (p1 - p0), 2.0 * c, t1)
         out.append((t1, _clamp(2.0 * p1, -1.0, 1.0)))
-    return PolylineSignal(tuple(out))
+    inner = [b for a, b, c in zip(out, out[1:], out[2:]) if not a[1] == b[1] == c[1] in (-1.0, 1.0)]
+    return PolylineSignal((out[0], *inner, out[-1]))  # no knot inside a run at -+1
 
 
 # ---------------------------------------------------------------------------

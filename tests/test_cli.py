@@ -77,6 +77,17 @@ def test_usage_error_unknown_experiment(capsys):
     assert main(["sim", "not_an_experiment"]) == 2
 
 
+def test_usage_error_config_names_another_experiment(tmp_path, capsys):
+    # the subcommand names one experiment and the config another: neither
+    # silently wins; a config naming the same one (a unique prefix too) is fine
+    path = write_json(tmp_path / "cfg.json", {"experiment": "thm2_convergence", "rho": 0.3})
+    assert main(["fig5_density", "--config", path]) == 2
+    assert main(["sim", "fig5_density", "--config", path]) == 2
+    assert capsys.readouterr().err.count("usage error") == 2
+    path = write_json(tmp_path / "cfg.json", {"experiment": "fig5", "rho": 0.3})
+    assert parse_config(["fig5_density", "--config", path]).experiment == "fig5_density"
+
+
 def test_usage_error_unknown_config_key(tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json",
                       {"experiment": "fig5_density", "banana": 1})
@@ -275,6 +286,17 @@ def test_config_driven_sim_usage_error(tmp_path, edit, flags, capsys):
     out = str(tmp_path / "traj.csv")
     assert main(["sim", "--config", path, "--out", out] + flags) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_usage_error_config_driven_sim_manifest(tmp_path, capsys):
+    # a config-driven sim writes no manifest: asking for one is an error,
+    # not a silent no-op
+    path = write_json(tmp_path / "sim.json", HEIS_SIM)
+    argv = ["sim", "--config", path, "--out", str(tmp_path / "t.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("edit", [

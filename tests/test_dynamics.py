@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -976,6 +977,50 @@ def test_locator_starting_past_the_threshold_takes_no_step():
     located = _locate_event(rhs, 0.0, (0.5,), [1.0], 0.1, (0.6,), (1.0,), 0.5 - 1e-15, 1)
     assert located == (0.0, (0.5,))
     assert calls == []
+
+
+@pytest.mark.parametrize("t", [0.0, 10.0, 1000.0])
+def test_locator_starting_on_the_threshold_takes_one_step(t):
+    # g(0) = 0: the secant iterate would be the step's start itself, so it is
+    # held above it, by one ulp of t at least, and one RK4 step (3 fresh
+    # evaluations) closes the bracket instead of a bisection down to EVENT_TOL
+    from hystctl.dynamics import _locate_event
+
+    calls = []
+
+    def rhs(t, z):
+        calls.append(t)
+        return [1.0]
+
+    s, z_s = _locate_event(rhs, t, (0.5,), [1.0], 0.1, (0.6,), (1.0,), 0.5, 1)
+    assert 0.0 < s <= EVENT_TOL and t + s > t and z_s[0] > 0.5
+    assert len(calls) == 3
+
+
+def test_locator_work_is_bounded_on_curved_crossings():
+    # z' = p t^(p - 1), so z = t^p, curved for p != 1: a crossing at a
+    # fraction of the step's rise from 1e-9 (next to the start) to 0.3, up
+    # or down, from starts up to 1e5.  The bisection after each round that
+    # does not halve the bracket bounds a call at about 2 log2(h / EVENT_TOL)
+    # rounds of two RK4 steps of 3 fresh evaluations each
+    from hystctl.dynamics import _locate_event, _rk4
+
+    h, calls = 1.0, [0]
+    bound = 3 * 2 * (2 * math.log2(h / EVENT_TOL) + 2)
+    for p, t0, frac, d in itertools.product((0.5, 2.0, 3.0, 4.0), (1e-3, 1.0, 1e3, 1e5),
+                                            (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3), (1, -1)):
+        def rhs(t, z, p=p):
+            calls[0] += 1
+            return [p * t ** (p - 1)]
+
+        z = (t0 ** p,)
+        k1 = rhs(t0, z)
+        z_hi = _rk4(rhs, t0, z, k1, h)
+        thr = d * (z[0] + frac * (z_hi[0] - z[0]))
+        calls[0] = 0
+        s, z_s = _locate_event(rhs, t0, z, k1, h, z_hi, (float(d),), thr, d)
+        assert 0.0 < s < h and d * (d * z_s[0] - thr) > 0.0
+        assert calls[0] <= bound, (p, t0, frac, d, calls[0])
 
 
 def test_bank_inconsistent_seed():

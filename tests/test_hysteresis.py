@@ -624,6 +624,31 @@ def test_truncated_crossing_knot_carries_frozen_value():
     assert (0.55, 0.1) in w.knots
 
 
+def test_truncated_output_has_no_knot_inside_a_run_at_a_bound():
+    # the output reaches 1 at t = 2/3 and stays there: two knots, not six
+    zeta = PolylineSignal(((0.0, 0.0), (1.0, 1.5), (2.0, 2.0), (3.0, 1.2), (4.0, 0.0)))
+    assert truncated_play_apply(zeta, 0.0).knots == (
+        (0.0, 0.0), (0.3333333333333333, 0.0), (0.6666666666666667, 1.0), (4.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=polylines(), frac=st.floats(0.0, 1.0))
+def test_truncated_play_is_the_clipped_play_without_knots_inside_runs(u, frac):
+    # at every knot of the underlying play the output is clip(2 p), exactly
+    # where that is -1 or +1 (a run whose inner knots are gone), and no
+    # three neighbouring knots share a bound
+    lower, upper = truncated_bounds()
+    u0 = u.knots[0][1]
+    w0 = float(lower(u0) + frac * (upper(u0) - lower(u0)))
+    w = truncated_play_apply(u, w0)
+    vals = [v for _, v in w.knots]
+    assert not any(a == b == c in (-1.0, 1.0) for a, b, c in zip(vals, vals[1:], vals[2:]))
+    times, p = np.array(play_apply(u, min(max(0.5 * w0, u0 - 0.5), u0 + 0.5), 0.5).knots).T
+    ref, got = np.clip(2.0 * p, -1.0, 1.0), sample(w, times)
+    assert np.array_equal(got[np.abs(ref) == 1.0], ref[np.abs(ref) == 1.0])
+    assert np.abs(got - ref).max() <= 4 * math.ulp(1.0)
+
+
 def test_play_segment_starting_on_boundary_adds_no_crossing_knot():
     # (u0 - rho) + rho rounds above u0 here, so a crossing test in input space
     # (u0 < w + rho) would add a knot just after t = 0

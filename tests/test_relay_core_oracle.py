@@ -280,20 +280,73 @@ def test_event_location_cost_at_offset_thresholds(c):
     assert (calls[0] - stepping) / len(traj.events) <= 12
 
 
+def counted(spec, calls):
+    """spec with every field of its table counting its evaluations in calls[0]."""
+    def count(g):
+        def f(z):
+            calls[0] += 1
+            return g(z)
+        return f
+
+    table = {s: FieldSet(fs.n, fs.m, tuple(map(count, fs.fields))) for s, fs in spec.field_table.items()}
+    return dataclasses.replace(spec, field_table=table)
+
+
 @pytest.mark.parametrize("c", [1e3, -1e3, 1e5, -1e5])
 def test_switching_demo_commutes_with_a_translation(c):
     # z0 and every threshold of the demo moved by c along both axes: its
     # fields are constant, so the same switches, at times that move only by
-    # the rounding of the shifted state, a few ulp(c) per event
+    # the rounding of the shifted state, a few ulp(c) per event.  Its events
+    # sit on grid points, where the shifted state rounds exactly onto the
+    # threshold: the next step starts on it, and its event costs a secant
+    # step, not a bisection down to EVENT_TOL
+    calls, calls_c = [0], [0]
     spec = demo_switching_spec()
     moved = dataclasses.replace(spec, thresholds=tuple((lo + c, hi + c) for lo, hi in spec.thresholds))
     grid = TimeGrid((0.0, 1.0, 2.0, 4.0))
     controls = (StepSignal(grid, (-1.0, 0.0, 1.0)), StepSignal(grid, (0.0, -1.0, 0.0)))
-    traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=1e-3)
-    traj_c = integrate_switching(moved, controls, (0.5 + c, 0.5 + c), (1, 1), step=1e-3)
+    traj = integrate_switching(counted(spec, calls), controls, (0.5, 0.5), (1, 1), step=1e-3)
+    traj_c = integrate_switching(counted(moved, calls_c), controls, (0.5 + c, 0.5 + c), (1, 1),
+                                 step=1e-3)
     assert [(e.operator, e.new) for e in traj_c.events] == [(e.operator, e.new) for e in traj.events]
     assert len(traj.events) == 3
     assert all(abs(ec.time - e.time) <= 4 * (i + 1) * math.ulp(c)
+               for i, (ec, e) in enumerate(zip(traj_c.events, traj.events)))
+    assert calls_c[0] <= (calls[0] + 10 if abs(c) < 1e4 else 1.5 * calls[0])
+
+
+@pytest.mark.parametrize("t0", [0.0, 10.0, 1000.0])
+def test_start_on_a_threshold_keeps_the_rows_apart(t0):
+    # z0 exactly on the threshold its relay awaits, moving past it: the
+    # switch comes within EVENT_TOL, on a row of its own after z0's (at
+    # t0 = 1000, t0 + _PROBE rounds to t0)
+    spec = demo_switching_spec()
+    grid = TimeGrid((t0, t0 + 1.0))
+    controls = (StepSignal(grid, (-1.0,)), StepSignal(grid, (0.0,)))
+    traj = integrate_switching(spec, controls, (spec.thresholds[0][0], 0.5), (1, 1), step=1e-2)
+    assert [(e.operator, e.new) for e in traj.events] == [("axis1", -1)]
+    assert 0.0 < traj.events[0].time - t0 <= EVENT_TOL
+    assert traj.times[1] == traj.events[0].time
+    assert np.diff(traj.times).min() > 0.0
+
+
+@pytest.mark.parametrize("c", [1e3, -1e3, 1e5, -1e5])
+def test_bank_system_commutes_with_a_translation(c):
+    # z0 and every threshold of both banks moved by c: the fields depend on
+    # the outputs alone, so the same switches, at times that move by the
+    # rounding of the shifted state over speeds below 1, a few ulp(c) per event
+    k = 8
+    spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=k,
+                    fields=(lambda w, z: (0.6 + 0.3 * w, 0.0), lambda w, z: (0.0, 1.0 + 0.4 * w)))
+    bank = RelayBank.staircase(k, k // 2)
+    moved = RelayBank(tuple(lo + c for lo in bank.lo), tuple(hi + c for hi in bank.hi), bank.outs)
+    grid = TimeGrid((0.0, 1.5, 4.0, 5.0))
+    controls = (StepSignal(grid, (1.0, -1.0, 0.5)), StepSignal(grid, (-1.0, 0.0, 2.5)))
+    traj = integrate_bank(spec, controls, (0.05, 0.05), (bank, bank), step=0.01)
+    traj_c = integrate_bank(spec, controls, (0.05 + c, 0.05 + c), (moved, moved), step=0.01)
+    assert [(e.operator, e.new) for e in traj_c.events] == [(e.operator, e.new) for e in traj.events]
+    assert len(traj.events) == 18
+    assert all(abs(ec.time - e.time) <= 8 * (i + 1) * math.ulp(c)
                for i, (ec, e) in enumerate(zip(traj_c.events, traj.events)))
 
 
