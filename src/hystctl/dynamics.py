@@ -176,17 +176,13 @@ class Trajectory:
     def to_csv(self, path: str) -> None:
         """One row per time; a relay log entry is written as +/- per relay,
         one string per axis of a bank joined by '|' (as ++--|+---)."""
-        n = self.states.shape[1]
-        log_keys = sorted(self.hysteresis_log)
+        keys = sorted(self.hysteresis_log)
+        logs = [[_signs(v) if isinstance(v, tuple) else v for v in self.hysteresis_log[key]]
+                for key in keys]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t"] + [f"z{i + 1}" for i in range(n)] + log_keys)
-            for idx in range(len(self.times)):
-                row = [self.times[idx]] + list(self.states[idx])
-                for key in log_keys:
-                    val = self.hysteresis_log[key][idx]
-                    row.append(_signs(val) if isinstance(val, tuple) else val)
-                w.writerow(row)
+            w.writerow(["t"] + [f"z{i + 1}" for i in range(self.states.shape[1])] + keys)
+            w.writerows([t, *z, *vals] for t, z, *vals in zip(self.times, self.states, *logs))
 
 
 def _signs(outs: tuple) -> str:
@@ -252,12 +248,12 @@ def _affine_rhs(fields, u0, slope, a, n):
     return rhs
 
 
-def _checked(selected, z, n):
-    """The selection (fields, log entry), once each field gives n components at z."""
-    for g in selected[0]:
+def _checked(fields, z, n):
+    """The fields, once each gives n components at z."""
+    for g in fields:
         if (got := len(g(z))) != n:
             raise DomainError(f"a field gives {got} components, the state has {n}")
-    return selected
+    return fields
 
 
 def _proj(z, xi):
@@ -353,7 +349,7 @@ def _exact_rows(rhs, t, z, b, ts, xi, walks):
     return rows[: passed.argmax()]
 
 
-def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
+def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry=None):
     """RK4 on R^n on the nominal grid a + q*h of every piece, the last point
     exactly b, with delayed-relay events on the projections z.xi_j:
     (times, states, log, events).  A stretch of at least _EXACT_STEPS steps,
@@ -361,29 +357,31 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     tested once by _exact_rows; every other row is one classical RK4 step.
 
     banks[j] is the RelayBank of axis j.  select(walks) maps the banks'
-    current outputs to (fields, log entry); the fields, one per control
-    (every selection has as many as the first), are driven by the controls,
-    affine on each piece, and each gives n components, checked at every
-    selection.  log holds the entry of every row, and the event of relay i
-    on axis j is the row (t, i + 1, new, label(j, i)) of events.  An axis
-    that switches more than EVENT_BUDGET * (nominal steps + its relays)
-    times chatters and raises DivergenceError.
+    current outputs to the fields, one per control (every selection has as
+    many as the first), driven by the controls, affine on each piece; each
+    gives n components, checked at every selection.  The event of relay i on
+    axis j is the row (t, i + 1, new, label(j, i)) of events, t being its
+    row's time bit for bit.  An axis that switches more than EVENT_BUDGET *
+    (nominal steps + its relays) times chatters and raises DivergenceError.
+    Only rows and events are kept: log is None without entry, else the
+    entry(outs) of each row, outs replayed from the banks' outputs by the
+    events up to its time (exact, as rows strictly increase past z0's).
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it; if within EVENT_TOL after its
-    start, on the row there but z0's, which keeps its time and state and
-    takes the new log entry), and the next step resumes to the same grid
-    point.  Only the next relay to switch on each axis in each direction is
-    located: z.xi_j passes a nearer relay's threshold before a farther
-    one's, so the farther relay switches at the nearer one's event or later
-    (on the next step if it is past its threshold there too).  An axis is
-    located (on the whole step, with its k1) only if also past its
-    threshold at the earliest event located so far: if not, it crosses
-    later, unless z.xi_j turns back in the step.
+    start, on the row there but z0's, which keeps its time and state), and
+    the next step resumes to the same grid point.  Only the next relay to
+    switch on each axis in each direction is located: z.xi_j passes a
+    nearer relay's threshold before a farther one's, so the farther relay
+    switches at the nearer one's event or later (on the next step if it is
+    past its threshold there too).  An axis is located (on the whole step,
+    with its k1) only if also past its threshold at the earliest event
+    located so far: if not, it crosses later, unless z.xi_j turns back in
+    the step.
     """
     walks = [_Walk(bank) for bank in banks]
     z = _point(z0, n)
-    fields, entry = _checked(select(walks), z, n)
+    fields = _checked(select(walks), z, n)
     if len(controls) != len(fields):
         raise DomainError("one control per field required")
     for j, (v, walk) in enumerate(zip(xi, walks)):
@@ -398,10 +396,8 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
     budgets = [EVENT_BUDGET * (nominal + bank.k) for bank in banks]
     switches = [0] * len(banks)
     blocks = []  # (times, states) arrays in row order; the RK4 rows since the last one are in lists
-    times = [pieces[0][0]]
-    states = [z]
-    log = [entry]
-    events = [], [], [], []  # the columns time, index, new, operator
+    times, states = [pieces[0][0]], [z]
+    events = [], [], [], [], []  # the columns time, index, new, operator, and beside them the axis
     for (a, b, nsteps), c0, sl in zip(pieces, u0, slope):
         rhs = _affine_rhs(fields, c0, sl, a, n)
         h = (b - a) / nsteps
@@ -422,7 +418,6 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                     blocks.append((np.array(times), np.reshape(states, (-1, n))))
                     blocks.append((ts[:stretch].copy(), rows[:stretch].copy()))
                     times, states = [], []
-                    log.extend([entry] * stretch)
                     t, z = float(ts[stretch - 1]), tuple(rows[stretch - 1].tolist())
                     q += stretch
                     dt = h
@@ -444,36 +439,42 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
                 z, t = z_new, t_end
             else:
                 s, z_s, j, d = hit
-                at_row = s <= EVENT_TOL and len(log) > 1  # on the row at the step start
+                at_row = s <= EVENT_TOL and t > pieces[0][0]  # on the step start's row, not z0's
                 if not at_row:
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
                 i, = walks[j].switch(d)
-                for column, value in zip(events, (t, i + 1, d, label(j, i))):
+                for column, value in zip(events, (t, i + 1, d, label(j, i), j)):
                     column.append(value)
                 switches[j] += 1
                 if switches[j] > budgets[j]:
                     raise DivergenceError(
                         f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
-                fields, entry = _checked(select(walks), z, n)
+                fields = _checked(select(walks), z, n)
                 rhs = _affine_rhs(fields, c0, sl, a, n)
                 test = stretch >= _EXACT_STEPS
                 stretch = 0
                 if at_row:
-                    log[-1] = entry
                     continue
             _check_cap(z)
             times.append(t)
             states.append(z)
-            log.append(entry)
             if t == t_end:
                 q += 1
                 dt = h
             else:
                 dt = t_end - t
     blocks.append((np.array(times), np.reshape(states, (-1, n))))
-    times, states = zip(*blocks)
-    return np.concatenate(times), np.concatenate(states), log, _Events(*events)
+    times, states = (np.concatenate(column) for column in zip(*blocks))
+    log = None
+    if entry:  # replay each event onto the banks' outputs, then give each row its entry
+        outs = [list(bank.outs) for bank in banks]
+        entries = [entry(outs)]
+        for j, i, new in zip(events[4], events[1], events[2]):
+            outs[j][i - 1] = new
+            entries.append(entry(outs))
+        log = [entries[e] for e in np.searchsorted(events[0], times, side="right").tolist()]
+    return times, states, log, _Events(*events[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +483,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None):
 def integrate_plain(sys: FieldSet, controls, z0, step=1e-3) -> Trajectory:
     """Fixed-step RK4 on the nominal grid between the control breakpoints;
     the controls, step signals or polylines, are affine on each piece."""
-    times, states, _, _ = _integrate(controls, z0, step, lambda walks: (sys.fields, None), sys.n)
-    return Trajectory(times, states)
+    return Trajectory(*_integrate(controls, z0, step, lambda walks: sys.fields, sys.n)[:2])
 
 
 def integrate_play_controls(sys: FieldSet, v, w0, rho, z0, step=1e-3) -> Trajectory:
@@ -561,11 +561,11 @@ def integrate_switching(spec: SwitchingSpec, controls, z0, w0_string, step=1e-3)
     banks = [RelayBank((lo,), (hi,), (int(w),)) for (lo, hi), w in zip(spec.thresholds, string)]
 
     def select(walks):
-        s = tuple(walk.outs[0] for walk in walks)
-        return spec.field_table[s].fields, s
+        return spec.field_table[tuple(walk.outs[0] for walk in walks)].fields
 
     times, states, log, events = _integrate(controls, z0, step, select, spec.field_table[string].n,
-                                            spec.xi, banks, lambda j, i: f"axis{j + 1}")
+                                            spec.xi, banks, lambda j, i: f"axis{j + 1}",
+                                            lambda outs: tuple(o[0] for o in outs))
     return Trajectory(times, states, {"string": log}, events)
 
 
@@ -576,9 +576,9 @@ def integrate_bank(spec: BankSpec, controls, z0, banks, step=1e-3) -> Trajectory
         raise DomainError("one k-relay bank per axis required")
 
     def select(walks):
-        fields = tuple(partial(g, walk.total / spec.k) for g, walk in zip(spec.fields, walks))
-        return fields, tuple(tuple(walk.outs) for walk in walks)
+        return tuple(partial(g, walk.total / spec.k) for g, walk in zip(spec.fields, walks))
 
     times, states, log, events = _integrate(controls, z0, step, select, len(spec.xi[0]), spec.xi,
-                                            banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
+                                            banks, lambda j, i: f"axis{j + 1}.relay{i + 1}",
+                                            lambda outs: tuple(map(tuple, outs)))
     return Trajectory(times, states, {"strings": log}, events)

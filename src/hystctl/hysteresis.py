@@ -58,7 +58,7 @@ def _play(knots, w: float, rho: float) -> list:
     for (t0, u0), (t1, u1) in zip(knots, knots[1:]):
         a = -rho if u1 > u0 else rho  # the edge u + a drags w
         if u0 + a < w < u1 + a or u1 + a < w < u0 + a:
-            _cross(out, t0 + (w - a - u0) * (t1 - t0) / (u1 - u0), w, t1)
+            _cross(out, t0 + (0.5 * w - 0.5 * a - 0.5 * u0) / (0.5 * u1 - 0.5 * u0) * (t1 - t0), w, t1)
         w = _clamp(w, u1 - rho, u1 + rho)
         out.append((t1, w))
     return out
@@ -105,7 +105,7 @@ def truncated_play_apply(zeta: PolylineSignal, w0: float) -> PolylineSignal:
     for (t0, p0), (t1, p1) in zip(p, p[1:]):
         for c in ((-0.5, 0.5) if p1 > p0 else (0.5, -0.5)):  # in the order p meets them
             if p0 < c < p1 or p1 < c < p0:
-                _cross(out, t0 + (c - p0) * (t1 - t0) / (p1 - p0), 2.0 * c, t1)
+                _cross(out, t0 + (0.5 * c - 0.5 * p0) / (0.5 * p1 - 0.5 * p0) * (t1 - t0), 2.0 * c, t1)
         out.append((t1, _clamp(2.0 * p1, -1.0, 1.0)))
     inner = [b for a, b, c in zip(out, out[1:], out[2:]) if not a[1] == b[1] == c[1] in (-1.0, 1.0)]
     return PolylineSignal((out[0], *inner, out[-1]))  # no knot inside a run at -+1
@@ -272,14 +272,14 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     times, index, new = [], [], []
     breaks, totals, T = [knots[0][0]], [walk.total], knots[-1][0]
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
-        total, up, down, dz, dt = walk.total, walk.up, walk.down, z1 - z0, t1 - t0
+        total, up, down, dz, dt = walk.total, walk.up, walk.down, 0.5 * z1 - 0.5 * z0, t1 - t0
         if z1 > walk.his[up]:  # the -1s below bisect_left(hi, z1) switch
             s, thr, hit = 1, bank.hi, walk.switch(1, bisect_left(walk.his, z1, up))
         elif z1 < walk.los[down]:  # the +1s from bisect_right(lo, z1) on switch
             s, thr, hit = -1, bank.lo, walk.switch(-1, bisect_right(walk.los, z1, 0, down + 1) - 1)
         else:
             continue
-        ts = [t0 + ((thr[i] - z0) / dz) * dt for i in hit]
+        ts = [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
         times += ts
         index += [i + 1 for i in hit]
         new += [s] * len(hit)

@@ -234,11 +234,11 @@ class PiecewiseAffine(_Affine):
         return np.asarray(self.breaks), pieces[:, 0], pieces[:, 1]
 
 
-def merge_times(*time_lists) -> np.ndarray:
+def merge_times(*time_lists, tol: float = KNOT_TOL) -> np.ndarray:
     """Sorted union of the time lists (an array), each run of times within
-    KNOT_TOL of the one before (_times_equal) merged into its first time."""
+    tol relative of the one before merged into its first time (0: exact)."""
     t = np.sort(np.concatenate(time_lists))
-    bound = KNOT_TOL * np.maximum(1.0, np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
+    bound = tol * np.maximum(1.0, np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
     return t[np.concatenate(([True], np.diff(t) > bound))]
 
 
@@ -258,8 +258,8 @@ def _affine_on(view, grid: np.ndarray):
     """(left, slope) of a signal's affine_view() on each interval of grid.
 
     left is the value at the interval's start and slope the slope of the
-    signal's piece containing the interval's midpoint, so a break of the
-    signal merged away within KNOT_TOL extends its neighbour's line.
+    signal's piece containing its midpoint, which matters only on _pieces'
+    grid: a break merged away there (KNOT_TOL) extends its neighbour's line.
     """
     breaks, lv, sl = view
     t0 = grid[:-1]
@@ -270,12 +270,12 @@ def _affine_on(view, grid: np.ndarray):
 def _merged(a, b, ca: float, cb: float):
     """ca*a + cb*b on the merged grid: (times, left, slope).
 
-    times are the merged breaks (an array); left and slope hold the value at
-    the start and the slope of the sum on each merged interval (_affine_on).
+    times are the exact union of the breaks (an array), so each interval is
+    in one piece of each signal; left and slope are the sum's there (_affine_on).
     """
     _check_domain((a, b), "signals must share the horizon")
     views = a.affine_view(), b.affine_view()
-    times = merge_times(views[0][0], views[1][0])
+    times = merge_times(views[0][0], views[1][0], tol=0.0)  # not np.union1d: it imports numpy.ma
     left, slope = np.zeros(len(times) - 1), np.zeros(len(times) - 1)
     for c, view in zip((ca, cb), views):
         lv, sl = _affine_on(view, times)

@@ -18,6 +18,7 @@ from hystctl.dynamics import (
     FieldSet,
     SwitchingSpec,
     TriangularSpec,
+    _integrate,
     gronwall_bound,
     heisenberg_fields,
     integrate_bank,
@@ -442,6 +443,18 @@ def test_trajectory_csv(tmp_path):
     assert len(strings) == len(traj.times)
     assert (strings[0], strings[-1]) == ("+-|+-", "++|--")
     assert set(strings) == {"+-|+-", "+-|--", "++|--"}
+
+
+def test_plain_runs_build_no_log():
+    # the relay core replays a log from its events only for relay runs: a
+    # plain run has none, and a play-in-controls run only its play samples
+    heis, controls, z0 = heisenberg_fields(), (const(1.0, 1.0), const(1.0, -1.0)), (0.0, 0.0, 0.0)
+    traj = integrate_plain(heis, controls, z0, step=0.25)
+    assert traj.hysteresis_log == {} and len(traj.events) == 0
+    assert _integrate(controls, z0, 0.25, lambda walks: heis.fields, 3)[2] is None
+    v = PolylineSignal(((0.0, 0.0), (1.0, 1.0)))
+    traj = integrate_play_controls(heis, (v, v), (0.0, 0.0), 0.2, z0, step=0.25)
+    assert sorted(traj.hysteresis_log) == ["play1", "play2"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hystctl.hysteresis import (
     RelayBank,
     RelayState,
     SwitchEvent,
+    _play,
     bank_trace,
     play_apply,
     play_update,
@@ -737,3 +738,86 @@ def test_play_operators_across_magnitudes(u, frac, rho, c):
                   lambda x: min(1.0, max(-1.0, 2.0 * x + 1.0)))
     scale = max(abs(v) for _, v in u.knots) + abs(c) + 4.0
     assert sup_distance(moved, shifted(w, c)) <= 16 * math.ulp(scale)
+
+
+@pytest.mark.parametrize("T", [2.0, 200.0])
+def test_a_rise_that_overflows_gives_exact_outputs(T):
+    # zeta's rise u1 - u0 = 2e308 overflows, so each crossing takes its
+    # fraction on halved values; evaluating zeta itself is still refused
+    zeta = PolylineSignal(((0.0, -1e308), (T, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, events, _ = bank_trace(RelayBank.staircase(4, 0), zeta)
+        w = truncated_play_apply(zeta, -1.0)
+        p = play_apply(zeta, -9e307, 1e307)
+    assert [(e.time, e.index, e.new) for e in events] == [(T / 2, i, 1) for i in (1, 2, 3, 4)]
+    assert (out(T / 4), out(3 * T / 4)) == (-1.0, 1.0)
+    assert w.knots == ((0.0, -1.0), (T / 2, -1.0), (math.nextafter(T / 2, T), 1.0), (T, 1.0))
+    assert w(T / 4) == -1.0
+    # the play starts to move where zeta - rho meets -9e307, at about T / 10
+    exact = Fraction(T) * (Fraction(-9e307) + Fraction(1e307) + Fraction(1e308)) / (2 * Fraction(1e308))
+    assert len(p.knots) == 3 and p.knots[1][1] == -9e307
+    assert abs(p.knots[1][0] - exact) <= 4 * math.ulp(T)
+    with pytest.raises(DomainError):
+        zeta(0.5)
+
+
+def exact_crossing(t0, v0, t1, v1, level):
+    """The time an affine segment meets level, in exact rationals."""
+    f = (Fraction(level) - Fraction(v0)) / (Fraction(v1) - Fraction(v0))
+    return Fraction(t0) + f * (Fraction(t1) - Fraction(t0))
+
+
+def huge_segment(rng):
+    """(t0, t1, v0, v1): a time offset up to 1e12 and a duration from 1e-3 to
+    1e3, and values from 1e-3 to 1.58e308 in size, half of them above 3e307,
+    so that many rises overflow."""
+    t0 = rng.choice([0.0, rng.uniform(-1e12, 1e12)])
+    t1 = t0 + 10.0 ** rng.uniform(-3, 3)
+    v0, v1 = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(rng.choice([-3, 307.5]), 308.2)
+              for _ in "ab")
+    return t0, t1, v0, v1
+
+
+def test_crossing_times_match_exact_rationals():
+    # every crossing of the play, the truncated play and bank_trace lies
+    # within 4 ulps of the segment's times of the exact crossing of the same
+    # float inputs; one more than that from the segment's ends is never dropped
+    rng = random.Random(20261019)
+    for _ in range(400):
+        t0, t1, u0, u1 = huge_segment(rng)
+        tol = 4 * math.ulp(max(abs(t0), abs(t1)))
+        u = PolylineSignal(((t0, u0), (t1, u1)))
+        # play: w frozen until the edge u + a that drags it meets it
+        rho = 10.0 ** rng.uniform(-3, 307)
+        w = u0 + rng.uniform(-1.0, 1.0) * rho
+        a = -rho if u1 > u0 else rho
+        inner = play_apply(u, w, rho).knots[1:-1]
+        # the level w - a rounds like any value; halved, as the play forms it, it cannot overflow
+        t = exact_crossing(t0, u0, t1, u1, 2 * Fraction(0.5 * w - 0.5 * a))
+        assert all(abs(knot - t) <= tol for knot, _ in inner), (u, w, rho)
+        assert len(inner) == 1 or not t0 + tol < t < t1 - tol, (u, w, rho)
+        # truncated play: the clip of 2p meets -+1 where its play p meets -+0.5
+        lo, hi = (min(1.0, max(-1.0, 2.0 * u0 + s)) for s in (-1.0, 1.0))
+        w0 = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+        p = _play(u.knots, min(u0 + 0.5, max(u0 - 0.5, 0.5 * w0)), 0.5)
+        crossings = [exact_crossing(pt0, p0, pt1, p1, c) for (pt0, p0), (pt1, p1) in zip(p, p[1:])
+                     for c in (-0.5, 0.5) if min(p0, p1) < c < max(p0, p1)]
+        p_times = {pt for pt, _ in p}
+        out = [knot for knot, _ in truncated_play_apply(u, w0).knots[1:-1] if knot not in p_times]
+        assert all(min((abs(knot - t) for t in crossings), default=math.inf) <= tol
+                   for knot in out), (u, w0)
+        assert all(min((abs(knot - t) for knot in out), default=math.inf) <= tol
+                   for t in crossings if t0 + tol < t < t1 - tol), (u, w0)
+        # bank: all -1 below a rise, all +1 above a fall, so each relay switches
+        k = rng.choice([1, 3, 16])
+        bank = RelayBank.staircase(k, 0 if u1 > u0 else k)
+        thresholds = bank.hi if u1 > u0 else bank.lo
+        if not (u0 <= bank.hi[0] if u1 > u0 else u0 >= bank.lo[-1]):
+            continue
+        _, events, _ = bank_trace(bank, u)
+        crossed = [thr for thr in thresholds if min(u0, u1) < thr < max(u0, u1)]
+        assert len(events) == len(crossed)
+        for e in events:
+            t = exact_crossing(t0, u0, t1, u1, thresholds[e.index - 1])
+            assert abs(e.time - t) <= tol, (u, k)

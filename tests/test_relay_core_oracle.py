@@ -145,6 +145,22 @@ def check_events(traj, expected, xi, banks, label):
         assert abs(float(np.dot(traj.states[r], xi[j])) - thr) <= TOL
 
 
+def check_log_replays_events(traj, outs):
+    """Every event is at a row's time bit for bit, none at z0's, and each
+    row's log entry is the initial outputs outs[j] of the banks with every
+    event up to the row's time applied, relay by relay (so a row where two
+    relays switch takes both)."""
+    (key, log), = traj.hysteresis_log.items()
+    times = traj.times.tolist()
+    assert {e.time for e in traj.events} <= set(times[1:])
+    outs, events = [list(o) for o in outs], list(traj.events)
+    for t, entry in zip(times, log, strict=True):
+        while events and events[0].time <= t:
+            e = events.pop(0)
+            outs[int(e.operator.split(".")[0][4:]) - 1][e.index - 1] = e.new
+        assert entry == (tuple(o[0] for o in outs) if key == "string" else tuple(map(tuple, outs)))
+
+
 def assert_same_events(a, b):
     assert [(e.operator, e.old, e.new) for e in a.events] == [
         (e.operator, e.old, e.new) for e in b.events]
@@ -177,6 +193,7 @@ def test_switching_events_match_exact_simulation(case, data):
     spec, string, expected = switching_case(case, data)
     traj = integrate_switching(spec, controls, z0, string, step=h)
     check_events(traj, expected, xi, banks, lambda j, i: f"axis{j + 1}")
+    check_log_replays_events(traj, [[out for _, _, out in bk] for bk in banks])
     assert_same_events(traj, integrate_switching(spec, controls, z0, string, step=h / 2))
 
 
@@ -198,6 +215,7 @@ def test_bank_events_match_exact_simulation(case, data):
     relays = tuple(RelayBank(*zip(*bk)) for bk in banks)
     traj = integrate_bank(spec, controls, z0, relays, step=h)
     check_events(traj, expected, xi, banks, lambda j, i: f"axis{j + 1}.relay{i + 1}")
+    check_log_replays_events(traj, [[out for _, _, out in bk] for bk in banks])
     assert_same_events(traj, integrate_bank(spec, controls, z0, relays, step=h / 2))
 
 
@@ -444,7 +462,8 @@ def test_event_location_cost_when_two_axes_cross_in_one_step(first):
 def test_identical_axes_switch_lower_axis_first(k):
     # both axes carry the same bank and move identically, so each pair of
     # relays crosses at the same float time: both are located, the tie goes
-    # to the lower axis, and the higher one's event follows on its row
+    # to the lower axis, and the higher one's event follows on its row,
+    # whose log entry takes both
     spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=k,
                     fields=(lambda w, z: (1.0 + 0.25 * w, 0.0),
                             lambda w, z: (0.0, 1.0 + 0.25 * w)))
@@ -455,3 +474,4 @@ def test_identical_axes_switch_lower_axis_first(k):
     for a, b in zip(traj.events[::2], traj.events[1::2]):
         assert (a.operator, b.operator) == (f"axis1.relay{a.index}", f"axis2.relay{a.index}")
         assert (a.time, a.new) == (b.time, b.new)
+    check_log_replays_events(traj, [bank.outs] * 2)

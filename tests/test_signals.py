@@ -443,7 +443,8 @@ def signals(draw):
 
 
 def merged_grid(a, b):
-    return np.asarray(merge_times(a.affine_view()[0], b.affine_view()[0]))
+    """The grid of combine and the metrics: the exact union of the breaks."""
+    return np.union1d(a.affine_view()[0], b.affine_view()[0])
 
 
 def interior_probes(a, b, theta):
@@ -518,16 +519,62 @@ def test_l1_distance_symmetric_and_triangle(a, b, c):
 @PROPERTY
 @given(signals(), st.floats(1e-14, 0.2 * KNOT_TOL), st.lists(values, min_size=13, max_size=13),
        st.floats(0.01, 0.99))
-def test_knots_closer_than_knot_tol_merge(a, eps, vals, theta):
+def test_knots_closer_than_knot_tol_stay_apart(a, eps, vals, theta):
     # every knot of b but t = 0 differs from a's by a few ulps to KNOT_TOL/4;
-    # the merged grid keeps a's knots and extends b's pieces over the gaps,
-    # which moves a value by at most the steepest slope times the shift
+    # the merged grid is the exact union of both breaks, so every interval,
+    # the slivers between a knot and its shifted twin too, lies in one piece
+    # of each operand and carries the exact difference
     b = shifted(a, eps, vals)
     c = combine(a, b, 1.0, -1.0)
-    assert len(c.affine_view()[0]) == len(a.affine_view()[0])
-    steepest = max(map(abs, b.slopes())) if isinstance(b, PolylineSignal) else 0.0
+    assert c.affine_view()[0].tolist() == merged_grid(a, b).tolist()
     for t in interior_probes(a, b, theta):
-        assert abs(c(t) - (a(t) - b(t))) < 1e-12 + steepest * eps * HORIZON
+        assert abs(c(t) - (a(t) - b(t))) < 1e-12
+    # so a step signal and its shifted twin are apart by the largest jump,
+    # on the sliver after it, and a polyline and its twin hardly at all
     twin = shifted(a, eps)
-    assert sup_distance(a, twin) < 1e-9
+    if isinstance(a, StepSignal):
+        assert sup_distance(a, twin) == max(map(abs, np.diff(a.values)), default=0.0)
+    else:
+        assert sup_distance(a, twin) < 1e-9
     assert l1_distance(a, twin) < 1e-9
+
+
+@st.composite
+def polylines_with_runs(draw):
+    """A polyline on [0, HORIZON] whose knots come in runs, each knot of a run
+    4 ulps to KNOT_TOL/2 after the one before: spikes and steps narrower than
+    KNOT_TOL, with values of up to 3."""
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8))
+    starts = np.cumsum([0.0] + gaps) * (HORIZON / sum(gaps))
+    times = []
+    for t in starts[:-1].tolist():
+        times.append(t)
+        for d in draw(st.lists(st.floats(4 * math.ulp(HORIZON), 0.5 * KNOT_TOL), max_size=3)):
+            times.append(times[-1] + d)
+    times.append(HORIZON)
+    vals = draw(st.lists(values, min_size=len(times), max_size=len(times)))
+    return PolylineSignal(tuple(zip(times, vals)))
+
+
+@PROPERTY
+@given(polylines_with_runs())
+def test_features_narrower_than_knot_tol_are_kept(a):
+    # the metrics and combine see every knot: a + 0 is a knot for knot (the
+    # last value comes from the last piece's slope, so to rounding), and the
+    # sup distance to 0 is the largest knot value, however narrow its spike
+    zero = PolylineSignal(((0.0, 0.0), (HORIZON, 0.0)))
+    c = combine(a, zero)
+    assert c.knots[:-1] == a.knots[:-1] and c.knots[-1][0] == HORIZON
+    assert c.knots[-1][1] == pytest.approx(a.knots[-1][1], abs=1e-14)
+    assert sup_distance(a, zero) == pytest.approx(max(abs(v) for _, v in a.knots), abs=1e-14)
+
+
+def test_a_spike_narrower_than_knot_tol_is_kept():
+    # 450 ulps wide at t = 1, 1e-7 wide at t = 1e6: merged away by the
+    # KNOT_TOL rule, which read 0 for the sup and combined it into 0
+    for c in (1.0, 1e3, 1e6):
+        spike = PolylineSignal(((0, 0), (c, 0), (c * (1 + 1e-13), 1), (c * (1 + 2e-13), 0), (2 * c, 0)))
+        zero = PolylineSignal(((0, 0), (2 * c, 0)))
+        assert sup_distance(spike, zero) == 1.0
+        assert combine(spike, zero) == spike
+        assert sup_distance(play_apply(spike, 0.0, 0.1), zero) == pytest.approx(0.9, abs=1e-15)
