@@ -312,6 +312,8 @@ def plan_triangular(f, A, B) -> tuple[StepSignal, StepSignal]:
     else:
         # equal leg averages for every candidate: u2 is forced by y displacement
         p, q, I1, I2 = fallback
+        if not np.isfinite([I1, I2]).all():  # they fail every comparison, so they land here
+            raise DomainError(f"f has no finite integral on the legs {xA} -> {p} -> {q}")
         a = b = dy / 2.0
         if abs(a * (I1 + I2) - dz) > _CONSISTENCY_TOL * max(1.0, abs(dz), abs(dy)):
             raise DomainError("target z displacement inconsistent with this f")

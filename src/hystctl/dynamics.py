@@ -20,8 +20,8 @@ import numpy as np
 
 from .hysteresis import RelayBank, _Events, _Walk, play_apply
 from .signals import (
-    DomainError, StepSignal, _affine_on, _check_domain, _point, antiderivative, check_times,
-    merge_times, sample,
+    DomainError, StepSignal, _affine_on, _check_domain, _finite, _point, antiderivative,
+    check_times, merge_times, sample,
 )
 
 NORM_CAP = 1e6
@@ -151,7 +151,10 @@ class BankSpec:
 def gronwall_bound(C_k: float, m: float, M: float, L: float, T: float) -> float:
     if not all(0.0 <= x < math.inf for x in (C_k, m, M, L, T)):  # also refuses NaN
         raise DomainError("Gronwall inputs must be finite nonnegative numbers")
-    return C_k * math.exp(m * M * L * T)
+    try:
+        return _finite(C_k * math.exp(m * M * L * T), "the Gronwall bound")
+    except OverflowError:
+        raise DomainError("the Gronwall bound overflows the floats") from None
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def _check_cap(z):
 
 
 def _pieces(step, signals):
-    """Pieces (a, b, nsteps) between the merged breakpoints of the signals.
+    """(grid, nsteps): the signals' merged breakpoints, an array, and each piece's steps.
 
     All signals must share one domain (_check_domain); each piece gets the
     fewest equal steps that are no longer than step.
@@ -223,11 +226,8 @@ def _pieces(step, signals):
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step}")
     _check_domain(signals, "controls must share the horizon")
-    breaks = merge_times(*(s.affine_view()[0] for s in signals)).tolist()
-    return [
-        (a, b, max(1, math.ceil((b - a) / step - _PIECE_SLACK)))
-        for a, b in zip(breaks, breaks[1:])
-    ]
+    grid = merge_times(*(s.affine_view()[0] for s in signals))
+    return grid, [max(1, math.ceil(d / step - _PIECE_SLACK)) for d in np.diff(grid).tolist()]
 
 
 def _affine_rhs(fields, u0, slope, a, n):
@@ -363,9 +363,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     axis j is the row (t, i + 1, new, label(j, i)) of events, t being its
     row's time bit for bit.  An axis that switches more than EVENT_BUDGET *
     (nominal steps + its relays) times chatters and raises DivergenceError.
-    Only rows and events are kept: log is None without entry, else the
-    entry(outs) of each row, outs replayed from the banks' outputs by the
-    events up to its time (exact, as rows strictly increase past z0's).
+    Only rows and events are kept: log is None without entry, else a list in
+    which each event's row and the rows up to the next event's share one
+    entry(outs), outs the banks' outputs with the events so far replayed.
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it; if within EVENT_TOL after its
@@ -387,18 +387,15 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     for j, (v, walk) in enumerate(zip(xi, walks)):
         if walk.crossed(_proj(z, v)):
             raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
-    pieces = _pieces(step, controls)
-    grid = np.array([a for a, _, _ in pieces] + [pieces[-1][1]])
+    grid, piece_steps = _pieces(step, controls)
     on_grid = [_affine_on(c.affine_view(), grid) for c in controls]
-    u0 = zip(*(left.tolist() for left, _ in on_grid))  # per piece: the controls at a
-    slope = zip(*(sl.tolist() for _, sl in on_grid))  # and their slopes
-    nominal = sum(nsteps for _, _, nsteps in pieces)
-    budgets = [EVENT_BUDGET * (nominal + bank.k) for bank in banks]
-    switches = [0] * len(banks)
+    u0, slope = np.transpose(on_grid, (1, 2, 0)).tolist()  # each piece's controls at a, slopes
+    budgets = [EVENT_BUDGET * (sum(piece_steps) + bank.k) for bank in banks]  # events left per axis
     blocks = []  # (times, states) arrays in row order; the RK4 rows since the last one are in lists
-    times, states = [pieces[0][0]], [z]
+    breaks = grid.tolist()
+    times, states = [breaks[0]], [z]
     events = [], [], [], [], []  # the columns time, index, new, operator, and beside them the axis
-    for (a, b, nsteps), c0, sl in zip(pieces, u0, slope):
+    for a, b, nsteps, c0, sl in zip(breaks, breaks[1:], piece_steps, u0, slope):
         rhs = _affine_rhs(fields, c0, sl, a, n)
         h = (b - a) / nsteps
         t = a
@@ -439,17 +436,17 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
                 z, t = z_new, t_end
             else:
                 s, z_s, j, d = hit
-                at_row = s <= EVENT_TOL and t > pieces[0][0]  # on the step start's row, not z0's
+                at_row = s <= EVENT_TOL and t > breaks[0]  # on the step start's row, not z0's
                 if not at_row:
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
                 i, = walks[j].switch(d)
                 for column, value in zip(events, (t, i + 1, d, label(j, i), j)):
                     column.append(value)
-                switches[j] += 1
-                if switches[j] > budgets[j]:
-                    raise DivergenceError(
-                        f"relay on axis {j + 1} chatters: more than {budgets[j]} events")
+                budgets[j] -= 1
+                if budgets[j] < 0:
+                    raise DivergenceError(f"relay on axis {j + 1} chatters: more than "
+                                          f"{EVENT_BUDGET} events per nominal step and relay")
                 fields = _checked(select(walks), z, n)
                 rhs = _affine_rhs(fields, c0, sl, a, n)
                 test = stretch >= _EXACT_STEPS
@@ -467,13 +464,13 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     blocks.append((np.array(times), np.reshape(states, (-1, n))))
     times, states = (np.concatenate(column) for column in zip(*blocks))
     log = None
-    if entry:  # replay each event onto the banks' outputs, then give each row its entry
+    if entry:  # one run of one entry from each event's row (its time, bit for bit) to the next's
         outs = [list(bank.outs) for bank in banks]
-        entries = [entry(outs)]
-        for j, i, new in zip(events[4], events[1], events[2]):
+        rows = np.searchsorted(times, events[0]).tolist() + [len(times)]
+        log = [entry(outs)] * rows[0]
+        for j, i, new, row, end in zip(events[4], events[1], events[2], rows, rows[1:]):
             outs[j][i - 1] = new
-            entries.append(entry(outs))
-        log = [entries[e] for e in np.searchsorted(events[0], times, side="right").tolist()]
+            log += [entry(outs)] * (end - row)
     return times, states, log, _Events(*events[:4])
 
 
@@ -531,15 +528,15 @@ def integrate_play_state(spec: TriangularSpec, controls, z0, step=1e-3) -> Traje
         raise DomainError("controls must be step signals")
     x_polys = [antiderivative(controls[i], z0[i]) for i in range(m)]
     plays = [play_apply(x_polys[i], float(spec.w0[i]), spec.rho) for i in range(m - 1)]
-    pieces = _pieces(step, [*controls, *plays])
-    a, b, nsub = (np.array(col) for col in zip(*pieces))
-    nodes = np.concatenate([a[:1]] + [np.linspace(t0, t1, 2 * n + 1)[1:] for t0, t1, n in pieces])
+    grid, nsub = _pieces(step, [*controls, *plays])
+    nodes = np.concatenate([grid[:1]] + [np.linspace(t0, t1, 2 * n + 1)[1:]
+                                         for t0, t1, n in zip(grid, grid[1:], nsub)])
     tgrid = nodes[::2]
-    h = np.repeat((b - a) / (2 * nsub), nsub)
+    h = np.repeat(0.5 * np.diff(grid) / nsub, nsub)
     p_nodes = [sample(p, nodes) for p in plays]
     y_cols = []
     for i, f in enumerate(spec.fs):
-        u = np.repeat(_affine_on(controls[i + 1].affine_view(), np.append(a, b[-1]))[0], nsub)
+        u = np.repeat(_affine_on(controls[i + 1].affine_view(), grid)[0], nsub)
         on = u != 0.0
         inc = np.zeros(len(u))
         inc[on] = _simpson(f, p_nodes[: i + 1], h)[on] * u[on]

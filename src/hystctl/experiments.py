@@ -280,14 +280,10 @@ def _exp_switching_demo(*, step=1e-3):
     traj = integrate_switching(spec, controls, z0, (1, 1), step=step)
     traj_half = integrate_switching(spec, controls, z0, (1, 1), step=step / 2.0)
     rows = []
-    ok = len(traj.events) == len(SWITCHING_EXPECTED)
-    for idx, (t_exp, op, old, new) in enumerate(SWITCHING_EXPECTED):
-        if idx >= len(traj.events):
-            rows.append({"event": idx, "time": float("nan"), "operator": "missing",
-                         "expected_time": t_exp, "halving_shift": float("nan")})
-            continue
-        ev = traj.events[idx]
-        shift = abs(ev.time - traj_half.events[idx].time) if idx < len(traj_half.events) else float("nan")
+    ok = len(traj.events) == len(traj_half.events) == len(SWITCHING_EXPECTED)
+    for idx, (ev, ev_half, (t_exp, op, old, new)) in enumerate(
+            zip(traj.events, traj_half.events, SWITCHING_EXPECTED)):
+        shift = abs(ev.time - ev_half.time)
         rows.append({
             "event": idx,
             "time": ev.time,

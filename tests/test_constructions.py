@@ -359,6 +359,19 @@ def test_plan_triangular_constant_f():
         plan_triangular(lambda x: 1.0, (0.0, 0.0, 0.0), (0.5, 0.8, 0.2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plan_triangular_f_without_finite_leg_integrals_is_a_domain_error(bad):
+    # a NaN integral fails every det test and the consistency test alike, so
+    # the planner fell back to u2 = dy/2 on both legs and returned that plan
+    with pytest.raises(DomainError, match="finite integral"):
+        plan_triangular(lambda x: np.full_like(x, bad), (0.0, 0.0, 0.0), (0.5, 0.3, 0.2))
+    # f not finite below x = -0.5: the first three (p, q) reach there, and
+    # the plan takes the fourth, 1 and -0.5, where it is
+    u1, u2 = plan_triangular(lambda x: np.where(x < -0.5, bad, 1.0 + x), (0.0, 0.0, 0.0),
+                             (0.5, 0.3, 0.2))
+    assert u1.values == (1.0, -1.5, 1.0) and all(map(math.isfinite, u2.values))
+
+
 def test_plan_triangular_f_of_wrong_shape_is_a_domain_error():
     with pytest.raises(DomainError, match=r"shape \(2,\)"):
         plan_triangular(lambda x: (1.0, 2.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))

@@ -1055,6 +1055,15 @@ def test_gronwall_values():
         gronwall_bound(-1.0, 1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("args", [(1.0, 1e3, 1e3, 1.0, 1.0), (1e308, 1.0, 1.0, 1.0, 10.0),
+                                  (1.0, 1e200, 1e200, 1.0, 1.0)])
+def test_gronwall_overflow_is_a_domain_error(args):
+    # an exponent past the floats raised a bare OverflowError, and a bound
+    # past them returned inf
+    with pytest.raises(DomainError, match="overflows the floats"):
+        gronwall_bound(*args)
+
+
 @pytest.mark.parametrize("position", range(5))
 def test_gronwall_rejects_nan(position):
     # NaN, and inf (0 * inf is nan), are refused at every position

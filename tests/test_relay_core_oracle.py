@@ -149,8 +149,10 @@ def check_log_replays_events(traj, outs):
     """Every event is at a row's time bit for bit, none at z0's, and each
     row's log entry is the initial outputs outs[j] of the banks with every
     event up to the row's time applied, relay by relay (so a row where two
-    relays switch takes both)."""
+    relays switch takes both).  The log is a list written in runs: the rows
+    between two events share one entry object."""
     (key, log), = traj.hysteresis_log.items()
+    assert type(log) is list and len({id(entry) for entry in log}) <= len(traj.events) + 1
     times = traj.times.tolist()
     assert {e.time for e in traj.events} <= set(times[1:])
     outs, events = [list(o) for o in outs], list(traj.events)

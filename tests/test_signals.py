@@ -1,9 +1,12 @@
 """Signal arithmetic: evaluation, calculus, merged-grid combination, metrics."""
 
+import bisect
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -578,3 +581,99 @@ def test_a_spike_narrower_than_knot_tol_is_kept():
         assert sup_distance(spike, zero) == 1.0
         assert combine(spike, zero) == spike
         assert sup_distance(play_apply(spike, 0.0, 0.1), zero) == pytest.approx(0.9, abs=1e-15)
+
+
+
+# ---------------------------------------------------------------------------
+# exact-rational oracle: combine and the metrics against the exact rational
+# results of the same float inputs, across magnitudes
+
+ORACLE_C = 4  # the bound's factor; the worst case measured is under 2
+
+
+def times_with_runs(rng, t0, n):
+    """n + 1 increasing times from t0, 0.05 to 1 apart or, in runs, 4 ulps
+    to KNOT_TOL/2 (relative) apart."""
+    times = [t0]
+    for _ in range(n):
+        t = times[-1]
+        tiny = rng.random() < 0.3
+        times.append(t + (rng.uniform(4 * math.ulp(t), 0.5 * KNOT_TOL * max(1.0, abs(t))) if tiny
+                          else rng.uniform(0.05, 1.0)))
+    return times
+
+
+def random_signal(rng, times, kind, size):
+    """A step signal ("s") or a polyline ("p") on the times, with values of
+    random sign and 0.1 to 1 times size."""
+    vals = [rng.choice([-1.0, 1.0]) * size * rng.uniform(0.1, 1.0) for _ in times]
+    return step(times, vals[:-1]) if kind == "s" else PolylineSignal(tuple(zip(times, vals)))
+
+
+def knot_values(s):
+    return s.values if isinstance(s, StepSignal) else tuple(v for _, v in s.knots)
+
+
+def exact_ends(s, grid):
+    """The exact one-sided values of s at both ends of each interval of grid,
+    as Fractions of its float times and values."""
+    if isinstance(s, StepSignal):
+        pts, vals = s.grid.points, s.values
+        return [(Fraction(vals[bisect.bisect_right(pts, a) - 1]),) * 2 for a in grid[:-1]]
+    ts, vs = zip(*s.knots)
+
+    def at(t):
+        i = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
+        f = (Fraction(t) - Fraction(ts[i])) / (Fraction(ts[i + 1]) - Fraction(ts[i]))
+        return Fraction(vs[i]) + f * (Fraction(vs[i + 1]) - Fraction(vs[i]))
+
+    return [(at(a), at(b)) for a, b in zip(grid, grid[1:])]
+
+
+def exact_abs_integral(d0, d1, tau):
+    """The integral of |d| over [0, tau], d affine from d0 to d1."""
+    if d0 * d1 >= 0:
+        return (abs(d0) + abs(d1)) / 2 * tau
+    return (d0 * d0 + d1 * d1) / (2 * (abs(d0) + abs(d1))) * tau
+
+
+def test_combine_and_metrics_match_exact_rationals():
+    # values up to 1e15, time offsets up to 1e12 and runs of knots closer
+    # than KNOT_TOL, for all four pairs of kinds.  With V, S and T the
+    # operands' largest value, slope and time, every value of combine (V and
+    # S times the largest coefficient) and the sup distance lie within
+    # C (ulp(V) + S ulp(T)) of the exact result; the l1 distance, the
+    # integral of such values over the horizon H, within C ulp(l1) plus H
+    # times that bound.  (C ulp(l1) alone fails where a and b nearly cancel:
+    # then the values' own rounding is many ulps of the small result.)
+    rng = random.Random(20261019)
+    for _ in range(300):
+        t0 = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 12)])
+        ta = times_with_runs(rng, t0, rng.randint(1, 6))
+        tb = [t for t in times_with_runs(rng, t0, 6)[1:] if t < ta[-1]]
+        tb = [t0, *sorted(rng.sample(tb, min(len(tb), rng.randint(0, 4)))), ta[-1]]
+        size = 10.0 ** rng.uniform(-3, 15)
+        a, b = (random_signal(rng, ts, kind, size)
+                for ts, kind in zip((ta, tb), rng.choice(["pp", "ss", "ps", "sp"])))
+        grid = sorted(set(ta) | set(tb))
+        taus = [Fraction(t1) - Fraction(t0) for t0, t1 in zip(grid, grid[1:])]
+        ea, eb = exact_ends(a, grid), exact_ends(b, grid)
+        V = max(map(abs, knot_values(a) + knot_values(b)))
+        S = float(max(abs(e1 - e0) / tau for ends in (ea, eb) for (e0, e1), tau in zip(ends, taus)))
+        ulp_t = math.ulp(max(abs(grid[0]), abs(grid[-1])))
+        ca, cb = rng.choice([(1.0, 1.0), (1.0, -1.0), (rng.uniform(-3, 3), rng.uniform(-3, 3))])
+        c = max(1.0, abs(ca), abs(cb))
+        bound = ORACLE_C * (math.ulp(c * V) + c * S * ulp_t)
+        breaks, left, slope = combine(a, b, ca, cb).affine_view()
+        assert breaks.tolist() == grid, (a, b)
+        fa, fb = Fraction(ca), Fraction(cb)
+        for (a0, a1), (b0, b1), lv, sl, tau in zip(ea, eb, left.tolist(), slope.tolist(), taus):
+            for got, want in ((Fraction(lv), fa * a0 + fb * b0),
+                              (Fraction(lv) + Fraction(sl) * tau, fa * a1 + fb * b1)):
+                assert abs(got - want) <= bound, (a, b, ca, cb)
+        d = [(a0 - b0, a1 - b1) for (a0, a1), (b0, b1) in zip(ea, eb)]
+        bound = ORACLE_C * (math.ulp(V) + S * ulp_t)
+        assert abs(Fraction(sup_distance(a, b)) - max(abs(x) for pair in d for x in pair)) <= bound
+        l1 = sum(exact_abs_integral(d0, d1, tau) for (d0, d1), tau in zip(d, taus))
+        l1_bound = ORACLE_C * math.ulp(float(l1)) + (grid[-1] - grid[0]) * bound
+        assert abs(Fraction(l1_distance(a, b)) - l1) <= l1_bound, (a, b)
