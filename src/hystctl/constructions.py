@@ -39,8 +39,6 @@ def _then(*legs: tuple[StepSignal, ...]) -> tuple[StepSignal, ...]:
     """The legs played one after another.  A leg is m step controls on
     [0, d], d the horizon of its first control; the schedule is m step
     controls on [0, sum of the d]."""
-    if not legs or not legs[0] or any(len(leg) != len(legs[0]) for leg in legs):
-        raise DomainError("a schedule needs legs of the same number m >= 1 of controls")
     for leg in legs:
         _check_domain(leg, "leg controls must live on [0, d]", 0.0)
     out = []

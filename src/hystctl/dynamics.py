@@ -151,6 +151,8 @@ class BankSpec:
 def gronwall_bound(C_k: float, m: float, M: float, L: float, T: float) -> float:
     if not all(0.0 <= x < math.inf for x in (C_k, m, M, L, T)):  # also refuses NaN
         raise DomainError("Gronwall inputs must be finite nonnegative numbers")
+    if C_k == 0.0:  # exactly 0, whatever the exponent
+        return 0.0
     try:
         return _finite(C_k * math.exp(m * M * L * T), "the Gronwall bound")
     except OverflowError:
@@ -180,8 +182,10 @@ class Trajectory:
         """One row per time; a relay log entry is written as +/- per relay,
         one string per axis of a bank joined by '|' (as ++--|+---)."""
         keys = sorted(self.hysteresis_log)
-        logs = [[_signs(v) if isinstance(v, tuple) else v for v in self.hysteresis_log[key]]
-                for key in keys]
+        logs = [self.hysteresis_log[key] for key in keys]
+        entries = {id(v): v for log in logs for v in log if isinstance(v, tuple)}
+        text = {i: _signs(v) for i, v in entries.items()}  # once per entry, not per row
+        logs = [[text[id(v)] if isinstance(v, tuple) else v for v in log] for log in logs]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t"] + [f"z{i + 1}" for i in range(self.states.shape[1])] + keys)
@@ -343,9 +347,8 @@ def _exact_rows(rhs, t, z, b, ts, xi, walks):
     if not walks:
         return rows
     proj = rows @ np.reshape(xi, (len(xi), len(z))).T
-    his = [walk.his[walk.up] for walk in walks]
-    los = [walk.los[walk.down] for walk in walks]
-    passed = np.append(((proj > his) | (proj < los)).any(axis=1), True)
+    rise, fall = [walk.rise for walk in walks], [walk.fall for walk in walks]
+    passed = np.append(((proj > rise) | (proj < fall)).any(axis=1), True)
     return rows[: passed.argmax()]
 
 
@@ -424,10 +427,10 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
             z_new = _rk4(rhs, t, z, k1, dt)
             hit = None
             for j, (v, walk) in enumerate(zip(xi, walks)):
-                crossed = walk.crossed(_proj(z_new, v))
-                if not crossed:
+                d = walk.crossed(_proj(z_new, v))
+                if not d:
                     continue
-                d, thr = crossed
+                thr = walk.rise if d == 1 else walk.fall
                 if hit is None or d * (_proj(hit[1], v) - thr) > 0.0:  # it can come first
                     s, z_s = _locate_event(rhs, t, z, k1, dt, z_new, v, thr, d)
                     if hit is None or s < hit[0]:

@@ -10,6 +10,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from operator import ge, lt
 from typing import NamedTuple
 
@@ -195,47 +196,47 @@ class RelayBank:
 
 
 class _Walk:
-    """A bank's outputs while it switches, and its next switch each way: up,
-    the lowest index at -1, and down, the highest at +1.  They are k and -1
-    if there is none, where the sentinels his[k] = inf and los[-1] = -inf
-    are never passed.  A switch moves its pointer by a scan past the
-    switched relays, one step in a staircase bank."""
+    """A bank's outputs while it switches, their sum total, and its next
+    switch each way: the lowest index at -1 rises at its hi, rise, and the
+    highest at +1 falls at its lo, fall (inf and -inf, never passed, if
+    there is none).  A switch moves the pointers by a scan past the switched
+    relays, one step in a staircase bank."""
 
     def __init__(self, bank: RelayBank):
         self.outs = list(bank.outs)
-        self.his = bank.hi + (math.inf,)
-        self.los = bank.lo + (-math.inf,)
+        self._his = bank.hi + (math.inf,)  # the sentinels his[k] and los[-1]
+        self._los = bank.lo + (-math.inf,)
         self.total = sum(self.outs)
-        self.up = self._scan(0, 1)
-        self.down = self._scan(bank.k - 1, -1)
+        self._point(0, bank.k - 1)
 
-    def _scan(self, j: int, s: int) -> int:
-        """The first index from j on, stepping by s, whose output is -s."""
-        outs = self.outs
-        while 0 <= j < len(outs) and outs[j] == s:
-            j += s
-        return j
+    def _point(self, up: int, down: int) -> None:
+        """Point at the first -1 from up on and the last +1 from down back."""
+        while up < len(self.outs) and self.outs[up] == 1:
+            up += 1
+        while down >= 0 and self.outs[down] == -1:
+            down -= 1
+        self._up, self._down, self.rise, self.fall = up, down, self._his[up], self._los[down]
 
-    def crossed(self, z: float):
-        """(s, threshold) of the next switch z is strictly past, s = +1 on a
-        rise and -1 on a fall; None if there is none, that is if every relay
-        is consistent with z."""
-        if z > self.his[self.up]:
-            return 1, self.his[self.up]
-        if z < self.los[self.down]:
-            return -1, self.los[self.down]
-        return None
+    def crossed(self, z: float) -> int:
+        """+1 if z is strictly past rise, -1 if strictly past fall, else 0
+        (every relay is consistent with z)."""
+        return 1 if z > self.rise else -1 if z < self.fall else 0
 
-    def switch(self, s: int, stop: int | None = None) -> list:
-        """Switch to s every relay at -s from the pointer to stop, exclusive,
-        stepping by s (by default only the next one); return their indices."""
-        p = self.up if s == 1 else self.down
-        stop = p + s if stop is None else stop
+    def switch(self, s: int, z: float | None = None) -> list:
+        """Switch to s every relay at -s, from the pointer on and stepping by
+        s, that z is strictly past (wiping-out; crossed(z) must be s), or
+        without z only the next one; return their indices."""
+        p = self._up if s == 1 else self._down
+        if z is None:
+            stop = p + s
+        elif s == 1:  # the -1s below bisect_left(hi, z)
+            stop = bisect_left(self._his, z, p)
+        else:  # the +1s from bisect_right(lo, z) on
+            stop = bisect_right(self._los, z, 0, p + 1) - 1
         hit = [i for i in range(p, stop, s) if self.outs[i] != s]
         a, b = sorted((p, stop - s))  # the relays passed, in index order
         self.outs[a:b + 1] = [s] * (b + 1 - a)
-        after, last = self._scan(stop, s), hit[-1]
-        self.up, self.down = (after, max(self.down, last)) if s == 1 else (min(self.up, last), after)
+        self._point(*((stop, max(self._down, b)) if s == 1 else (min(self._up, a), stop)))
         self.total += 2 * s * len(hit)
         return hit
 
@@ -264,31 +265,28 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     Each input segment switches every relay its end is strictly past in one
     _Walk.switch, at the affinely interpolated crossing times: the events, a
     read-only sequence of SwitchEvent rows, come in time order (a fall lists
-    the higher index first).  One at the horizon is listed but starts no piece.
+    the higher index first), and the output is replayed from them.  One at
+    the horizon is listed but starts no piece.
     """
-    walk, knots, k = _Walk(bank), zeta.knots, bank.k
+    walk, knots = _Walk(bank), zeta.knots
     if walk.crossed(knots[0][1]):
         raise DomainError("bank relay states inconsistent with zeta(0)")
     times, index, new = [], [], []
-    breaks, totals, T = [knots[0][0]], [walk.total], knots[-1][0]
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
-        total, up, down, dz, dt = walk.total, walk.up, walk.down, 0.5 * z1 - 0.5 * z0, t1 - t0
-        if z1 > walk.his[up]:  # the -1s below bisect_left(hi, z1) switch
-            s, thr, hit = 1, bank.hi, walk.switch(1, bisect_left(walk.his, z1, up))
-        elif z1 < walk.los[down]:  # the +1s from bisect_right(lo, z1) on switch
-            s, thr, hit = -1, bank.lo, walk.switch(-1, bisect_right(walk.los, z1, 0, down + 1) - 1)
-        else:
-            continue
-        ts = [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
-        times += ts
-        index += [i + 1 for i in hit]
-        new += [s] * len(hit)
-        for t, level in zip(ts, range(total + 2 * s, walk.total + s, 2 * s)):
-            if breaks[-1] < t < T:
-                breaks.append(t)
-                totals.append(level)
-            elif t <= breaks[-1]:  # merges into the last breakpoint
-                totals[-1] = level
-    output = StepSignal(TimeGrid((*breaks, T)), tuple([v / k for v in totals]))
+        if s := walk.crossed(z1):
+            hit, thr = walk.switch(s, z1), bank.hi if s == 1 else bank.lo
+            dz, dt = 0.5 * z1 - 0.5 * z0, t1 - t0
+            times += [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
+            index += [i + 1 for i in hit]
+            new += [s] * len(hit)
+    breaks, sums, T = [knots[0][0]], [0], knots[-1][0]  # sums of new since the start
+    for t, c in zip(times, accumulate(new)):
+        if breaks[-1] < t < T:
+            breaks.append(t)
+            sums.append(c)
+        elif t <= breaks[-1]:  # merges into the last breakpoint
+            sums[-1] = c
+    total, k = sum(bank.outs), bank.k
+    output = StepSignal(TimeGrid((*breaks, T)), tuple([(total + 2 * c) / k for c in sums]))
     return output, _Events(times, index, new), RelayBank(bank.lo, bank.hi, tuple(walk.outs))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hystctl import dynamics
 from hystctl.dynamics import (
     EVENT_TOL,
     BankSpec,
@@ -443,6 +444,36 @@ def test_trajectory_csv(tmp_path):
     assert len(strings) == len(traj.times)
     assert (strings[0], strings[-1]) == ("+-|+-", "++|--")
     assert set(strings) == {"+-|+-", "+-|--", "++|--"}
+
+
+@pytest.mark.parametrize("integrator", ["switching", "bank"])
+def test_trajectory_csv_formats_each_relay_entry_once(tmp_path, monkeypatch, integrator):
+    # the rows between two events share one log entry, formatted once: at
+    # most one _signs call per event, plus one for the rows before the
+    # first, where formatting every row made one per row
+    u = step([0, 1, 2, 3, 4, 5, 6], [1.5, -1.5, -1.5, 1.5, 1.5, -1.5])
+    if integrator == "switching":
+        traj = integrate_switching(_heisenberg_switching(), (u, u), (0.0, 0.0, 0.0), (-1, -1),
+                                   step=0.01)
+    else:
+        spec, banks = _bank_heisenberg()
+        traj = integrate_bank(spec, (u, u), (0.0, 0.0, 0.0), banks, step=0.01)
+    (log,) = traj.hysteresis_log.values()
+    calls, signs = [], dynamics._signs
+    monkeypatch.setattr(dynamics, "_signs", lambda outs: calls.append(outs) or signs(outs))
+    path = tmp_path / "traj.csv"
+    traj.to_csv(str(path))
+    entries = [c for c in calls if c in log]  # a bank entry's axes are formatted by a call each
+    assert len(traj.events) >= 6 and len(traj.times) > 50 * (len(traj.events) + 1)
+    assert 0 < len(entries) <= len(traj.events) + 1
+
+    def text(entry):
+        if isinstance(entry[0], tuple):
+            return "|".join(map(text, entry))
+        return "".join("+" if o > 0 else "-" for o in entry)
+
+    with open(path) as fh:
+        assert [row[-1] for row in list(csv.reader(fh))[1:]] == [text(e) for e in log]
 
 
 def test_plain_runs_build_no_log():
@@ -1050,6 +1081,9 @@ def test_bank_inconsistent_seed():
 
 def test_gronwall_values():
     assert gronwall_bound(0.0, 2.0, 1.0, 1.0, 4.0) == 0.0
+    # exactly 0 for C_k = 0, however far the exponential overflows the floats
+    assert gronwall_bound(0.0, 1e3, 1e3, 1.0, 1.0) == 0.0
+    assert gronwall_bound(0.0, 1e200, 1e200, 1.0, 1.0) == 0.0
     assert gronwall_bound(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(math.e)
     with pytest.raises(DomainError):
         gronwall_bound(-1.0, 1.0, 1.0, 1.0, 1.0)
