@@ -2,7 +2,9 @@
 
 Each experiment binds constructions + dynamics into a pass/fail check with a
 metric table; verdicts depend only on the declared tolerances, and runs are
-deterministic given the same params (randomized ones take explicit seeds).
+deterministic given the same params.  The randomized ones take explicit seeds
+and draw from random.Random(seed): their rows differ from those of earlier
+commits (numpy's default_rng), their verdicts do not.
 
 EXPERIMENTS is the registry: an experiment's parameters are the keyword
 defaults of its `_exp_*` function, and every value, from the API or the CLI,
@@ -14,8 +16,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import random
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -205,22 +209,22 @@ def _exp_fig5_density(*, j=(10, 20, 40), rho=DEFAULT_RHO):
 
 
 def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     cases = {"id": (lambda x: x, 1.0), "sin": (np.sin, 1.0)}
     rows = []
     verdict = True
     for name, (f, L) in cases.items():
-        A = rng.uniform(-1.0, 1.0, 3)
-        B = rng.uniform(-1.0, 1.0, 3)
-        w0 = float(A[0] + rng.uniform(-rho, rho))
+        A = tuple([rng.uniform(-1.0, 1.0) for _ in range(3)])
+        B = tuple([rng.uniform(-1.0, 1.0) for _ in range(3)])
+        w0 = A[0] + rng.uniform(-rho, rho)
         ubar = plan_triangular(f, A, B)
         spec = TriangularSpec((f,), rho, (w0,))
         # Theorem 3 bounds ez by L * T * max|u2bar| * max|xbar'| / j
         scale = L * ubar[0].horizon * max(map(abs, ubar[1].values)) * max(map(abs, ubar[0].values))
         ez_prev = None
         for ji in j:
-            sched = thm3_schedule(ubar, tuple(A), rho, w0, ji)
-            traj = integrate_play_state(spec, sched, tuple(A), step=step)
+            sched = thm3_schedule(ubar, A, rho, w0, ji)
+            traj = integrate_play_state(spec, sched, A, step=step)
             ex, ey, ez = (abs(float(c)) for c in traj.final_state - B)
             bound = scale / ji
             rows.append({"f": name, "j": ji, "ex": ex, "ey": ey, "ez": ez, "bound": bound})
@@ -232,15 +236,15 @@ def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7)
 
 
 def _exp_heis_exact(*, cases=20, rho=DEFAULT_RHO, step=1e-3, seed=11):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
     for c in range(cases):
-        A = rng.uniform(-1.0, 1.0, 3)
-        B = rng.uniform(-1.0, 1.0, 3)
-        w0 = float(A[0] + rng.uniform(-rho, rho))
-        sched = heis_exact_schedule(tuple(A), tuple(B), rho, w0)
+        A = tuple([rng.uniform(-1.0, 1.0) for _ in range(3)])
+        B = tuple([rng.uniform(-1.0, 1.0) for _ in range(3)])
+        w0 = A[0] + rng.uniform(-rho, rho)
+        sched = heis_exact_schedule(A, B, rho, w0)
         spec = TriangularSpec((lambda x: x,), rho, (w0,))
-        traj = integrate_play_state(spec, sched, tuple(A), step=step)
+        traj = integrate_play_state(spec, sched, A, step=step)
         err = float(np.abs(traj.final_state - B).max())
         rows.append({"case": c, "endpoint_error": err})
     verdict = all(r["endpoint_error"] < 1e-8 for r in rows)
@@ -309,8 +313,8 @@ def _exp_switching_demo(*, step=1e-3):
 
 
 def _random_zeta(rng, n_knots=6):
-    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, n_knots - 1))])
-    vs = rng.uniform(-1.2, 1.2, n_knots)
+    ts = accumulate([rng.uniform(0.3, 1.0) for _ in range(n_knots - 1)], initial=0.0)
+    vs = [rng.uniform(-1.2, 1.2) for _ in range(n_knots)]
     return PolylineSignal(tuple(zip(ts, vs)))
 
 
@@ -318,7 +322,7 @@ def _exp_bank_vs_truncated(*, k=(4, 16, 64), cases=100, seed=3):
     rows = []
     verdict = True
     for ki in k:
-        rng = np.random.default_rng(seed + ki)
+        rng = random.Random(seed + ki)
         worst = 0.0
         for _ in range(cases):
             zeta = _random_zeta(rng)

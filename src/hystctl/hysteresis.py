@@ -272,9 +272,10 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     if walk.crossed(knots[0][1]):
         raise DomainError("bank relay states inconsistent with zeta(0)")
     times, index, new = [], [], []
+    his, los = tuple(map(float, bank.hi)), tuple(map(float, bank.lo))  # Python floats
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
         if s := walk.crossed(z1):
-            hit, thr = walk.switch(s, z1), bank.hi if s == 1 else bank.lo
+            hit, thr = walk.switch(s, z1), his if s == 1 else los
             dz, dt = 0.5 * z1 - 0.5 * z0, t1 - t0
             times += [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
             index += [i + 1 for i in hit]
@@ -286,7 +287,11 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
             sums.append(c)
         elif t <= breaks[-1]:  # merges into the last breakpoint
             sums[-1] = c
-    total, k = sum(bank.outs), bank.k
-    output = StepSignal(TimeGrid((*breaks, T)), tuple([(total + 2 * c) / k for c in sums]))
+    total, k = int(sum(bank.outs)), bank.k  # a Python int, so the levels are floats
+    # built unchecked: the replay made the breaks finite and strictly increasing
+    grid, output = object.__new__(TimeGrid), object.__new__(StepSignal)
+    object.__setattr__(grid, "points", (*breaks, T))
+    object.__setattr__(output, "grid", grid)
+    object.__setattr__(output, "values", tuple([(total + 2 * c) / k for c in sums]))
     return output, _Events(times, index, new), RelayBank(bank.lo, bank.hi, tuple(walk.outs))
 

@@ -1,9 +1,14 @@
 """Experiment harness: ids, verdicts, reproducibility, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hystctl.constructions import heis_exact_schedule
 from hystctl.experiments import EXPERIMENTS, run_experiment
 from hystctl.signals import DomainError
 
@@ -79,6 +84,54 @@ def test_reproducibility():
     a = run_experiment("bank_vs_truncated", {"cases": 10, "seed": 5})
     b = run_experiment("bank_vs_truncated", {"cases": 10, "seed": 5})
     assert a.rows == b.rows and a.verdict == b.verdict
+
+
+def test_seeded_draws_are_pinned(monkeypatch):
+    # random.Random's stream for an int seed is the same on every Python
+    # version, so heis_exact's first case at the default seed is fixed
+    seen = []
+    monkeypatch.setattr("hystctl.experiments.heis_exact_schedule",
+                        lambda *args: seen.append(args) or heis_exact_schedule(*args))
+    assert run_experiment("heis_exact", {"cases": 1, "step": 1e-2}).verdict
+    assert seen == [(
+        (-0.09524089298036276, 0.11954477216099191, 0.8484211680474587),
+        (-0.06869985980045334, 0.01568254612454223, 0.1747696576997939),
+        0.2,
+        -0.22137675543841212,
+    )]
+
+
+@pytest.mark.parametrize("exp_id", ["thm3_convergence", "heis_exact"])
+def test_seed_fixes_the_rows(exp_id):
+    params = {**FAST_PARAMS[exp_id], "seed": 5}
+    rows = run_experiment(exp_id, params).rows
+    assert run_experiment(exp_id, params).rows == rows
+    assert run_experiment(exp_id, {**params, "seed": 6}).rows != rows
+
+
+def test_no_run_loads_numpy_random():
+    # every experiment and a CLI run in a fresh interpreter: the seeded ones
+    # draw from random.Random, so numpy.random is never imported
+    code = f"""
+import contextlib, io, sys
+import numpy
+if "numpy.random" in sys.modules:
+    sys.exit(3)
+from hystctl.cli import main
+from hystctl.experiments import run_experiment
+for exp_id, params in {FAST_PARAMS!r}.items():
+    assert run_experiment(exp_id, params).verdict, exp_id
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["heis_exact", "--cases", "2"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.random"))
+assert not loaded, loaded
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.random (numpy 1.x)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_report_artifacts(tmp_path):

@@ -23,7 +23,14 @@ from hystctl.hysteresis import (
     play_update,
     truncated_play_apply,
 )
-from hystctl.signals import DomainError, PolylineSignal, sample, sup_distance
+from hystctl.signals import (
+    DomainError,
+    PolylineSignal,
+    StepSignal,
+    TimeGrid,
+    sample,
+    sup_distance,
+)
 
 
 def random_polyline(rng, n_knots=8, lo=-2.0, hi=2.0):
@@ -454,6 +461,20 @@ def test_large_bank_trace_matches_relays_stepped_alone(case):
     # large enough that a segment passes many relays, some of them already
     # at its end state, so the pointers scan past several indices
     assert_matches_relays_stepped_alone(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=banks_and_inputs(max_k=64, max_knots=40))
+@example(case=(RelayBank(np.array([-0.5, 0.0]), np.array([0.5, 1.0]), np.array([1, -1])),
+               PolylineSignal(((0.0, 0.0), (1.0, 1.5), (2.0, -1.0)))))
+def test_bank_trace_output_is_the_checked_step_signal(case):
+    # bank_trace builds its output without StepSignal's checks, which its
+    # replay makes hold: the checked build of its points and values is equal,
+    # and holds Python floats, numpy scalars in the bank or not
+    out, _, _ = bank_trace(*case)
+    checked = StepSignal(TimeGrid(out.grid.points), out.values)
+    assert out == checked
+    assert {type(x) for x in out.grid.points + out.values} == {float}
 
 
 def assert_matches_relays_stepped_alone(bank, zeta):
