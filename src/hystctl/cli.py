@@ -12,7 +12,6 @@ RelayBank of `relay`, or RelayBank.staircase.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -20,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 
-from .dynamics import heisenberg_fields, integrate_plain
+from .dynamics import _write_csv, heisenberg_fields, integrate_plain
 from .experiments import (
     EXPERIMENTS,
     PARAMS,
@@ -178,45 +177,25 @@ def _sim_extra(raw: dict) -> dict:
     }
 
 
-def _load_polyline(path: str) -> PolylineSignal:
-    with open(path) as fh:
-        sig = signal_from_json(json.load(fh))
-    if not isinstance(sig, PolylineSignal):
-        raise DomainError("expected a polyline signal ({'knots': ...})")
-    return sig
-
-
-def _write_or_print(rows, header, out):
-    if out:
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(c) for c in r))
-
-
 def dispatch(cfg: RunConfig) -> int:
     a = cfg.extra
-    if cfg.command == "play":
-        out_sig = play_apply(_load_polyline(a["input"]), a["state"].w, a["state"].rho)
-        _write_or_print(out_sig.csv_rows(), ["t", "w"], a.get("out"))
-        return 0
-
-    if cfg.command == "relay":
-        _, events, _ = bank_trace(a["state"], _load_polyline(a["input"]))
-        rows = [(e.time, e.old, e.new) for e in events]
-        _write_or_print(rows, ["time", "old", "new"], a.get("out"))
-        return 0
-
-    if cfg.command == "bank":
-        output, events, _ = bank_trace(a["state"], _load_polyline(a["input"]))
-        _write_or_print(output.csv_rows(), ["t", "w_k"], a.get("out"))
-        if a.get("events"):
+    if cfg.command in _OPERATORS:
+        with open(a["input"]) as fh:
+            zeta = signal_from_json(json.load(fh))
+        if not isinstance(zeta, PolylineSignal):
+            raise DomainError("expected a polyline signal ({'knots': ...})")
+        if cfg.command == "play":
+            output = play_apply(zeta, a["state"].w, a["state"].rho)
+            _write_csv(["t", "w"], output.csv_rows(), a["out"])
+            return 0
+        output, events, _ = bank_trace(a["state"], zeta)
+        if cfg.command == "relay":
+            _write_csv(["time", "old", "new"], [(e.time, e.old, e.new) for e in events], a["out"])
+            return 0
+        _write_csv(["t", "w_k"], output.csv_rows(), a["out"])
+        if a["events"]:
             rows = [(e.time, e.index, e.new) for e in events]
-            _write_or_print(rows, ["time", "relay", "new"], a["events"])
+            _write_csv(["time", "relay", "new"], rows, a["events"])
         return 0
 
     if cfg.command == "sim" and cfg.experiment is None:
@@ -230,7 +209,7 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
 
     report = run_experiment(cfg.experiment, cfg.params)
-    _write_or_print([r.values() for r in report.rows], list(report.rows[0]), cfg.out)
+    _write_csv(list(report.rows[0]), [r.values() for r in report.rows], cfg.out)
     if cfg.manifest:
         report.to_manifest(cfg.manifest)
     print(f"{report.id}: {'pass' if report.verdict else 'fail'} ({report.runtime:.3f}s)")

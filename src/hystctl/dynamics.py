@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from operator import mul
@@ -186,10 +187,19 @@ class Trajectory:
         entries = {id(v): v for log in logs for v in log if isinstance(v, tuple)}
         text = {i: _signs(v) for i, v in entries.items()}  # once per entry, not per row
         logs = [[text[id(v)] if isinstance(v, tuple) else v for v in log] for log in logs]
+        _write_csv(["t"] + [f"z{i + 1}" for i in range(self.states.shape[1])] + keys,
+                   ([t, *z, *vals] for t, z, *vals in zip(self.times, self.states, *logs)), path)
+
+
+def _write_csv(header, rows, path=None) -> None:
+    """header, then rows, as CSV: to the file at path in csv's default dialect
+    (\r\n line ends), or to stdout with \n line ends when no path is given."""
+    lines = itertools.chain([header], rows)
+    if path:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"z{i + 1}" for i in range(self.states.shape[1])] + keys)
-            w.writerows([t, *z, *vals] for t, z, *vals in zip(self.times, self.states, *logs))
+            csv.writer(fh).writerows(lines)
+    else:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
 
 
 def _signs(outs: tuple) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import platform
 import random
 import time
 from dataclasses import dataclass
@@ -76,6 +77,9 @@ class ExperimentReport:
         return {
             "id": self.id,
             "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
             "params": self.params,
             "verdict": "pass" if self.verdict else "fail",
             "runtime_seconds": self.runtime,
@@ -133,6 +137,13 @@ def parse_param(name: str, value, rule=None):
     return xs if is_list else xs[0]
 
 
+def _decreasing(rows, key, by) -> bool:
+    """Whether row[key] strictly falls as row[by] grows: the rows are read in
+    increasing order of `by`, whatever order the sweep was listed in."""
+    errs = [r[key] for r in sorted(rows, key=lambda r: r[by])]
+    return all(a > b for a, b in zip(errs, errs[1:]))
+
+
 def _fig3_ubar():
     return StepSignal(TimeGrid(FIG3_GRID), FIG3_ALPHA)
 
@@ -187,9 +198,9 @@ def _exp_thm2_convergence(*, k=(10, 20, 40, 80), rho=DEFAULT_RHO, step=1e-3):
         )
         bound = gronwall_bound(C_k, 2.0, M, HEIS_LIPSCHITZ, T)
         rows.append({"k": ki, "sup_gap": gap, "C_k": C_k, "gronwall_bound": bound})
-    gaps = [r["sup_gap"] for r in rows]
+    gaps = [r["sup_gap"] for r in sorted(rows, key=lambda r: r["k"])]
     verdict = (
-        all(a > b for a, b in zip(gaps, gaps[1:]))
+        _decreasing(rows, "sup_gap", "k")
         and gaps[-1] <= 0.25 * gaps[0]
         and all(r["sup_gap"] <= r["gronwall_bound"] for r in rows)
     )
@@ -212,7 +223,6 @@ def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7)
     rng = random.Random(seed)
     cases = {"id": (lambda x: x, 1.0), "sin": (np.sin, 1.0)}
     rows = []
-    verdict = True
     for name, (f, L) in cases.items():
         A = tuple([rng.uniform(-1.0, 1.0) for _ in range(3)])
         B = tuple([rng.uniform(-1.0, 1.0) for _ in range(3)])
@@ -221,18 +231,14 @@ def _exp_thm3_convergence(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3, seed=7)
         spec = TriangularSpec((f,), rho, (w0,))
         # Theorem 3 bounds ez by L * T * max|u2bar| * max|xbar'| / j
         scale = L * ubar[0].horizon * max(map(abs, ubar[1].values)) * max(map(abs, ubar[0].values))
-        ez_prev = None
         for ji in j:
             sched = thm3_schedule(ubar, A, rho, w0, ji)
             traj = integrate_play_state(spec, sched, A, step=step)
             ex, ey, ez = (abs(float(c)) for c in traj.final_state - B)
-            bound = scale / ji
-            rows.append({"f": name, "j": ji, "ex": ex, "ey": ey, "ez": ez, "bound": bound})
-            verdict &= ex < 1e-8 and ey < 1e-8 and ez <= bound
-            if ez_prev is not None:
-                verdict &= ez < ez_prev
-            ez_prev = ez
-    return rows, verdict
+            rows.append({"f": name, "j": ji, "ex": ex, "ey": ey, "ez": ez, "bound": scale / ji})
+    within = all(r["ex"] < 1e-8 and r["ey"] < 1e-8 and r["ez"] <= r["bound"] for r in rows)
+    falls = all(_decreasing([r for r in rows if r["f"] == name], "ez", "j") for name in cases)
+    return rows, within and falls
 
 
 def _exp_heis_exact(*, cases=20, rho=DEFAULT_RHO, step=1e-3, seed=11):
@@ -355,8 +361,6 @@ def _exp_chain_demo(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3):
     B = (0.5, -0.3, 0.4, 0.7, -0.6)
     spec = TriangularSpec((f2, f3), rho, (A[0], A[1]))
     rows = []
-    verdict = True
-    prev4 = prev5 = None
     for ji in j:
         sched = chain_schedule(spec, A, B, ji)
         traj = integrate_play_state(spec, sched, A, step=step)
@@ -366,11 +370,8 @@ def _exp_chain_demo(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3):
             "ex1": float(err[0]), "ex2": float(err[1]), "ex3": float(err[2]),
             "ey4": float(err[3]), "ey5": float(err[4]),
         })
-        verdict &= bool(err[:3].max() < 1e-8)
-        if prev5 is not None:
-            verdict &= err[4] < prev5 and err[3] < prev4
-        prev4, prev5 = float(err[3]), float(err[4])
-    return rows, verdict
+    exact = all(r[key] < 1e-8 for r in rows for key in ("ex1", "ex2", "ex3"))
+    return rows, exact and _decreasing(rows, "ey4", "j") and _decreasing(rows, "ey5", "j")
 
 
 EXPERIMENTS = {

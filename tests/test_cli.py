@@ -243,6 +243,30 @@ def test_bank_subcommand(tmp_path):
     assert len(events) == 3  # crossings of 1/4, 1/2, 3/4 (1.0 only touched)
 
 
+@pytest.mark.parametrize("argv", [
+    ["play", "--w0", "0.0", "--rho", "0.2"],
+    ["relay", "--lo=-0.5", "--hi", "0.5", "--out0", "1"],
+    ["bank", "--k", "4", "--events", "events.csv"],
+    ["fig5_density"],
+], ids=["play", "relay", "bank", "fig5_density"])
+def test_stdout_and_out_file_carry_the_same_rows(argv, tmp_path, monkeypatch, capsys):
+    # one writer: stdout gets \n line ends, a file csv's \r\n
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "fig5_density":
+        argv = argv + ["--input", write_json("z.json", {"knots": [[0, 0], [1, 0.9], [2, -0.7], [3, 0.45]]})]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", "out.csv"]) == 0
+    # the rows went to the file; an experiment prints its verdict line either way
+    verdict = capsys.readouterr().out
+    assert verdict.startswith("fig5_density: pass") if argv[0] == "fig5_density" else not verdict
+    rows = printed[:printed.index("fig5_density: pass")] if verdict else printed
+    assert (tmp_path / "out.csv").read_bytes().decode().replace("\r\n", "\n") == rows
+    for path in tmp_path.glob("*.csv"):  # out.csv, and bank's events.csv
+        text = path.read_bytes().decode()
+        assert text.count("\n") == text.count("\r\n") > 1
+
+
 def test_config_driven_sim(tmp_path):
     out = tmp_path / "traj.csv"
     path = write_json(tmp_path / "sim.json", {

@@ -2,10 +2,12 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hystctl.constructions import heis_exact_schedule
@@ -78,6 +80,28 @@ def test_manifest_records_effective_params():
     # flag strings parse like the values they spell
     assert run_experiment("fig5_density", {"j": "10,20"}).params == {
         "j": [10, 20], "rho": 0.2}
+
+
+def test_manifest_records_where_it_ran():
+    manifest = run_experiment("fig5_density").manifest()
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["platform"] == platform.platform()
+
+
+@pytest.mark.parametrize("exp_id,key", [
+    ("thm2_convergence", "k"), ("thm3_convergence", "j"), ("chain_demo", "j")])
+def test_sweep_order_does_not_change_the_verdict(exp_id, key):
+    # the error must fall as k or j grows, in whatever order the sweep is listed
+    params = FAST_PARAMS[exp_id]
+    up = run_experiment(exp_id, params)
+    down = run_experiment(exp_id, {**params, key: params[key][::-1]})
+    assert up.verdict and down.verdict
+    for f in {r.get("f") for r in up.rows}:  # thm3's rows come in one sweep per f
+        assert [r for r in down.rows if r.get("f") == f] == \
+            [r for r in up.rows if r.get("f") == f][::-1]
+    # the fall is strict, so a repeated value fails
+    assert not run_experiment(exp_id, {**params, key: [params[key][0]] * 2}).verdict
 
 
 def test_reproducibility():
