@@ -204,13 +204,8 @@ def align_schedule(xA: float, w0: float, rho: float, direction: int) -> tuple[St
 # ---------------------------------------------------------------------------
 # steering schedules
 
-def thm3_schedule(
-    ubar: tuple[StepSignal, StepSignal],
-    A: tuple[float, float, float],
-    rho: float,
-    w0: float,
-    j: int,
-) -> tuple[StepSignal, ...]:
+def thm3_schedule(ubar: tuple[StepSignal, StepSignal], A: tuple[float, float, float], rho: float,
+                  w0: float, j: int) -> tuple[StepSignal, ...]:
     """Approximate steering of the triangular hysteretic system.
 
     Given a reference (u1, u2) steering the hysteresis-free system from A,
@@ -227,12 +222,8 @@ def thm3_schedule(
     return _then(align, (derivative(v), u2b), adjust)
 
 
-def heis_exact_schedule(
-    A: tuple[float, float, float],
-    B: tuple[float, float, float],
-    rho: float,
-    w0: float,
-) -> tuple[StepSignal, ...]:
+def heis_exact_schedule(A: tuple[float, float, float], B: tuple[float, float, float], rho: float,
+                        w0: float) -> tuple[StepSignal, ...]:
     """Exact steering of the hysteretic Heisenberg system from A to B.
 
     Legs: move y with x frozen (z drifts by w0 * dy), align the play pair,

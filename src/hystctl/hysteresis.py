@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import ge, lt
 from typing import NamedTuple
 
-from .signals import DomainError, PolylineSignal, StepSignal, TimeGrid
+from .signals import DomainError, PolylineSignal, StepSignal, TimeGrid, _built
 
 _SEED_SLACK = 1e-12
 
@@ -288,10 +288,7 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
         elif t <= breaks[-1]:  # merges into the last breakpoint
             sums[-1] = c
     total, k = int(sum(bank.outs)), bank.k  # a Python int, so the levels are floats
-    # built unchecked: the replay made the breaks finite and strictly increasing
-    grid, output = object.__new__(TimeGrid), object.__new__(StepSignal)
-    object.__setattr__(grid, "points", (*breaks, T))
-    object.__setattr__(output, "grid", grid)
-    object.__setattr__(output, "values", tuple([(total + 2 * c) / k for c in sums]))
+    grid = _built(TimeGrid, points=(*breaks, T))  # unchecked: the replay's breaks strictly increase
+    output = _built(StepSignal, grid=grid, values=tuple([(total + 2 * c) / k for c in sums]))
     return output, _Events(times, index, new), RelayBank(bank.lo, bank.hi, tuple(walk.outs))
 

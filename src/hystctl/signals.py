@@ -66,18 +66,31 @@ class TimeGrid:
         _check_breaks(pts, "time grid")
 
 
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _built(cls, view=None, **fields):
+    """cls with these fields set without __post_init__, for an operator's output
+    checked on arrays; view, if given, is kept as its affine_view()."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    if view is not None:
+        obj.__dict__["_arrays"] = _read_only(view)
+    return obj
+
+
 class _Affine:
     """The signal kinds' one view, affine_view() -> (breaks, left, slope) as
     read-only numpy arrays: the signal is left[j] + slope[j]*(t - breaks[j])
-    on [breaks[j], breaks[j+1]).  It is built by _view() on first use and kept
-    on the instance (no dataclass field: ==, hash, repr, replace ignore it)."""
+    on [breaks[j], breaks[j+1]).  _view() builds it on first use unless _built
+    seeded it; it is kept on the instance (no dataclass field: ==, hash, repr, replace ignore it)."""
 
     @cached_property
     def _arrays(self):
-        arrays = self._view()
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        return _read_only(self._view())
 
     def affine_view(self):
         return self._arrays
@@ -141,12 +154,7 @@ class PolylineSignal(_Affine):
         return self.knots[-1][1]
 
     def _view(self):
-        t, v = np.array(self.times), np.array([v for _, v in self.knots])
-        with np.errstate(over="ignore", invalid="ignore"):
-            slope = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
-        if not (math.isfinite(self.times[-1] - self.times[0]) and np.isfinite(slope).all()):
-            raise DomainError("polyline segments need finite durations and slopes")
-        return t, v[:-1], slope
+        return _polyline_view(np.array(self.times), np.array([v for _, v in self.knots]))
 
     def slopes(self) -> tuple[float, ...]:
         return tuple(self.affine_view()[2].tolist())
@@ -156,6 +164,16 @@ class PolylineSignal(_Affine):
 
     def csv_rows(self):
         return list(self.knots)
+
+
+def _polyline_view(t: np.ndarray, v: np.ndarray):
+    """The affine_view() of the polyline with knots (t, v); DomainError unless
+    every segment has a finite duration and slope (so every knot is finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+        if not (np.isfinite(t[-1] - t[0]) and np.isfinite(slope).all()):
+            raise DomainError("polyline segments need finite durations and slopes")
+    return t, v[:-1], slope
 
 
 def check_times(ts, t0: float, T: float) -> np.ndarray:
@@ -202,17 +220,18 @@ def signal_from_json(data):
 
 def antiderivative(s: StepSignal, x0: float = 0.0) -> PolylineSignal:
     """Polyline x with x(0)=x0 and slope s on each grid interval."""
-    knots = [(s.grid.points[0], float(x0))]
-    acc = float(x0)
-    for (t0, t1), v in zip(zip(s.grid.points, s.grid.points[1:]), s.values):
-        acc += v * (t1 - t0)
-        knots.append((t1, acc))
-    return PolylineSignal(tuple(knots))
+    t, v, _ = s.affine_view()
+    with np.errstate(over="ignore", invalid="ignore"):  # cumsum adds left to right, not pairwise
+        x = np.cumsum(np.concatenate(([float(x0)], v * (t[1:] - t[:-1]))))
+    return _built(PolylineSignal, _polyline_view(t, x), knots=tuple(zip(s.grid.points, x.tolist())),
+                  times=s.grid.points)
 
 
 def derivative(p: PolylineSignal) -> StepSignal:
     """Slope staircase; antiderivative(derivative(p), p(0)) == p knot-wise."""
-    return StepSignal(TimeGrid(p.times), p.slopes())
+    t, _, slope = p.affine_view()
+    return _built(StepSignal, (t, slope, np.zeros_like(slope)),
+                  grid=_built(TimeGrid, points=p.times), values=tuple(slope.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +303,9 @@ def _merged(a, b, ca: float, cb: float):
     return times, left, slope
 
 
-def _finite(x: float, what: str) -> float:
-    """x; DomainError if the arithmetic that gave it overflowed the floats."""
-    if not math.isfinite(x):
+def _finite(x, what: str):
+    """x (a float or an array); DomainError if the arithmetic that gave it overflowed the floats."""
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise DomainError(f"{what} overflows the floats")
     return x
 
@@ -300,14 +319,17 @@ def combine(a, b, ca: float = 1.0, cb: float = 1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         times, left, slope = _merged(a, b, ca, cb)
         right = left + slope * np.diff(times)  # the value at each interval's end
-    times = tuple(times.tolist())
+    points = tuple(times.tolist())  # strictly increasing: merge_times with tol=0
     if isinstance(a, StepSignal) and isinstance(b, StepSignal):
-        return StepSignal(TimeGrid(times), left.tolist())
+        return _built(StepSignal, (times, _finite(left, "combine"), np.zeros_like(left)),
+                      grid=_built(TimeGrid, points=points), values=tuple(left.tolist()))
     if isinstance(a, PolylineSignal) and isinstance(b, PolylineSignal):
-        return PolylineSignal(tuple(zip(times, left.tolist() + [float(right[-1])])))
-    if not np.isfinite(right).all():
-        raise DomainError("combine overflows the floats")
-    return PiecewiseAffine(times, tuple(zip(left.tolist(), slope.tolist())))
+        v = np.append(left, right[-1])
+        return _built(PolylineSignal, _polyline_view(times, v), knots=tuple(zip(points, v.tolist())),
+                      times=points)
+    _finite(right, "combine")
+    return _built(PiecewiseAffine, (times, left, slope), breaks=points,
+                  pieces=tuple(zip(left.tolist(), slope.tolist())))
 
 
 def l1_distance(a, b) -> float:

@@ -318,13 +318,30 @@ A_STEP = StepSignal(TimeGrid((0.0, 1.0)), (1e308,))
     (combine, A_RISE, A_STEP, (1.0, 1.0)),
     (l1_distance, A_RISE, A_FALL, ()),
     (sup_distance, A_RISE, A_FALL, ()),
-], ids=["polyline", "step", "mixed-scaled", "mixed", "l1", "sup"])
+    (antiderivative, StepSignal(TimeGrid((0.0, 2.0)), (1e308,)), 0.0, ()),
+    (antiderivative, StepSignal(TimeGrid((0.0, 1.0, 2.0)), (1e308, 1e308)), 0.0, ()),
+    (antiderivative, A_STEP, 1e308, ()),
+], ids=["polyline", "step", "mixed-scaled", "mixed", "l1", "sup", "antiderivative-wide",
+        "antiderivative-sum", "antiderivative-x0"])
 def test_results_past_the_floats_raise_without_a_warning(op, a, b, coefficients):
-    # finite operands whose difference or scaled sum is past 1.8e308
+    # finite operands whose difference, scaled sum or integral is past 1.8e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             op(a, b, *coefficients)
+
+
+def test_combine_refuses_a_slope_past_the_floats_with_finite_knots():
+    # each operand rises 1e298 in 1e-10 (slope 1e308); their difference has
+    # finite knots but a slope of 2e308, which combine refuses when it builds
+    # the result, not at its first read
+    a = PolylineSignal(((0.0, 0.0), (1e-10, 1e298), (1.0, 1e298)))
+    b = PolylineSignal(((0.0, 0.0), (1e-10, -1e298), (1.0, -1e298)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(a.slopes() + b.slopes()).all()
+        with pytest.raises(DomainError, match="finite durations and slopes"):
+            combine(a, b, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -677,3 +694,62 @@ def test_combine_and_metrics_match_exact_rationals():
         l1 = sum(exact_abs_integral(d0, d1, tau) for (d0, d1), tau in zip(d, taus))
         l1_bound = ORACLE_C * math.ulp(float(l1)) + (grid[-1] - grid[0]) * bound
         assert abs(Fraction(l1_distance(a, b)) - l1) <= l1_bound, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# operator outputs: combine, antiderivative and derivative hand over the view
+# they computed; it must be the view the output's fields give
+
+MAGNITUDE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two signals of drawn kinds on one [t0, T], t0 up to 1e12 and T - t0
+    from 1e-3 to 1e6, with values from 0 (either sign) and subnormals to 1e300."""
+    t0 = draw(st.sampled_from((0.0, -7.5, 1e6, 1e12)))
+    T = t0 + draw(st.sampled_from((1e-3, 4.0, 1e6)))
+
+    def one():
+        gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8))
+        pts = np.unique(np.append(t0 + (T - t0) * np.cumsum([0.0] + gaps[:-1]) / sum(gaps), T))
+        vals = draw(st.lists(MAGNITUDE, min_size=len(pts), max_size=len(pts)))
+        return step(pts, vals[:-1]) if draw(st.booleans()) else PolylineSignal(tuple(zip(pts, vals)))
+
+    return one(), one()
+
+
+def public_twin(s):
+    """s rebuilt from its fields by its public constructor."""
+    if isinstance(s, StepSignal):
+        return StepSignal(TimeGrid(s.grid.points), s.values)
+    if isinstance(s, PolylineSignal):
+        return PolylineSignal(s.knots)
+    return PiecewiseAffine(s.breaks, s.pieces)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(operand_pairs(), MAGNITUDE, MAGNITUDE)
+def test_a_seeded_view_is_the_view(pair, ca, cb):
+    a, b = pair
+    ops = [lambda: combine(a, b, ca, cb)]
+    ops += [lambda s=s: antiderivative(s, ca) if isinstance(s, StepSignal) else derivative(s)
+            for s in pair]
+    for op in ops:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = op()
+            except DomainError:  # the result or an operand's slope leaves the floats
+                continue
+        twin = public_twin(out)
+        assert [x.hex() for x in float_fields(out)] == [x.hex() for x in float_fields(twin)]
+        assert all(type(x) is float for x in float_fields(out))
+        assert out == twin and hash(out) == hash(twin) and repr(out) == repr(twin)
+        if isinstance(out, PolylineSignal):
+            assert out.times == twin.times
+        view, rebuilt = out.affine_view(), type(out)._view(out)
+        assert len(view) == len(rebuilt) == 3
+        for x, y in zip(view, rebuilt):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert not x.flags.writeable
