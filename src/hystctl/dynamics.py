@@ -38,6 +38,8 @@ _PROBE_ULPS = 4
 # Relative slack when a piece is cut into steps (a piece a hair longer than
 # whole steps gets no sliver step).
 _PIECE_SLACK = 1e-9
+# Most rows of one run, refused by _pieces before any is allocated (1e7 rows at n = 3 hold 320 MB).
+_ROW_CAP = 10**7
 # Least nominal steps of a stretch tested for a closed-form solution (the
 # test costs five RK4 steps), and the relative agreement that passes it.
 _EXACT_STEPS = 32
@@ -234,13 +236,15 @@ def _check_cap(z):
 def _pieces(step, signals):
     """(grid, nsteps): the signals' merged breakpoints, an array, and each piece's steps.
 
-    All signals must share one domain (_check_domain); each piece gets the
-    fewest equal steps that are no longer than step.
+    All signals must share one domain (_check_domain) and (T - t0) / step may not
+    pass _ROW_CAP; each piece gets the fewest equal steps no longer than step.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step}")
     _check_domain(signals, "controls must share the horizon")
     grid = merge_times(*(s.affine_view()[0] for s in signals))
+    if float(grid[-1] - grid[0]) / float(step) > _ROW_CAP:  # a Python inf, no numpy warning
+        raise DomainError(f"step {step} gives more than {_ROW_CAP} rows on [{grid[0]}, {grid[-1]}]")
     return grid, [max(1, math.ceil(d / step - _PIECE_SLACK)) for d in np.diff(grid).tolist()]
 
 
@@ -413,7 +417,6 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
         h = (b - a) / nsteps
         t = a
         q = 1  # the next row is grid point q
-        dt = h
         test = True  # test the stretch from t for a closed form
         stretch = 0  # closed-form rows since the last event
         while q <= nsteps:
@@ -430,9 +433,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
                     times, states = [], []
                     t, z = float(ts[stretch - 1]), tuple(rows[stretch - 1].tolist())
                     q += stretch
-                    dt = h
                     continue
             t_end = b if q == nsteps else a + q * h
+            dt = h if t == a + (q - 1) * h else t_end - t  # from a row on grid point q - 1, or an event
             k1 = rhs(t, z)
             z_new = _rk4(rhs, t, z, k1, dt)
             hit = None
@@ -471,9 +474,6 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
             states.append(z)
             if t == t_end:
                 q += 1
-                dt = h
-            else:
-                dt = t_end - t
     blocks.append((np.array(times), np.reshape(states, (-1, n))))
     times, states = (np.concatenate(column) for column in zip(*blocks))
     log = None

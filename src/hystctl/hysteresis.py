@@ -7,6 +7,7 @@ we ever feed them (polylines are piecewise monotone).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -17,6 +18,7 @@ from typing import NamedTuple
 from .signals import DomainError, PolylineSignal, StepSignal, TimeGrid, _built
 
 _SEED_SLACK = 1e-12
+_RELAY_CAP = 10**5  # most relays of a staircase bank, checked before its tuples are built
 
 
 def _clamp(w: float, lo: float, hi: float) -> float:
@@ -161,8 +163,8 @@ class RelayBank:
         if not outs or not len(lo) == len(hi) == len(outs):
             raise DomainError(f"bank needs a relay, and one lo, hi and output per relay; got "
                               f"{len(lo)}, {len(hi)} and {len(outs)}")
-        if not (-math.inf < lo[0] and hi[-1] < math.inf and all(map(lt, lo, hi))):
-            raise DomainError("relay needs finite thresholds lo < hi")
+        if not (-sys.float_info.max <= lo[0] and hi[-1] <= sys.float_info.max and all(map(lt, lo, hi))):
+            raise DomainError("relay needs thresholds lo < hi within the floats")
         if not set(outs) <= {-1, 1}:
             raise DomainError("relay output must be -1 or +1")
         if not (all(map(lt, lo, lo[1:])) and all(map(lt, hi, hi[1:]))):
@@ -187,8 +189,8 @@ class RelayBank:
     @staticmethod
     def staircase(k: int, n_plus: int) -> "RelayBank":
         """Bank in the staircase configuration (+1 x n_plus, -1 x rest)."""
-        if not 0 <= n_plus <= k:
-            raise DomainError("n_plus must be in 0..k")
+        if not 0 <= n_plus <= k <= _RELAY_CAP:
+            raise DomainError(f"need 0 <= n_plus <= k <= {_RELAY_CAP}, got n_plus={n_plus}, k={k}")
         return RelayBank.make((1,) * n_plus + (-1,) * (k - n_plus))
 
     def is_staircase(self) -> bool:
@@ -196,16 +198,16 @@ class RelayBank:
 
 
 class _Walk:
-    """A bank's outputs while it switches, their sum total, and its next
-    switch each way: the lowest index at -1 rises at its hi, rise, and the
-    highest at +1 falls at its lo, fall (inf and -inf, never passed, if
-    there is none).  A switch moves the pointers by a scan past the switched
-    relays, one step in a staircase bank."""
+    """A bank's outputs while it switches, their sum total, its thresholds his
+    and los as Python floats, and its next switch each way: the lowest index at
+    -1 rises at its hi, rise, and the highest at +1 falls at its lo, fall (inf
+    and -inf, never passed, if there is none).  A switch moves the pointers by
+    a scan past the switched relays, one step in a staircase bank."""
 
     def __init__(self, bank: RelayBank):
         self.outs = list(bank.outs)
-        self._his = bank.hi + (math.inf,)  # the sentinels his[k] and los[-1]
-        self._los = bank.lo + (-math.inf,)
+        self.his = (*map(float, bank.hi), math.inf)  # the sentinels his[k] and los[-1]
+        self.los = (*map(float, bank.lo), -math.inf)
         self.total = sum(self.outs)
         self._point(0, bank.k - 1)
 
@@ -215,7 +217,7 @@ class _Walk:
             up += 1
         while down >= 0 and self.outs[down] == -1:
             down -= 1
-        self._up, self._down, self.rise, self.fall = up, down, self._his[up], self._los[down]
+        self._up, self._down, self.rise, self.fall = up, down, self.his[up], self.los[down]
 
     def crossed(self, z: float) -> int:
         """+1 if z is strictly past rise, -1 if strictly past fall, else 0
@@ -230,9 +232,9 @@ class _Walk:
         if z is None:
             stop = p + s
         elif s == 1:  # the -1s below bisect_left(hi, z)
-            stop = bisect_left(self._his, z, p)
+            stop = bisect_left(self.his, z, p)
         else:  # the +1s from bisect_right(lo, z) on
-            stop = bisect_right(self._los, z, 0, p + 1) - 1
+            stop = bisect_right(self.los, z, 0, p + 1) - 1
         hit = [i for i in range(p, stop, s) if self.outs[i] != s]
         a, b = sorted((p, stop - s))  # the relays passed, in index order
         self.outs[a:b + 1] = [s] * (b + 1 - a)
@@ -272,10 +274,9 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     if walk.crossed(knots[0][1]):
         raise DomainError("bank relay states inconsistent with zeta(0)")
     times, index, new = [], [], []
-    his, los = tuple(map(float, bank.hi)), tuple(map(float, bank.lo))  # Python floats
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
         if s := walk.crossed(z1):
-            hit, thr = walk.switch(s, z1), his if s == 1 else los
+            hit, thr = walk.switch(s, z1), walk.his if s == 1 else walk.los
             dz, dt = 0.5 * z1 - 0.5 * z0, t1 - t0
             times += [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
             index += [i + 1 for i in hit]

@@ -127,8 +127,8 @@ class StepSignal(_Affine):
         return {"grid": list(self.grid.points), "values": list(self.values)}
 
     def csv_rows(self):
-        """(t, value) sampled on the native grid."""
-        return [(t, self(t)) for t in self.grid.points]
+        """(t, value) at each grid point, the last one repeating the last value."""
+        return list(zip(self.grid.points, self.values + self.values[-1:]))
 
 
 @dataclass(frozen=True)

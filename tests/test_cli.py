@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hystctl.cli import main, parse_config
+from hystctl.hysteresis import _RELAY_CAP
 
 
 def write_json(path, data):
@@ -108,8 +109,9 @@ def test_usage_error_flag_not_allowed(capsys):
     ["relay", "--input", "z.json", "--lo", "0.5", "--hi", "0.5", "--out0", "1"],
     ["bank", "--input", "z.json", "--k", "0"],
     ["bank", "--input", "z.json", "--k", "4", "--nplus", "9"],
+    ["bank", "--input", "z.json", "--k", str(_RELAY_CAP + 1)],  # refused before a tuple is built
 ], ids=["k-empty", "cases-0", "seed-negative", "w0-nan", "relay-lo-minus-inf", "relay-lo-at-hi",
-        "bank-k-0", "bank-nplus-past-k"])
+        "bank-k-0", "bank-nplus-past-k", "bank-k-past-cap"])
 def test_usage_error_flag_value(argv, capsys):
     # a usage error from parse_config, not from argparse
     assert main(argv) == 2
@@ -145,6 +147,13 @@ def test_domain_error_exit_1(tmp_path, capsys):
     # seed outside the admissible strip
     assert main(["play", "--input", sig, "--w0", "5.0", "--rho", "0.2"]) == 1
     assert "domain error" in capsys.readouterr().err
+
+
+def test_step_past_the_row_cap_exit_1(capsys):
+    # its grid would be a 7.45 GiB array: refused up front, with no traceback
+    assert main(["thm2_convergence", "--step", "1e-9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "rows" in err
 
 
 def test_missing_file_exit_1(capsys):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -361,6 +362,43 @@ def test_step_must_be_positive_and_finite(h):
     spec = TriangularSpec((lambda x: x,), 0.2, (0.0,))
     with pytest.raises(DomainError, match="step"):
         integrate_play_state(spec, (const(1.0, 1.0),) * 2, (0.0, 0.0, 0.0), step=h)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-10, 5e-324, np.float64(5e-324)],
+                         ids=["1e-300", "1e-10", "5e-324", "numpy-5e-324"])
+def test_step_past_the_row_cap_is_refused_up_front(h):
+    # without the cap the nominal grid came first: numpy's ValueError at 1e-300,
+    # a MemoryError for tens of GiB at 1e-10 and an OverflowError from math.ceil
+    # at 5e-324; the cap refuses each with a DomainError before any such array
+    spec = TriangularSpec((lambda x: x,), 0.2, (0.0,))
+    runs = (lambda: integrate_plain(heisenberg_fields(), (const(1.0, 1.0),) * 2, (0.0,) * 3, step=h),
+            lambda: integrate_play_state(spec, (const(1.0, 1.0),) * 2, (0.0,) * 3, step=h))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="rows"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+def test_row_cap_refuses_only_more_rows(monkeypatch):
+    # (T - t0) / step at the cap runs and one step shorter is refused; a small
+    # cap stands in for _ROW_CAP, whose own boundary is a 1e7-row run
+    monkeypatch.setattr(dynamics, "_ROW_CAP", 100)
+    assert len(integrate_plain(EXP_FIELD, (const(2.0, 1.0),), (1.0,), step=0.02).times) == 101
+    with pytest.raises(DomainError, match="more than 100 rows"):
+        integrate_plain(EXP_FIELD, (const(2.0, 1.0),), (1.0,), step=math.nextafter(0.02, 0.0))
+
+
+def test_switching_thresholds_past_the_floats_are_refused():
+    # an int threshold past the floats is refused when the spec is built, not
+    # by a bare OverflowError when the walk converts it in the relay core
+    table = {s: FieldSet(1, 1, (lambda z: (1.0,),)) for s in ((-1,), (1,))}
+    with pytest.raises(DomainError, match="within the floats"):
+        SwitchingSpec(xi=((1.0,),), eta=0.3, field_table=table, thresholds=((0, 10**400),))
 
 
 def test_trajectory_sample_rejects_times_outside_horizon():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hystctl.hysteresis import (
+    _RELAY_CAP,
     _SEED_SLACK,
     PlayState,
     RelayBank,
@@ -246,7 +247,11 @@ def test_relay_switch_count_bound():
 
 
 @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
-                                    (-math.inf, 0.0), (0.0, math.inf)])
+                                    (-math.inf, 0.0), (0.0, math.inf),
+                                    # ints past the floats, compared unconverted (converting
+                                    # them is a bare OverflowError)
+                                    pytest.param(0, 10**400, id="hi-int-1e400"),
+                                    pytest.param(-10**400, 0, id="lo-int-minus-1e400")])
 def test_relay_nonfinite_thresholds_rejected(lo, hi):
     with pytest.raises(DomainError):
         RelayBank((lo,), (hi,), (1,))
@@ -272,6 +277,12 @@ def test_bank_validation():
                               ((0.0, 0.5), (1.0, 1.5), (1,)), ((0.0,), (1.0,), ())):
         with pytest.raises(DomainError, match="one lo, hi and output per relay"):
             RelayBank(lows, highs, outs)
+
+
+def test_staircase_refuses_a_k_past_the_relay_cap():
+    # refused before any tuple is built, so only the value just past the cap is tried
+    with pytest.raises(DomainError, match=f"k <= {_RELAY_CAP}"):
+        RelayBank.staircase(_RELAY_CAP + 1, 0)
 
 
 def test_bank_thresholds():

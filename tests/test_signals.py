@@ -416,6 +416,15 @@ def test_csv_rows():
     assert p.csv_rows() == [(0.0, 0.0), (1.0, 1.0)]
 
 
+def test_step_csv_rows_are_the_values_held():
+    # the values themselves, not evaluated again: a -0.0 level stays -0.0
+    rows = step([0.0, 1.0, 2.0], [-0.0, 1.0]).csv_rows()
+    assert rows == [(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)]
+    assert math.copysign(1.0, rows[0][1]) == -1.0
+    rows = step([0.0, 1.0], [-0.0]).csv_rows()
+    assert [math.copysign(1.0, v) for _, v in rows] == [-1.0, -1.0]
+
+
 @pytest.mark.parametrize("lists, merged", [
     (((1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12, 2.0),), (1.0, 2.0)),
     (((1.0, 2.0), (1.0 + 1.8e-12, 1.0 + 0.9e-12)), (1.0, 2.0)),
