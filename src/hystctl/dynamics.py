@@ -388,22 +388,19 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     its grid point if within EVENT_TOL of it; if within EVENT_TOL after its
     start, on the row there but z0's, which keeps its time and state), and
     the next step resumes to the same grid point.  Only the next relay to
-    switch on each axis in each direction is located: z.xi_j passes a
-    nearer relay's threshold before a farther one's, so the farther relay
-    switches at the nearer one's event or later (on the next step if it is
-    past its threshold there too).  An axis is located (on the whole step,
-    with its k1) only if also past its threshold at the earliest event
-    located so far: if not, it crosses later, unless z.xi_j turns back in
-    the step.
+    switch on each axis in each direction is located; at its event the walk
+    switches, each with an event at the row's time, every relay on the axis
+    that the located z.xi_j is past: a farther one only if within the
+    locator's overshoot, else at its own event.  An axis is located (on the
+    whole step, with its k1) only if also past its threshold at the earliest
+    event located so far: if not, it crosses later, unless z.xi_j turns back
+    in the step.
     """
-    walks = [_Walk(bank) for bank in banks]
     z = _point(z0, n)
+    walks = [_Walk(bank, _proj(z, v)) for bank, v in zip(banks, xi)]
     fields = _checked(select(walks), z, n)
     if len(controls) != len(fields):
         raise DomainError("one control per field required")
-    for j, (v, walk) in enumerate(zip(xi, walks)):
-        if walk.crossed(_proj(z, v)):
-            raise DomainError(f"relay outputs inconsistent with z0 on axis {j + 1}")
     grid, piece_steps = _pieces(step, controls)
     on_grid = [_affine_on(c.affine_view(), grid) for c in controls]
     u0, slope = np.transpose(on_grid, (1, 2, 0)).tolist()  # each piece's controls at a, slopes
@@ -456,10 +453,10 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
                 if not at_row:
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
-                i, = walks[j].switch(d)
-                for column, value in zip(events, (t, i + 1, d, label(j, i), j)):
-                    column.append(value)
-                budgets[j] -= 1
+                for i in walks[j].switch(d, _proj(z_s, xi[j])):
+                    for column, value in zip(events, (t, i + 1, d, label(j, i), j)):
+                        column.append(value)
+                    budgets[j] -= 1
                 if budgets[j] < 0:
                     raise DivergenceError(f"relay on axis {j + 1} chatters: more than "
                                           f"{EVENT_BUDGET} events per nominal step and relay")

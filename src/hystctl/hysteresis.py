@@ -198,18 +198,21 @@ class RelayBank:
 
 
 class _Walk:
-    """A bank's outputs while it switches, their sum total, its thresholds his
-    and los as Python floats, and its next switch each way: the lowest index at
-    -1 rises at its hi, rise, and the highest at +1 falls at its lo, fall (inf
-    and -inf, never passed, if there is none).  A switch moves the pointers by
-    a scan past the switched relays, one step in a staircase bank."""
+    """A bank's outputs from the start value z (DomainError if z is past a
+    threshold), their sum total, its thresholds his and los as Python floats,
+    and its next switch each way, moved by a scan past the switched relays
+    (one step in a staircase bank): the lowest index at -1 rises at its hi,
+    rise, and the highest at +1 falls at its lo, fall (inf and -inf, never
+    passed, if there is none)."""
 
-    def __init__(self, bank: RelayBank):
+    def __init__(self, bank: RelayBank, z: float):
         self.outs = list(bank.outs)
         self.his = (*map(float, bank.hi), math.inf)  # the sentinels his[k] and los[-1]
         self.los = (*map(float, bank.lo), -math.inf)
         self.total = sum(self.outs)
         self._point(0, bank.k - 1)
+        if self.crossed(z):
+            raise DomainError(f"relay outputs inconsistent with the start value {z}")
 
     def _point(self, up: int, down: int) -> None:
         """Point at the first -1 from up on and the last +1 from down back."""
@@ -224,14 +227,12 @@ class _Walk:
         (every relay is consistent with z)."""
         return 1 if z > self.rise else -1 if z < self.fall else 0
 
-    def switch(self, s: int, z: float | None = None) -> list:
-        """Switch to s every relay at -s, from the pointer on and stepping by
-        s, that z is strictly past (wiping-out; crossed(z) must be s), or
-        without z only the next one; return their indices."""
+    def switch(self, s: int, z: float) -> list:
+        """Switch to s every relay at -s that z is strictly past (wiping-out;
+        crossed(z) must be s), and return their indices in the order z meets
+        their thresholds: from the pointer on, stepping by s."""
         p = self._up if s == 1 else self._down
-        if z is None:
-            stop = p + s
-        elif s == 1:  # the -1s below bisect_left(hi, z)
+        if s == 1:  # the -1s below bisect_left(hi, z)
             stop = bisect_left(self.his, z, p)
         else:  # the +1s from bisect_right(lo, z) on
             stop = bisect_right(self.los, z, 0, p + 1) - 1
@@ -270,9 +271,7 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     the higher index first), and the output is replayed from them.  One at
     the horizon is listed but starts no piece.
     """
-    walk, knots = _Walk(bank), zeta.knots
-    if walk.crossed(knots[0][1]):
-        raise DomainError("bank relay states inconsistent with zeta(0)")
+    walk, knots = _Walk(bank, zeta.knots[0][1]), zeta.knots
     times, index, new = [], [], []
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
         if s := walk.crossed(z1):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hystctl import dynamics
+from hystctl.cli import main
 from hystctl.dynamics import (
     EVENT_TOL,
     BankSpec,
@@ -996,6 +997,35 @@ def test_bank_several_crossings_in_one_step(direction):
     assert traj.hysteresis_log["strings"][-1] == ((direction,) * 8,)
 
 
+@pytest.mark.parametrize("h", [0.03, 0.01, 0.003])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_relays_within_the_overshoot_switch_at_one_event(direction, h):
+    # two relays on one axis whose thresholds at -+0.5 are 4 ulps apart, well
+    # within the located state's overshoot (about 9 ulps here): the walk
+    # switches both at the one event, in the order z meets their thresholds,
+    # on one row at its time bit for bit, so the rows are those of a run with
+    # the nearer relay alone (closed-form re-test after the event included)
+    gap = 4 * math.ulp(0.5)
+    near, far = 0.5 * direction, 0.5 * direction + direction * gap
+    if direction == 1:
+        bank = RelayBank((-1.0, -1.0 + gap), (near, far), (-1, -1))
+    else:
+        bank = RelayBank((far, near), (1.0, 1.0 + gap), (1, 1))
+    spec = BankSpec(xi=((1.0,),), k=2, fields=(lambda w, z: (1.0,),))
+    controls = (const(1.0, float(direction)),)
+    order = (1, 2) if direction == 1 else (2, 1)
+    first = order[0] - 1
+    alone = RelayBank((bank.lo[first],), (bank.hi[first],), (-direction,))
+    traj = integrate_bank(spec, controls, (0.0,), (bank,), step=h)
+    one = integrate_bank(dataclasses.replace(spec, k=1), controls, (0.0,), (alone,), step=h)
+    assert [(e.index, e.new) for e in traj.events] == [(i, direction) for i in order]
+    assert traj.events[0].time == traj.events[1].time == one.events[0].time
+    assert np.array_equal(traj.times, one.times) and np.array_equal(traj.states, one.states)
+    row, = np.flatnonzero(traj.times == one.events[0].time)
+    strings = traj.hysteresis_log["strings"]
+    assert strings[row - 1] == ((-direction,) * 2,) and strings[row] == ((direction,) * 2,)
+
+
 def test_events_of_identical_axes_share_their_rows():
     # both axes carry the same bank and move identically, so each relay
     # switches on both axes at once: the second event of a pair is located
@@ -1105,13 +1135,28 @@ def test_locator_work_is_bounded_on_curved_crossings():
         assert calls[0] <= bound, (p, t0, frac, d, calls[0])
 
 
-def test_bank_inconsistent_seed():
+@pytest.mark.parametrize("run", ["bank_trace", "integrate_switching", "integrate_bank", "cli-relay"])
+def test_bank_inconsistent_seed(run, tmp_path, capsys):
+    # each entry starts a relay at +1 with its input at -2, past its lo: the
+    # walk refuses it, naming the start value, and hystctl relay exits 1
     spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=4,
                     fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
-    banks = (RelayBank.staircase(4, 4), RelayBank.staircase(4, 0))
-    with pytest.raises(DomainError):
-        integrate_bank(spec, (const(1.0, 1.0), const(1.0, 0.0)),
-                       (-2.0, 0.0), banks)
+    controls = (const(1.0, 1.0), const(1.0, 0.0))
+    runs = {
+        "bank_trace": lambda: bank_trace(RelayBank.staircase(4, 4),
+                                         PolylineSignal(((0.0, -2.0), (1.0, 0.0)))),
+        "integrate_switching": lambda: integrate_switching(demo_spec(), controls, (-2.0, 0.0), (1, 1)),
+        "integrate_bank": lambda: integrate_bank(spec, controls, (-2.0, 0.0),
+                                                 (RelayBank.staircase(4, 4), RelayBank.staircase(4, 0))),
+    }
+    if run in runs:
+        with pytest.raises(DomainError, match=r"start value -2\.0"):
+            runs[run]()
+    else:
+        path = tmp_path / "zeta.json"
+        path.write_text('{"knots": [[0.0, -2.0], [1.0, 0.0]]}')
+        assert main(["relay", "--input", str(path), "--lo=-0.5", "--hi=0.5", "--out0", "1"]) == 1
+        assert capsys.readouterr().err.startswith("domain error: relay outputs inconsistent")
 
 
 # ---------------------------------------------------------------------------

@@ -853,3 +853,115 @@ def test_crossing_times_match_exact_rationals():
         for e in events:
             t = exact_crossing(t0, u0, t1, u1, thresholds[e.index - 1])
             assert abs(e.time - t) <= tol, (u, k)
+
+
+# ---------------------------------------------------------------------------
+# exact-rational references for bank_trace and the truncated play
+
+def exact_bank_events(bank, zeta):
+    """bank_trace's events and final outputs in exact rationals of the same
+    float inputs: on each segment every relay at -new that its end is
+    strictly past switches, in the order the segment meets the thresholds.
+    An event is (exact time, index, new, bound), bound being round_bound of
+    its segment over the slope, in time."""
+    outs, events = list(bank.outs), []
+    for (t0, z0), (t1, z1) in zip(zeta.knots, zeta.knots[1:]):
+        s, thr = (1, bank.hi) if z1 > z0 else (-1, bank.lo)
+        slope = (Fraction(z1) - Fraction(z0)) / (Fraction(t1) - Fraction(t0))
+        for i in (range(bank.k) if s == 1 else reversed(range(bank.k))):
+            if outs[i] == -s and s * (z1 - thr[i]) > 0:
+                outs[i] = s
+                bound = round_bound(max(abs(z0), abs(z1), abs(thr[i])), slope, max(abs(t0), abs(t1)))
+                events.append((exact_crossing(t0, z0, t1, z1, thr[i]), i + 1, s, bound / abs(slope)))
+    return events, tuple(outs)
+
+
+def exact_play_knots(zeta, w0):
+    """Knots of the play of half-width 1 driven by 2 zeta, seeded at w0, in
+    exact rationals; the truncated play is its clip to [-1, 1]."""
+    v = [(Fraction(t), 2 * Fraction(z)) for t, z in zeta.knots]
+    w = min(v[0][1] + 1, max(v[0][1] - 1, Fraction(w0)))
+    knots = [(v[0][0], w)]
+    for (ta, va), (tb, vb) in zip(v, v[1:]):
+        a = -1 if vb > va else 1  # the edge V + a drags w
+        if min(va, vb) + a < w < max(va, vb) + a:
+            knots.append((ta + (w - a - va) / (vb - va) * (tb - ta), w))
+        w = min(vb + 1, max(vb - 1, w))
+        knots.append((tb, w))
+    return knots
+
+
+def interp(knots, t):
+    """The polyline through knots at the time t, in exact rationals."""
+    knots = [(Fraction(a), Fraction(b)) for a, b in knots]
+    for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
+        if t0 <= t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    raise ValueError(t)
+
+
+def round_bound(scale, slope, t):
+    """4 (ulp(value scale) + |slope| ulp(t)), in exact rationals."""
+    return 4 * (Fraction(math.ulp(scale)) + abs(slope) * Fraction(math.ulp(float(t))))
+
+
+@st.composite
+def far_polylines(draw, offsets):
+    """(zeta, offset): 2 to 6 knots from a start time up to 1e15 in size,
+    1e-3 to 1e3 apart, with values within 1.6 of an offset drawn from offsets."""
+    offset, t = draw(offsets), draw(st.sampled_from([0.0]) | st.floats(-1e15, 1e15))
+    knots = []
+    for x in draw(st.lists(st.floats(-1.6, 1.6), min_size=2, max_size=6)):
+        knots.append((t, offset + x))
+        t = max(t + draw(st.floats(1e-3, 1e3)), math.nextafter(t, math.inf))
+    return PolylineSignal(tuple(knots)), offset
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=far_polylines(st.sampled_from([0.0]) | st.floats(-1e12, 1e12)),
+       k=st.sampled_from([1, 3, 16]), free=st.lists(st.booleans(), min_size=16))
+def test_bank_trace_matches_exact_rationals(case, k, free):
+    # relay i has thresholds offset + (-1 + i/k, i/k) and starts consistent
+    # with zeta(0) (either output inside its band): every event lies within
+    # the rounding bound of its exact crossing, and every level of the step
+    # output away from an event is the exact mean of the replayed outputs
+    zeta, offset = case
+    lo = tuple(offset + (-1.0 + i / k) for i in range(1, k + 1))
+    hi = tuple(offset + i / k for i in range(1, k + 1))
+    z0 = zeta.knots[0][1]
+    outs = tuple(1 if z0 > h or (z0 >= low and f) else -1 for low, h, f in zip(lo, hi, free))
+    bank = RelayBank(lo, hi, outs)
+    out, events, final = bank_trace(bank, zeta)
+    exact, outs_exact = exact_bank_events(bank, zeta)
+    assert [(e.index, e.new) for e in events] == [(i, new) for _, i, new, _ in exact]
+    assert final.outs == outs_exact
+    for e, (t, _, _, bound) in zip(events, exact):
+        assert abs(Fraction(e.time) - t) <= bound, (e, float(t))
+    for a, b, level in zip(out.grid.points, out.grid.points[1:], out.values):
+        mid = (Fraction(a) + Fraction(b)) / 2
+        if all(abs(t - mid) > bound for t, _, _, bound in exact):
+            c = sum(new for t, _, new, _ in exact if t < mid)
+            assert level == float(Fraction(sum(outs) + 2 * c, k)), (a, b, level)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=far_polylines(st.just(0.0)), frac=st.floats(0.0, 1.0))
+def test_truncated_play_matches_exact_rationals(case, frac):
+    # the output and the exact clip(P_1[2 zeta]) agree within the rounding
+    # bound at every knot of either, and so everywhere: both are polylines
+    zeta = case[0]
+    z0 = zeta.knots[0][1]
+    low, high = (min(1.0, max(-1.0, 2.0 * z0 + s)) for s in (-1.0, 1.0))
+    w0 = low + frac * (high - low)
+    knots = truncated_play_apply(zeta, w0).knots
+    play = exact_play_knots(zeta, w0)
+    crossings = [ta + (c - va) / (vb - va) * (tb - ta) for (ta, va), (tb, vb) in zip(play, play[1:])
+                 for c in (-1, 1) if min(va, vb) < c < max(va, vb)]
+    scale = 2 * max(abs(v) for _, v in zeta.knots) + 1.0
+    for t in [Fraction(t) for t, _ in knots] + [t for t, _ in play] + crossings:
+        pad = 8 * Fraction(math.ulp(float(t)))
+        slope = max(abs(Fraction(v1) - Fraction(v0)) / (Fraction(t1) - Fraction(t0))
+                    for (t0, v0), (t1, v1) in zip(zeta.knots, zeta.knots[1:])
+                    if t0 - pad <= t <= t1 + pad)
+        want = min(1, max(-1, interp(play, t)))
+        assert abs(interp(knots, t) - want) <= round_bound(scale, 2 * slope, t), float(t)
