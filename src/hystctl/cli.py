@@ -6,7 +6,7 @@ from the registry in experiments.py, and flag strings and config values go
 through its parse_param, so a value it rejects is a usage error; so is an
 operator flag that the operator's own type rejects: PlayState, the one-relay
 RelayBank of `relay`, or RelayBank.staircase.  Exit codes:
-0 all verdicts pass, 1 domain error or failed verdict, 2 usage error.
+0 all verdicts pass, 1 domain or divergence error or failed verdict, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 
-from .dynamics import _write_csv, heisenberg_fields, integrate_plain
+from .dynamics import DivergenceError, _write_csv, heisenberg_fields, integrate_plain
 from .experiments import (
     EXPERIMENTS,
     PARAMS,
@@ -173,7 +173,7 @@ def _sim_extra(raw: dict) -> dict:
         **raw,
         "z0": tuple(parse_param("z0", raw["z0"], (float, -math.inf, True))),
         "step": parse_param("step", raw.get("step", 1e-3)),
-        "T": None if raw.get("T") is None else parse_param("T", raw["T"], PARAMS["step"]),
+        "T": None if raw.get("T") is None else parse_param("T", raw["T"], PARAMS["w0"]),
     }
 
 
@@ -227,6 +227,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 1
+    except DivergenceError as exc:
+        print(f"divergence error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)

@@ -164,38 +164,23 @@ def _exp_fig3_surjectivity(*, k=(10, 20, 40), rho=DEFAULT_RHO, w0=FIG3_W0):
 
 
 def _exp_thm2_convergence(*, k=(10, 20, 40, 80), rho=DEFAULT_RHO, step=1e-3):
-    u1bar = _fig3_ubar()
-    u2bar = StepSignal(TimeGrid(FIG3_GRID), (-1.0, 0.5, 2.0, 1.0))
+    ubars = (_fig3_ubar(), StepSignal(TimeGrid(FIG3_GRID), (-1.0, 0.5, 2.0, 1.0)))
     w0s = (FIG3_W0, -1.0)
     sysf = heisenberg_fields()
     z0 = (0.0, 0.0, 0.0)
-    T = u1bar.horizon
-    ref = integrate_plain(sysf, (u1bar, u2bar), z0, step=step)
+    T = ubars[0].horizon
+    ref = integrate_plain(sysf, ubars, z0, step=step)
     ts = np.linspace(0.0, T, int(round(T / step)) + 1)
     ref_s = ref.sample(ts)
-    rows = []
-    hull_x = [np.abs(ref.states[:, 0]).max()]
-    trajs = []
-    for ki in k:
-        v1 = build_vk(u1bar, w0s[0], rho, ki)
-        v2 = build_vk(u2bar, w0s[1], rho, ki)
-        traj = integrate_play_controls(sysf, (v1, v2), w0s, rho, z0, step=step)
-        trajs.append((ki, traj))
-        hull_x.append(np.abs(traj.states[:, 0]).max())
+    trajs = [integrate_play_controls(sysf, [build_vk(u, w0, rho, ki) for u, w0 in zip(ubars, w0s)],
+                                     w0s, rho, z0, step=step) for ki in k]
     # field bound on the (inflated) hull of all sampled states
-    M_prime = 1.1 * math.sqrt(1.0 + max(hull_x) ** 2)
-    M = max(
-        max(abs(v) for v in u1bar.values),
-        max(abs(v) for v in u2bar.values),
-        abs(w0s[0]),
-        abs(w0s[1]),
-    )
-    for ki, traj in trajs:
+    M_prime = 1.1 * math.sqrt(1.0 + max(np.abs(tr.states[:, 0]).max() for tr in [ref, *trajs]) ** 2)
+    M = max(abs(v) for u, w0 in zip(ubars, w0s) for v in (*u.values, w0))
+    rows = []
+    for ki, traj in zip(k, trajs):
         gap = float(np.linalg.norm(traj.sample(ts) - ref_s, axis=1).max())
-        C_k = M_prime * (
-            l1_distance(build_uk(u1bar, w0s[0], ki), u1bar)
-            + l1_distance(build_uk(u2bar, w0s[1], ki), u2bar)
-        )
+        C_k = M_prime * sum(l1_distance(build_uk(u, w0, ki), u) for u, w0 in zip(ubars, w0s))
         bound = gronwall_bound(C_k, 2.0, M, HEIS_LIPSCHITZ, T)
         rows.append({"k": ki, "sup_gap": gap, "C_k": C_k, "gronwall_bound": bound})
     gaps = [r["sup_gap"] for r in sorted(rows, key=lambda r: r["k"])]
@@ -365,11 +350,7 @@ def _exp_chain_demo(*, j=(10, 20, 40), rho=DEFAULT_RHO, step=1e-3):
         sched = chain_schedule(spec, A, B, ji)
         traj = integrate_play_state(spec, sched, A, step=step)
         err = np.abs(traj.final_state - np.asarray(B))
-        rows.append({
-            "j": ji,
-            "ex1": float(err[0]), "ex2": float(err[1]), "ex3": float(err[2]),
-            "ey4": float(err[3]), "ey5": float(err[4]),
-        })
+        rows.append({"j": ji, **dict(zip(("ex1", "ex2", "ex3", "ey4", "ey5"), err.tolist()))})
     exact = all(r[key] < 1e-8 for r in rows for key in ("ex1", "ex2", "ex3"))
     return rows, exact and _decreasing(rows, "ey4", "j") and _decreasing(rows, "ey5", "j")
 

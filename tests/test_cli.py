@@ -336,9 +336,10 @@ def test_usage_error_config_driven_sim_manifest(tmp_path, capsys):
     {"T": 5.0},  # the controls end at 1.0
     {"T": 0.5},
     {"T": 1.0 + 1e-10},  # T matches the horizon only to KNOT_TOL
+    {"T": -1.0},  # a finite T, but not the controls' horizon
     {"controls": [{"foo": 1}, {"grid": [0.0, 1.0], "values": [1.0]}]},
     {"system": "dubins"},
-], ids=["T-past-horizon", "T-before-horizon", "T-sliver-past-horizon", "bad-control",
+], ids=["T-past-horizon", "T-before-horizon", "T-sliver-past-horizon", "T-negative", "bad-control",
         "system-not-heisenberg"])
 def test_config_driven_sim_domain_error(tmp_path, edit, capsys):
     path = write_json(tmp_path / "sim.json", {**HEIS_SIM, **edit})
@@ -347,13 +348,30 @@ def test_config_driven_sim_domain_error(tmp_path, edit, capsys):
 
 
 def test_config_driven_sim_T_at_horizon(tmp_path):
+    # a signal may start anywhere, so T is any finite number: the controls' horizon
     out = tmp_path / "traj.csv"
-    path = write_json(tmp_path / "sim.json", {**HEIS_SIM, "T": 1.0})
-    assert main(["sim", "--config", path, "--out", str(out)]) == 0
-    with open(out) as fh:
-        last = list(csv.reader(fh))[-1]
-    assert float(last[0]) == 1.0
-    assert float(last[3]) == pytest.approx(0.5, abs=1e-9)
+    for t0, T in [(0.0, 1.0), (-2.0, -1.0), (-1.0, 0.0)]:
+        controls = [{"grid": [t0, T], "values": [1.0]}] * 2
+        path = write_json(tmp_path / "sim.json", {**HEIS_SIM, "controls": controls, "T": T})
+        assert main(["sim", "--config", path, "--out", str(out)]) == 0
+        with open(out) as fh:
+            last = list(csv.reader(fh))[-1]
+        assert float(last[0]) == T
+        assert float(last[3]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["heis_exact", "--rho", "1e7", "--cases", "2"],
+    ["sim", "--config", "{config}", "--out", "{out}"],
+], ids=["heis-exact-huge-rho", "sim-huge-control"])
+def test_divergence_error_exits_one(tmp_path, argv, capsys):
+    # a run whose state leaves NORM_CAP is reported, not a traceback
+    control = {"grid": [0.0, 1.0], "values": [1e7]}
+    config = write_json(tmp_path / "sim.json", {**HEIS_SIM, "controls": [control] * 2})
+    argv = [a.format(config=config, out=tmp_path / "traj.csv") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "divergence error" in err and "Traceback" not in err
 
 
 def test_help_exits_zero():

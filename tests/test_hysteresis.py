@@ -856,7 +856,7 @@ def test_crossing_times_match_exact_rationals():
 
 
 # ---------------------------------------------------------------------------
-# exact-rational references for bank_trace and the truncated play
+# exact-rational references for bank_trace, the play and the truncated play
 
 def exact_bank_events(bank, zeta):
     """bank_trace's events and final outputs in exact rationals of the same
@@ -876,17 +876,18 @@ def exact_bank_events(bank, zeta):
     return events, tuple(outs)
 
 
-def exact_play_knots(zeta, w0):
-    """Knots of the play of half-width 1 driven by 2 zeta, seeded at w0, in
-    exact rationals; the truncated play is its clip to [-1, 1]."""
-    v = [(Fraction(t), 2 * Fraction(z)) for t, z in zeta.knots]
-    w = min(v[0][1] + 1, max(v[0][1] - 1, Fraction(w0)))
+def exact_play_knots(u, w0, rho):
+    """Knots of the play of half-width rho driven by the polyline through the
+    knots u, seeded at w0 clamped into [u_0 - rho, u_0 + rho], in exact
+    rationals; the truncated play is the clip to [-1, 1] of (2 zeta, w0, 1)."""
+    v, rho = [(Fraction(t), Fraction(x)) for t, x in u], Fraction(rho)
+    w = min(v[0][1] + rho, max(v[0][1] - rho, Fraction(w0)))
     knots = [(v[0][0], w)]
     for (ta, va), (tb, vb) in zip(v, v[1:]):
-        a = -1 if vb > va else 1  # the edge V + a drags w
+        a = -rho if vb > va else rho  # the edge V + a drags w
         if min(va, vb) + a < w < max(va, vb) + a:
             knots.append((ta + (w - a - va) / (vb - va) * (tb - ta), w))
-        w = min(vb + 1, max(vb - 1, w))
+        w = min(vb + rho, max(vb - rho, w))
         knots.append((tb, w))
     return knots
 
@@ -903,6 +904,14 @@ def interp(knots, t):
 def round_bound(scale, slope, t):
     """4 (ulp(value scale) + |slope| ulp(t)), in exact rationals."""
     return 4 * (Fraction(math.ulp(scale)) + abs(slope) * Fraction(math.ulp(float(t))))
+
+
+def local_slope(knots, t):
+    """The steepest |slope| of the polyline through knots on a segment within
+    8 ulp(t) of the time t, in exact rationals."""
+    pad = 8 * Fraction(math.ulp(float(t)))
+    return max(abs(Fraction(v1) - Fraction(v0)) / (Fraction(t1) - Fraction(t0))
+               for (t0, v0), (t1, v1) in zip(knots, knots[1:]) if t0 - pad <= t <= t1 + pad)
 
 
 @st.composite
@@ -954,14 +963,30 @@ def test_truncated_play_matches_exact_rationals(case, frac):
     low, high = (min(1.0, max(-1.0, 2.0 * z0 + s)) for s in (-1.0, 1.0))
     w0 = low + frac * (high - low)
     knots = truncated_play_apply(zeta, w0).knots
-    play = exact_play_knots(zeta, w0)
+    play = exact_play_knots([(t, 2 * Fraction(z)) for t, z in zeta.knots], w0, 1)
     crossings = [ta + (c - va) / (vb - va) * (tb - ta) for (ta, va), (tb, vb) in zip(play, play[1:])
                  for c in (-1, 1) if min(va, vb) < c < max(va, vb)]
     scale = 2 * max(abs(v) for _, v in zeta.knots) + 1.0
     for t in [Fraction(t) for t, _ in knots] + [t for t, _ in play] + crossings:
-        pad = 8 * Fraction(math.ulp(float(t)))
-        slope = max(abs(Fraction(v1) - Fraction(v0)) / (Fraction(t1) - Fraction(t0))
-                    for (t0, v0), (t1, v1) in zip(zeta.knots, zeta.knots[1:])
-                    if t0 - pad <= t <= t1 + pad)
         want = min(1, max(-1, interp(play, t)))
-        assert abs(interp(knots, t) - want) <= round_bound(scale, 2 * slope, t), float(t)
+        bound = round_bound(scale, 2 * local_slope(zeta.knots, t), t)
+        assert abs(interp(knots, t) - want) <= bound, float(t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=far_polylines(st.sampled_from([0.0]) | st.floats(-1e12, 1e12)),
+       rho=st.sampled_from([0.0]) | st.floats(0.0, 2.0) | st.floats(0.0, 1e3),
+       frac=st.floats(0.0, 1.0))
+def test_play_apply_matches_exact_rationals(case, rho, frac):
+    # seeded anywhere in the strip, the output and the exact play of the same
+    # float inputs agree within the rounding bound at every knot of either,
+    # and so everywhere: both are polylines
+    zeta, _ = case
+    z0 = zeta.knots[0][1]
+    w0 = z0 - rho + frac * (2.0 * rho)
+    knots = play_apply(zeta, w0, rho).knots
+    play = exact_play_knots(zeta.knots, w0, rho)
+    scale = max(abs(v) for _, v in zeta.knots) + rho
+    for t in [Fraction(t) for t, _ in knots] + [t for t, _ in play]:
+        bound = round_bound(scale, local_slope(zeta.knots, t), t)
+        assert abs(interp(knots, t) - interp(play, t)) <= bound, (float(t), zeta, w0, rho)
