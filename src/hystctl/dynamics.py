@@ -184,11 +184,9 @@ class Trajectory:
     def to_csv(self, path: str) -> None:
         """One row per time; a relay log entry is written as +/- per relay,
         one string per axis of a bank joined by '|' (as ++--|+---)."""
-        keys = sorted(self.hysteresis_log)
-        logs = [self.hysteresis_log[key] for key in keys]
-        entries = {id(v): v for log in logs for v in log if isinstance(v, tuple)}
-        text = {i: _signs(v) for i, v in entries.items()}  # once per entry, not per row
-        logs = [[text[id(v)] if isinstance(v, tuple) else v for v in log] for log in logs]
+        keys, text = sorted(self.hysteresis_log), {}  # text by id: each entry and axis state once
+        logs = [[text.get(id(v)) or _signs(v, text) if isinstance(v, tuple) else v
+                 for v in self.hysteresis_log[key]] for key in keys]
         _write_csv(["t"] + [f"z{i + 1}" for i in range(self.states.shape[1])] + keys,
                    ([t, *z, *vals] for t, z, *vals in zip(self.times, self.states, *logs)), path)
 
@@ -204,10 +202,10 @@ def _write_csv(header, rows, path=None) -> None:
         csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
 
 
-def _signs(outs: tuple) -> str:
-    if isinstance(outs[0], tuple):
-        return "|".join(map(_signs, outs))
-    return "".join("+" if v > 0 else "-" for v in outs)
+def _signs(outs: tuple, text: dict) -> str:
+    nested = isinstance(outs[0], tuple)  # a bank entry: its axes' texts, each formatted once
+    return text.setdefault(id(outs), "|".join([text.get(id(o)) or _signs(o, text) for o in outs])
+                           if nested else "".join("+" if v > 0 else "-" for v in outs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +380,8 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     (nominal steps + its relays) times chatters and raises DivergenceError.
     Only rows and events are kept: log is None without entry, else a list in
     which each event's row and the rows up to the next event's share one
-    entry(outs), outs the banks' outputs with the events so far replayed.
+    entry(outs), outs the banks' outputs with the events so far replayed as
+    tuples, one per axis state: entries with an axis in one state share it.
 
     A step ends at the earliest crossing, ties going to the lowest axis (at
     its grid point if within EVENT_TOL of it; if within EVENT_TOL after its
@@ -475,11 +474,14 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     times, states = (np.concatenate(column) for column in zip(*blocks))
     log = None
     if entry:  # one run of one entry from each event's row (its time, bit for bit) to the next's
-        outs = [list(bank.outs) for bank in banks]
+        outs = [bank.outs for bank in banks]
+        seen, moves = {o: o for o in outs}, {}  # one tuple per state; (id(state), i, new) -> next
         rows = np.searchsorted(times, events[0]).tolist() + [len(times)]
         log = [entry(outs)] * rows[0]
         for j, i, new, row, end in zip(events[4], events[1], events[2], rows, rows[1:]):
-            outs[j][i - 1] = new
+            if (move := (id(outs[j]), i, new)) not in moves:
+                moves[move] = seen.setdefault(o := outs[j][:i - 1] + (new,) + outs[j][i:], o)
+            outs[j] = moves[move]
             log += [entry(outs)] * (end - row)
     return times, states, log, _Events(*events[:4])
 
@@ -586,6 +588,5 @@ def integrate_bank(spec: BankSpec, controls, z0, banks, step=1e-3) -> Trajectory
         return tuple(partial(g, walk.total / spec.k) for g, walk in zip(spec.fields, walks))
 
     times, states, log, events = _integrate(controls, z0, step, select, len(spec.xi[0]), spec.xi,
-                                            banks, lambda j, i: f"axis{j + 1}.relay{i + 1}",
-                                            lambda outs: tuple(map(tuple, outs)))
+                                            banks, lambda j, i: f"axis{j + 1}.relay{i + 1}", tuple)
     return Trajectory(times, states, {"strings": log}, events)

@@ -289,6 +289,8 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
             sums[-1] = c
     total, k = int(sum(bank.outs)), bank.k  # a Python int, so the levels are floats
     grid = _built(TimeGrid, points=(*breaks, T))  # unchecked: the replay's breaks strictly increase
-    output = _built(StepSignal, grid=grid, values=tuple([(total + 2 * c) / k for c in sums]))
-    return output, _Events(times, index, new), RelayBank(bank.lo, bank.hi, tuple(walk.outs))
+    levels = {c: (total + 2 * c) / k for c in set(sums)}  # one float per level, not per piece
+    output = _built(StepSignal, grid=grid, values=tuple(map(levels.get, sums)))
+    final = _built(RelayBank, lo=bank.lo, hi=bank.hi, outs=tuple(walk.outs))  # walk.outs are +-1
+    return output, _Events(times, index, new), final
 

@@ -257,7 +257,7 @@ def merge_times(*time_lists, tol: float = KNOT_TOL) -> np.ndarray:
     """Sorted union of the time lists (an array), each run of times within
     tol relative of the one before merged into its first time (0: exact)."""
     t = np.sort(np.concatenate(time_lists))
-    bound = tol * np.maximum(1.0, np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
+    bound = tol and tol * np.maximum(1.0, np.maximum(np.abs(t[:-1]), np.abs(t[1:])))  # 0: none
     return t[np.concatenate(([True], np.diff(t) > bound))]
 
 

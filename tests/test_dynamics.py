@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -499,7 +500,8 @@ def test_trajectory_csv_formats_each_relay_entry_once(tmp_path, monkeypatch, int
         traj = integrate_bank(spec, (u, u), (0.0, 0.0, 0.0), banks, step=0.01)
     (log,) = traj.hysteresis_log.values()
     calls, signs = [], dynamics._signs
-    monkeypatch.setattr(dynamics, "_signs", lambda outs: calls.append(outs) or signs(outs))
+    monkeypatch.setattr(dynamics, "_signs",
+                        lambda outs, text: calls.append(outs) or signs(outs, text))
     path = tmp_path / "traj.csv"
     traj.to_csv(str(path))
     entries = [c for c in calls if c in log]  # a bank entry's axes are formatted by a call each
@@ -1047,6 +1049,77 @@ def test_events_of_identical_axes_share_their_rows():
         thr = bank.hi[e.index - 1] if e.new == 1 else bank.lo[e.index - 1]
         assert len(row) == 1
         assert abs(traj.states[row[0], int(e.operator[4]) - 1] - thr) <= 1e-9
+
+
+def _swept_bank_run(k, sweeps):
+    """Two axes through staircase banks of k relays, z = the controls'
+    integral: axis 1 rises from 0 to 1.2, axis 2 falls to -1.2, then each
+    sweeps 2.4 the other way sweeps - 1 times, so every sweep past the first
+    switches the whole bank."""
+    spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=k,
+                    fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 1.0)))
+    points = np.concatenate([[0.0], 1.2 + 2.4 * np.arange(sweeps)])
+    up = [(-1.0) ** q for q in range(sweeps)]
+    bank = RelayBank.staircase(k, k // 2)
+    return integrate_bank(spec, (step(points, up), step(points, [-u for u in up])), (0.0, 0.0),
+                          (bank, bank), step=1e-2)
+
+
+def test_bank_log_holds_one_tuple_per_axis_state():
+    # wiping-out keeps a staircase bank a staircase, so an axis passes through
+    # at most k + 1 states, and the log holds one tuple per state however
+    # often the sweeps revisit it; by value, each row's entry is the initial
+    # outputs with the events up to its time replayed one by one
+    k = 16
+    traj = _swept_bank_run(k, 6)
+    log, events = traj.hysteresis_log["strings"], traj.events
+    assert len(events) > 2 * 5 * k
+    assert len({id(axis) for entry in log for axis in entry}) <= 2 * (k + 1)
+    outs, n = [[1] * (k // 2) + [-1] * (k - k // 2) for _ in range(2)], 0
+    for t, entry in zip(traj.times, log):
+        while n < len(events) and events[n].time <= t:
+            outs[int(events[n].operator[4]) - 1][events[n].index - 1] = events[n].new
+            n += 1
+        assert entry == tuple(map(tuple, outs))
+    assert n == len(events)
+
+
+def _log_size(log):
+    """Bytes of a relay log's own objects: the list, and each distinct entry
+    and axis tuple in it (the ints in them are the interpreter's)."""
+    entries = {id(e): e for e in log}.values()
+    axes = {id(a): a for e in entries for a in e}.values()
+    return sys.getsizeof(log) + sum(map(sys.getsizeof, [*entries, *axes]))
+
+
+def test_bank_log_grows_with_its_events_not_with_their_outputs():
+    # 8 sweeps make 5 times the events of 2; a log of one k-tuple per axis and
+    # event grows as fast, one of one tuple per axis state only by its rows
+    # and by one m-tuple per event
+    short, long = _swept_bank_run(128, 2), _swept_bank_run(128, 8)
+    assert len(long.events) == 5 * len(short.events)
+    size = [_log_size(traj.hysteresis_log["strings"]) for traj in (short, long)]
+    assert size[1] < 2.5 * size[0]
+
+
+def test_trajectory_csv_formats_each_axis_state_once(tmp_path, monkeypatch):
+    # a bank entry's axes are formatted once per distinct axis state, one
+    # tuple each, and the bytes are those of formatting every row anew
+    k = 8
+    traj = _swept_bank_run(k, 4)
+    log = traj.hysteresis_log["strings"]
+    calls, signs = [], dynamics._signs
+    monkeypatch.setattr(dynamics, "_signs",
+                        lambda outs, text: calls.append(outs) or signs(outs, text))
+    path = tmp_path / "bank.csv"
+    traj.to_csv(str(path))
+    axes = [c for c in calls if not isinstance(c[0], tuple)]
+    assert len(axes) == len({id(a) for e in log for a in e}) <= 2 * (k + 1) < len(traj.events)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["t", "z1", "z2", "strings"]] + [
+            [t, *z, "|".join("".join("+" if o > 0 else "-" for o in axis) for axis in entry)]
+            for t, z, entry in zip(traj.times, traj.states, log)])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("before", [0.5e-12, 1.5e-12, 3e-12])

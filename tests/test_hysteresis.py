@@ -488,6 +488,31 @@ def test_bank_trace_output_is_the_checked_step_signal(case):
     assert {type(x) for x in out.grid.points + out.values} == {float}
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=banks_and_inputs(max_k=64, max_knots=40))
+def test_bank_trace_final_bank_is_the_checked_bank(case):
+    # the final bank is built without RelayBank's checks, which the walk makes
+    # hold (its outputs are -1 or +1): the checked bank of its outputs is equal
+    bank, zeta = case
+    _, _, final = bank_trace(bank, zeta)
+    assert type(final.outs) is tuple and final == RelayBank(bank.lo, bank.hi, final.outs)
+    with pytest.raises(DomainError, match="-1 or \\+1"):
+        RelayBank(bank.lo, bank.hi, (0,) + final.outs[1:])
+
+
+def test_bank_trace_holds_one_float_per_level():
+    # an input swinging back and forth revisits the bank's levels: each level
+    # (total + 2c) / k is one float, shared by every piece at that level
+    k = 8
+    bank = RelayBank.staircase(k, 4)
+    zeta = PolylineSignal(tuple((float(i), (-1.0) ** i * (0.3 + 0.1 * (i % 5))) for i in range(40)))
+    out, _, _ = bank_trace(bank, zeta)
+    levels = set(out.values)
+    assert len(out.values) > 3 * len(levels)
+    assert levels <= {(sum(bank.outs) + 2 * c) / k for c in range(-k, k + 1)}
+    assert len({id(v) for v in out.values}) == len(levels)
+
+
 def assert_matches_relays_stepped_alone(bank, zeta):
     alone = [relay_alone(r, zeta) for r in bank.relays]
     # in time order within a segment; at a bit-equal time a rise lists the

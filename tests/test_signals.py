@@ -451,6 +451,18 @@ def test_merge_times_matches_the_loop_rule(lists):
     assert list(merge_times(*lists)) == ref
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+                         min_size=1, max_size=8), min_size=1, max_size=3))
+def test_exact_merge_compares_neighbours(lists):
+    # tol 0 keeps a sorted time unless it equals the one before: the same
+    # array, bit for bit, as the relative bound's rule with tol 0
+    t = np.sort(np.concatenate(lists))
+    bound = 0.0 * np.maximum(1.0, np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
+    want = t[np.concatenate(([True], np.diff(t) > bound))]
+    assert merge_times(*lists, tol=0.0).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # randomized properties of the merged-grid core
 
