@@ -189,8 +189,11 @@ class RelayBank:
     @staticmethod
     def staircase(k: int, n_plus: int) -> "RelayBank":
         """Bank in the staircase configuration (+1 x n_plus, -1 x rest)."""
-        if not 0 <= n_plus <= k <= _RELAY_CAP:
-            raise DomainError(f"need 0 <= n_plus <= k <= {_RELAY_CAP}, got n_plus={n_plus}, k={k}")
+        # integers as operator.index takes them (numpy's too), checked before any comparison
+        ints = all(hasattr(type(x), "__index__") for x in (k, n_plus))
+        if not (ints and 0 <= n_plus <= k <= _RELAY_CAP):
+            raise DomainError(f"need integers 0 <= n_plus <= k <= {_RELAY_CAP}, "
+                              f"got n_plus={n_plus!r}, k={k!r}")
         return RelayBank.make((1,) * n_plus + (-1,) * (k - n_plus))
 
     def is_staircase(self) -> bool:

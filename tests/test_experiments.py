@@ -1,5 +1,6 @@
 """Experiment harness: ids, verdicts, reproducibility, artifacts."""
 
+import dataclasses
 import json
 import os
 import platform
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hystctl import experiments
 from hystctl.constructions import heis_exact_schedule
-from hystctl.experiments import EXPERIMENTS, run_experiment
+from hystctl.experiments import EXPERIMENTS, SWITCHING_EXPECTED, run_experiment
+from hystctl.hysteresis import RelayBank, SwitchEvent
 from hystctl.signals import DomainError
 
 ALL_IDS = (
@@ -102,6 +105,64 @@ def test_sweep_order_does_not_change_the_verdict(exp_id, key):
             [r for r in up.rows if r.get("f") == f][::-1]
     # the fall is strict, so a repeated value fails
     assert not run_experiment(exp_id, {**params, key: [params[key][0]] * 2}).verdict
+
+
+@pytest.mark.parametrize("params", [{}, FAST_PARAMS["bank_vs_truncated"], {"k": [64, 4], "cases": 5}],
+                         ids=["defaults", "fast", "reversed"])
+def test_bank_vs_truncated_has_one_row_per_k(params):
+    report = run_experiment("bank_vs_truncated", params)
+    assert [r["k"] for r in report.rows] == report.params["k"]
+
+
+@pytest.mark.parametrize("params", [{}, FAST_PARAMS["switching_demo"]], ids=["defaults", "fast"])
+def test_switching_demo_has_one_row_per_scripted_event(params):
+    rows = run_experiment("switching_demo", params).rows
+    assert [r["event"] for r in rows] == list(range(len(SWITCHING_EXPECTED)))
+    assert all(type(r["event"]) is int for r in rows)
+    assert [r["expected_time"] for r in rows] == [e[0] for e in SWITCHING_EXPECTED]
+
+
+# the side checks that have no row are verdict terms: each fault below fails the verdict
+
+def test_switching_verdict_fails_on_an_event_in_the_dead_band(monkeypatch):
+    real = experiments.integrate_switching
+
+    def noisy(spec, controls, z0, w0_string, step):
+        traj = real(spec, controls, z0, w0_string, step=step)
+        if tuple(z0) == (0.0, 0.0):  # the dead-band run
+            traj = dataclasses.replace(traj, events=(SwitchEvent(1.0, 1, -1, "axis1"),))
+        return traj
+
+    monkeypatch.setattr(experiments, "integrate_switching", noisy)
+    assert not run_experiment("switching_demo", FAST_PARAMS["switching_demo"]).verdict
+
+
+def test_bank_verdict_fails_on_a_moved_sweep_crossing(monkeypatch):
+    real = experiments.bank_trace
+
+    def late(bank, zeta):
+        out, events, final = real(bank, zeta)
+        if zeta(0.0) == -1.25:  # the rising sweep, of slope 2.5: its first crossing moves by 1e-11
+            events = [dataclasses.replace(events[0], time=events[0].time + 1e-11 / 2.5), *events[1:]]
+        return out, events, final
+
+    monkeypatch.setattr(experiments, "bank_trace", late)
+    assert not run_experiment("bank_vs_truncated", FAST_PARAMS["bank_vs_truncated"]).verdict
+
+
+def test_bank_verdict_fails_on_a_final_bank_off_the_staircase(monkeypatch):
+    real, calls = experiments.bank_trace, []
+
+    def scrambled(bank, zeta):
+        out, events, final = real(bank, zeta)
+        calls.append(zeta)
+        if len(calls) == 1:  # the first random case ends with its +1 relay above its -1s
+            final = RelayBank.make((-1, 1) + (-1,) * (final.k - 2))
+        return out, events, final
+
+    monkeypatch.setattr(experiments, "bank_trace", scrambled)
+    report = run_experiment("bank_vs_truncated", FAST_PARAMS["bank_vs_truncated"])
+    assert len(calls) > 1 and not report.verdict
 
 
 def test_reproducibility():

@@ -285,6 +285,18 @@ def test_staircase_refuses_a_k_past_the_relay_cap():
         RelayBank.staircase(_RELAY_CAP + 1, 0)
 
 
+@pytest.mark.parametrize("k,n_plus", [(4.0, 2), (4, 1.5), (4.5, 0), (np.float64(4.0), 2), ("4", 2)],
+                         ids=["float-k", "float-n_plus", "fraction", "numpy-float", "str"])
+def test_staircase_refuses_a_size_that_is_not_an_integer(k, n_plus):
+    # a float within the range used to pass the range check and fail building (1,) * n_plus
+    with pytest.raises(DomainError, match="integers"):
+        RelayBank.staircase(k, n_plus)
+
+
+def test_staircase_takes_numpy_integers():
+    assert RelayBank.staircase(np.int64(4), np.int64(1)) == RelayBank.staircase(4, 1)
+
+
 def test_bank_thresholds():
     bank = RelayBank.staircase(4, 0)
     assert [(r.lo, r.hi) for r in bank.relays] == [

@@ -6,7 +6,8 @@ state moves at a constant velocity between events.  Every event is then the
 first time a projection z.xi_j reaches the next threshold of its axis, which
 exact_events below solves for in closed form (adapted from the benchmark's
 switching_interval and bank_walk oracles, so that these tests do not import
-the benchmark).
+the benchmark).  The last tests take rotation fields instead, whose events
+are closed-form angles, to check the order of RK4 across events.
 """
 
 import dataclasses
@@ -477,3 +478,70 @@ def test_identical_axes_switch_lower_axis_first(k):
         assert (a.operator, b.operator) == (f"axis1.relay{a.index}", f"axis2.relay{a.index}")
         assert (a.time, a.new) == (b.time, b.new)
     check_log_replays_events(traj, [bank.outs] * 2)
+
+
+# order across events: with fields that rotate the plane at a rate the relays
+# choose, z stays on its circle and every event is at a closed-form angle
+
+def rate(w):
+    return 1.5 - 0.5 * w  # 1 with every relay at +1, 2 with every one at -1
+
+
+def rotation(w, z):
+    return (-rate(w) * z[1], rate(w) * z[0])
+
+
+def circle_events(lo, hi, r, T):
+    """Event times and final state of z' = rotation(w, z) from z = (r, 0) at
+    time 0 to T, for a bank of relays (lo[i], hi[i]) on z1, all inside
+    (-r, r) and so all at +1 at the start, whose mean output is w.
+
+    z = r (cos a, sin a): each falling half-turn switches every relay down,
+    the highest lo first, and each rising half-turn every relay up, the
+    lowest hi first."""
+    k = len(lo)
+    fall = [math.acos(c / r) for c in reversed(lo)]
+    rise = [2.0 * math.pi - math.acos(c / r) for c in hi]
+    times, a, t, ups = [], 0.0, 0.0, k
+    for turn in itertools.count():
+        for i, angle in enumerate(fall + rise):
+            omega, angle = rate(2.0 * ups / k - 1.0), 2.0 * math.pi * turn + angle
+            if t + (angle - a) / omega > T:
+                a += omega * (T - t)
+                return times, r * np.array([math.cos(a), math.sin(a)])
+            t, a = t + (angle - a) / omega, angle
+            ups += 1 if i >= k else -1
+            times.append(t)
+
+
+UNIT = StepSignal(TimeGrid((0.0, 12.0)), (1.0,))
+
+
+def relay_run(h):
+    table = {(s,): FieldSet(2, 1, (lambda z, w=float(s): rotation(w, z),)) for s in (-1, 1)}
+    spec = SwitchingSpec(xi=((1.0, 0.0),), eta=0.3, field_table=table)
+    return integrate_switching(spec, (UNIT,), (0.5, 0.0), (1,), step=h), (-0.3,), (0.3,)
+
+
+def bank_run(h):
+    lo, hi = (-0.4, -0.3, -0.2, -0.1), (0.1, 0.2, 0.3, 0.4)
+    spec = BankSpec(xi=((1.0, 0.0),), k=4, fields=(rotation,))
+    return integrate_bank(spec, (UNIT,), (0.5, 0.0), (RelayBank(lo, hi, (1,) * 4),), step=h), lo, hi
+
+
+@pytest.mark.parametrize("run", [relay_run, bank_run], ids=["relay", "bank"])
+def test_rk4_keeps_order_four_across_events(run):
+    # each halving of the step divides the worst event-time error and the
+    # final-state error by about 2^4 (15.7-16.1 measured), the window
+    # test_rk4_order_four uses: each located state is an RK4 step, not an
+    # interpolation between the ends of the step (a first-order error)
+    time_errs, state_errs = [], []
+    for h in (0.04, 0.02, 0.01):
+        traj, lo, hi = run(h)
+        times, final = circle_events(lo, hi, 0.5, 12.0)
+        assert len(traj.events) == len(times)
+        time_errs.append(max(abs(e.time - t) for e, t in zip(traj.events, times)))
+        state_errs.append(float(np.linalg.norm(traj.final_state - final)))
+    for errs in (time_errs, state_errs):
+        for a, b in zip(errs, errs[1:]):
+            assert 8.0 < a / b < 32.0, errs
