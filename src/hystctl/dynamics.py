@@ -3,7 +3,8 @@
 Five flavours: plain (no hysteresis), play in the controls, play in the state
 (triangular/chain), delayed-relay switching, and relay-bank systems.  All but
 play in the state run one loop, the relay core (_integrate), whose rules are
-stated at its parts: _pieces, _affine_rhs, _rk4, _exact_rows, _locate_event.
+stated at its parts: _pieces, _affine_rhs, _rk4, _exact_rows, _quartic,
+_locate_event.
 Play in the state is closed form but for one Simpson pass (_simpson).
 """
 
@@ -327,15 +328,28 @@ def _locate_event(rhs, t, z, k1, h, z_hi, xi, thr, d):
     return hi, z_hi
 
 
-def _exact_rows(rhs, t, z, b, ts, xi, walks):
-    """Rows at the times ts (ts[-1] is b) of the solution from (t, z), up to
-    the first whose z.xi_j passes a pending threshold of walks[j], if one RK4
-    step over [t, b] agrees with four quarter steps to _EXACT_TOL relative:
-    RK4 reproduces a solution of degree <= 4 to rounding.  These speculative
-    steps probe the fields off the trajectory, so an exception or a
-    non-finite state there fails the test (numpy warnings silenced).  The
-    rows are the quartic through the quarter points in Newton form, so a
-    constant coordinate stays bit-constant."""
+def _quartic(coefs, t, quarter, ts):
+    """Rows at the times ts of the quartic through the states at t + i *
+    quarter, i = 0..4, in Newton form: coefs are their k-th differences over
+    k!, k = 4..0, so a constant coordinate stays bit-constant.  The one
+    evaluation of closed-form rows."""
+    theta, rows = ((ts - t) / quarter)[:, None], 0.0
+    for k, c in zip((4, 3, 2, 1, 0), coefs):
+        rows = c + (theta - k) * rows
+    return rows
+
+
+def _exact_rows(rhs, t, z, piece, q, xi, walks):
+    """(ts, rows): the solution from (t, z) at the grid points a + p h, p = q
+    to nsteps (the last being b) of piece = (a, b, h, nsteps), up to the
+    first row whose z.xi_j passes a pending threshold of walks[j], if one
+    RK4 step over [t, b] agrees with four quarter steps to _EXACT_TOL
+    relative: RK4 reproduces a solution of degree <= 4 to rounding.  These
+    speculative steps probe the fields off the trajectory, so an exception
+    or a non-finite state there fails the test (numpy warnings silenced).
+    With walks the rows come in chunks that double from _EXACT_STEPS, up to
+    the first chunk with a row past a threshold; without, in one."""
+    a, b, h, nsteps = piece
     quarter = 0.25 * (b - t)
     nodes = [z]
     with np.errstate(all="ignore"):
@@ -346,22 +360,32 @@ def _exact_rows(rhs, t, z, b, ts, xi, walks):
                 ti = t + i * quarter
                 nodes.append(_rk4(rhs, ti, nodes[-1], rhs(ti, nodes[-1]) if i else k1, quarter))
             exact = all(
-                all(map(math.isfinite, col)) and abs(w - q) <= _EXACT_TOL * max(map(abs, col))
-                for w, q, col in zip(whole, nodes[4], zip(whole, *nodes)))
+                all(map(math.isfinite, col)) and abs(w - x) <= _EXACT_TOL * max(map(abs, col))
+                for w, x, col in zip(whole, nodes[4], zip(whole, *nodes)))
         except Exception:
             exact = False
     if not exact:
-        return np.empty((0, len(z)))
-    theta = ((ts - t) / quarter)[:, None]
-    nodes, rows = np.array(nodes, dtype=float), 0.0
-    for k in (4, 3, 2, 1, 0):
-        rows = np.diff(nodes, k, axis=0)[0] / math.factorial(k) + (theta - k) * rows
-    if not walks:
-        return rows
-    proj = rows @ np.reshape(xi, (len(xi), len(z))).T
+        return np.empty(0), np.empty((0, len(z)))
+    nodes, parts = np.array(nodes, dtype=float), []
+    coefs = [np.diff(nodes, k, axis=0)[0] / math.factorial(k) for k in (4, 3, 2, 1, 0)]
     rise, fall = [walk.rise for walk in walks], [walk.fall for walk in walks]
-    passed = np.append(((proj > rise) | (proj < fall)).any(axis=1), True)
-    return rows[: passed.argmax()]
+    axes = np.reshape(xi, (len(xi), len(z))).T
+    size = _EXACT_STEPS if walks else nsteps + 1 - q
+    while q <= nsteps:
+        stop = min(q + size, nsteps + 1)
+        stop -= stop == nsteps  # no one-row chunk: numpy rounds a one-row product its own way
+        ts = a + np.arange(q, stop) * h
+        if stop > nsteps:
+            ts[-1] = b
+        rows, cut = _quartic(coefs, t, quarter, ts), len(ts)
+        if walks:
+            proj = rows @ axes
+            cut = np.append(((proj > rise) | (proj < fall)).any(axis=1), True).argmax()
+        parts.append((ts[:cut], rows[:cut]))
+        if cut < len(ts):
+            break
+        q, size = stop, 2 * size
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry=None):
@@ -418,16 +442,14 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
         while q <= nsteps:
             if test and nsteps - q + 1 >= _EXACT_STEPS:
                 test = False
-                ts = a + np.arange(q, nsteps + 1) * h
-                ts[-1] = b
-                rows = _exact_rows(rhs, t, z, b, ts, xi, walks)
-                stretch = len(rows)
+                ts, rows = _exact_rows(rhs, t, z, (a, b, h, nsteps), q, xi, walks)
+                stretch = len(ts)
                 if stretch:
                     _check_cap(np.abs(rows).max(axis=0))
                     blocks.append((np.array(times), np.reshape(states, (-1, n))))
-                    blocks.append((ts[:stretch].copy(), rows[:stretch].copy()))
+                    blocks.append((ts, rows))
                     times, states = [], []
-                    t, z = float(ts[stretch - 1]), tuple(rows[stretch - 1].tolist())
+                    t, z = float(ts[-1]), tuple(rows[-1].tolist())
                     q += stretch
                     continue
             t_end = b if q == nsteps else a + q * h

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from operator import ge, lt
 from typing import NamedTuple
 
@@ -248,11 +248,12 @@ class _Walk:
 
 
 class _Events(Sequence):
-    """Switch events, read-only: columns time, index, new and (in a relay-core
-    run) operator; rows are SwitchEvents, and a slice is another _Events."""
+    """Switch events, read-only: columns time (the floats given), index (an
+    array('i')), new (an array('b')) and, in a relay-core run, operator; rows
+    are SwitchEvents, and a slice is another _Events."""
 
-    def __init__(self, *columns):
-        self._columns = columns
+    def __init__(self, time, index, new, *operator):
+        self._columns = (time, array("i", index), array("b", new), *operator)
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -271,29 +272,31 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     Each input segment switches every relay its end is strictly past in one
     _Walk.switch, at the affinely interpolated crossing times: the events, a
     read-only sequence of SwitchEvent rows, come in time order (a fall lists
-    the higher index first), and the output is replayed from them.  One at
-    the horizon is listed but starts no piece.
+    the higher index first), and the output is replayed from them in one
+    pass that counts the relays at +1.  One at the horizon is listed but
+    starts no piece.
     """
     walk, knots = _Walk(bank, zeta.knots[0][1]), zeta.knots
-    times, index, new = [], [], []
+    times, index, new = [], array("i"), array("b")
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
         if s := walk.crossed(z1):
             hit, thr = walk.switch(s, z1), walk.his if s == 1 else walk.los
             dz, dt = 0.5 * z1 - 0.5 * z0, t1 - t0
             times += [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
-            index += [i + 1 for i in hit]
-            new += [s] * len(hit)
-    breaks, sums, T = [knots[0][0]], [0], knots[-1][0]  # sums of new since the start
-    for t, c in zip(times, accumulate(new)):
+            index.fromlist([i + 1 for i in hit])
+            new += array("b", (s,)) * len(hit)
+    k, T = bank.k, knots[-1][0]
+    levels = [(2 * i - k) / k for i in range(k + 1)]  # the output with i relays at +1
+    up = bank.outs.count(1)
+    breaks, values = [knots[0][0]], [levels[up]]
+    for t, s in zip(times, new):
+        up += s
         if breaks[-1] < t < T:
             breaks.append(t)
-            sums.append(c)
+            values.append(levels[up])
         elif t <= breaks[-1]:  # merges into the last breakpoint
-            sums[-1] = c
-    total, k = int(sum(bank.outs)), bank.k  # a Python int, so the levels are floats
+            values[-1] = levels[up]
     grid = _built(TimeGrid, points=(*breaks, T))  # unchecked: the replay's breaks strictly increase
-    levels = {c: (total + 2 * c) / k for c in set(sums)}  # one float per level, not per piece
-    output = _built(StepSignal, grid=grid, values=tuple(map(levels.get, sums)))
+    output = _built(StepSignal, grid=grid, values=tuple(values))
     final = _built(RelayBank, lo=bank.lo, hi=bank.hi, outs=tuple(walk.outs))  # walk.outs are +-1
     return output, _Events(times, index, new), final
-

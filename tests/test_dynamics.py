@@ -7,6 +7,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,8 +146,61 @@ def test_exactness_test_needs_finite_states():
     def rhs(t, z):
         return [0.0 if t in (0.0, 0.5, 1.0) else 1e308]
 
-    rows = _exact_rows(rhs, 0.0, (0.0,), 1.0, np.linspace(0.0, 1.0, 33), (), [])
-    assert rows.shape == (0, 1)
+    ts, rows = _exact_rows(rhs, 0.0, (0.0,), (0.0, 1.0, 1.0 / 32, 32), 1, (), [])
+    assert ts.shape == (0,) and rows.shape == (0, 1)
+
+
+def test_closed_form_stretch_stops_at_its_first_crossing(monkeypatch):
+    # one axis at speed 1.2 through a staircase bank of 256 relays, 128 of
+    # them pending: after each event the rest of the piece is tested again,
+    # and a test evaluates its rows in chunks that double from _EXACT_STEPS
+    # up to the first chunk with a crossing, so at most twice the rows it
+    # keeps plus _EXACT_STEPS (evaluating the whole rest of the piece at
+    # each test took 4,879,229 rows for these 100,126)
+    quartic, exact_rows, tests = dynamics._quartic, dynamics._exact_rows, []
+
+    def counted_quartic(coefs, t, quarter, ts):
+        tests[-1][0] += len(ts)
+        return quartic(coefs, t, quarter, ts)
+
+    def counted_exact_rows(*args):
+        tests.append([0, 0])
+        ts, rows = exact_rows(*args)
+        tests[-1][1] = len(ts)
+        return ts, rows
+
+    monkeypatch.setattr(dynamics, "_quartic", counted_quartic)
+    monkeypatch.setattr(dynamics, "_exact_rows", counted_exact_rows)
+    spec = BankSpec(xi=((1.0,),), k=256, fields=(lambda w, z: (1.2,),))
+    traj = integrate_bank(spec, (const(1.0, 1.0),), (0.0,), (RelayBank.staircase(256, 128),),
+                          step=1e-5)
+    assert len(traj.events) == 128 and len(traj.times) == 100126
+    assert len(tests) > 128 and sum(kept for _, kept in tests) > 0.99 * len(traj.times)
+    assert all(evaluated <= 2 * kept + dynamics._EXACT_STEPS for evaluated, kept in tests), tests
+
+
+@pytest.mark.parametrize("nsteps", [256, 225])
+@pytest.mark.parametrize("first", [0, 31, 32, 95, 96, 223, 224, None])
+def test_closed_form_chunks_cut_at_the_first_row_past_a_threshold(monkeypatch, nsteps, first):
+    # z' = (1, 2) on [0, 4] from 0, seen on the axis (0.6, 0.8): with a rise
+    # between rows first - 1 and first, the first and last rows of the
+    # chunks of 32, 64 and 128 rows, the stretch keeps the rows before first,
+    # bit for bit those of one evaluation of the whole piece; and no chunk is
+    # one row, whose product numpy rounds its own way (225 steps leave one)
+    rhs = dynamics._affine_rhs([lambda z: (1.0, 2.0)], [1.0], [0.0], 0.0, 2)
+    piece, xi = (0.0, 4.0, 4.0 / nsteps, nsteps), ((0.6, 0.8),)
+    whole_ts, whole = dynamics._exact_rows(rhs, 0.0, (0.0, 0.0), piece, 1, (), [])
+    assert len(whole_ts) == nsteps and whole_ts[-1] == 4.0
+    proj = whole @ np.array(xi).T[:, 0]
+    rise = 9.0 if first is None else 0.5 * (proj[first] + (proj[first - 1] if first else 0.0))
+    quartic, chunks = dynamics._quartic, []
+    monkeypatch.setattr(dynamics, "_quartic", lambda *args: chunks.append(len(args[3])) or quartic(*args))
+    walk = SimpleNamespace(rise=rise, fall=-9.0)
+    ts, rows = dynamics._exact_rows(rhs, 0.0, (0.0, 0.0), piece, 1, xi, [walk])
+    kept = nsteps if first is None else first
+    assert ts.tobytes() == whole_ts[:kept].tobytes() and rows.tobytes() == whole[:kept].tobytes()
+    assert chunks[:2] == [32, 64][: len(chunks)] and min(chunks) >= 2
+    assert sum(chunks[:-1]) <= kept <= sum(chunks) <= 2 * kept + dynamics._EXACT_STEPS
 
 
 def test_closed_form_rows_past_the_cap_diverge():
@@ -825,6 +879,7 @@ def test_relay_core_and_bank_trace_share_one_events_type():
     for events in (traced, bank.events, switching.events):
         assert type(events) is type(traced) and len(events) == 2
         assert all(type(e) is SwitchEvent for e in [*events, events[0], events[-1]])
+        assert [column.typecode for column in events._columns[1:3]] == ["i", "b"]
         assert list(events) == [events[0], events[1]]
         head = events[:1]
         assert type(head) is type(traced) and list(head) == [events[0]]

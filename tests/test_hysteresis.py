@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -394,6 +395,24 @@ def test_bank_events_are_a_read_only_sequence_of_rows():
         events[0] = moved
     # the output is made of Python floats as well
     assert all(type(v) is float for v in out.grid.points + out.values)
+
+
+def test_bank_trace_keeps_a_compact_record_per_event():
+    # an event is its time, a float in a list whose floats the output's
+    # breakpoints share, a 4-byte relay index and a 1-byte new output, so no
+    # index past 256 is an int object of its own: a zigzag through a bank of
+    # 1024 relays holds 54 bytes per event (90 when both were lists of ints)
+    k = 1024
+    zeta = PolylineSignal(((0.0, 0.0),) + tuple((float(q), (-1.0) ** (q + 1) * 1.1) for q in range(1, 30)))
+    tracemalloc.start()
+    out, events, final = bank_trace(RelayBank.staircase(k, k // 2), zeta)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert len(events) == k // 2 + 28 * k and final.outs == (1,) * k
+    assert held / len(events) <= 60, held / len(events)
+    assert [column.typecode for column in events._columns[1:]] == ["i", "b"]
+    assert [(e.index, e.new) for e in events[k // 2 - 1:k // 2 + 1]] == [(k, 1), (k, -1)]
+    assert {id(t) for t in out.grid.points[1:-1]} <= {id(t) for t in events._columns[0]}
 
 
 def test_bank_switches_at_a_bit_equal_time_merge():

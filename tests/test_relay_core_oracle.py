@@ -6,17 +6,19 @@ state moves at a constant velocity between events.  Every event is then the
 first time a projection z.xi_j reaches the next threshold of its axis, which
 exact_events below solves for in closed form (adapted from the benchmark's
 switching_interval and bank_walk oracles, so that these tests do not import
-the benchmark).  The last tests take rotation fields instead, whose events
-are closed-form angles, to check the order of RK4 across events.
+the benchmark), and through which a closed-form planner steers the demo
+system to a target.  The last tests take rotation fields instead, whose
+events are closed-form angles, to check the order of RK4 across events.
 """
 
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hystctl.dynamics import (
@@ -545,3 +547,74 @@ def test_rk4_keeps_order_four_across_events(run):
     for errs in (time_errs, state_errs):
         for a, b in zip(errs, errs[1:]):
             assert 8.0 < a / b < 32.0, errs
+
+
+# steering to a target: in demo_switching_spec, control i at u = +-1 moves
+# z_i at unit speed whatever its relay reads, and the other coordinate at u / 2
+# while relay i reads -1; both relays have the thresholds +-ETA
+
+ETA = 0.3
+LIFT = 3.0  # leg 1 lifts z2 here, past +ETA by more than leg 2 can drift it
+points = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+def relay_after(s, c):
+    """A relay's output after its coordinate moves monotonically to c."""
+    return 1 if c > ETA else -1 if c < -ETA else s
+
+
+def time_at_minus(s, c, u, d):
+    """Time at -1 of a relay at s whose coordinate moves from c at speed u for d."""
+    if u > 0:
+        return min(max(ETA - c, 0.0), d) if s == -1 else 0.0
+    return d if s == -1 else d - min(max(c + ETA, 0.0), d)
+
+
+def plan_steering(a, string, b):
+    """Legs (control, u, duration), one control each, that steer the demo
+    system from a with its relays at string to b, in closed form: leg 1
+    lifts z2 to LIFT (relay 2 then reads +1), leg 2 takes z1 to b1 less the
+    drift of leg 3, and leg 3 takes z2 down to b2, which drifts z1 by -1/2
+    per unit time once z2 passes -ETA.  Also returns the planned end."""
+    z, s, legs = list(a), list(string), []
+    for i, target in ((1, LIFT), (0, b[0] - 0.5 * min(0.0, b[1] + ETA)), (1, b[1])):
+        u, d = math.copysign(1.0, target - z[i]), abs(target - z[i])
+        z[1 - i] += 0.5 * u * time_at_minus(s[i], z[i], u, d)
+        z[i] = target
+        s = [relay_after(sj, zj) for sj, zj in zip(s, z)]
+        legs.append((i, u, d))
+    return legs, z
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=points, string=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])), b=points,
+       h=st.sampled_from([0.1, 0.05, 0.02]))
+# three starts inside the dead band of both axes with targets past a threshold
+# of each, below and above, and a start past one threshold of each axis
+@example(a=(0.1, -0.2), string=(-1, -1), b=(-0.9, -0.8), h=0.05)
+@example(a=(-0.25, 0.25), string=(1, -1), b=(0.8, 0.9), h=0.05)
+@example(a=(0.2, 0.1), string=(-1, 1), b=(0.7, -0.6), h=0.1)
+@example(a=(-0.9, 0.8), string=(1, 1), b=(-0.5, 0.2), h=0.02)
+def test_switching_steers_to_a_planned_target(a, string, b, h):
+    spec = demo_switching_spec()
+    assert spec.thresholds == ((-ETA, ETA),) * 2
+    string = tuple(relay_after(s, c) for s, c in zip(string, a))  # inside the band as drawn
+    legs, end = plan_steering(a, string, b)
+    assert end == pytest.approx(b, abs=1e-12)
+    assume(all(d > MIN_GAP for _, _, d in legs))
+    grid = np.concatenate([[0.0], np.cumsum([d for _, _, d in legs])])
+    values = [[u if i == j else 0.0 for i, u, _ in legs] for j in range(2)]
+    controls = tuple(StepSignal(TimeGrid(tuple(grid)), tuple(v)) for v in values)
+    pieces = [(t0, t1, [v[q] for v in values]) for q, (t0, t1) in enumerate(zip(grid, grid[1:]))]
+
+    def velocity(outs, u):
+        fields = spec.field_table[tuple(o[0] for o in outs)].fields
+        return sum(ui * np.asarray(g(None)) for ui, g in zip(u, fields))
+
+    expected = clear_events(velocity, spec.xi, [[(-ETA, ETA, s)] for s in string], a, pieces, h)
+    traj = integrate_switching(spec, controls, a, string, step=h)
+    assert [(e.operator, e.new) for e in traj.events] == [(f"axis{j + 1}", s) for _, j, _, s in expected]
+    assert all(abs(e.time - t) <= EVENT_TOL for e, (t, *_) in zip(traj.events, expected))
+    # RK4 is exact on these constant fields, so the end is off b by rounding
+    # alone, which grows with the rows (0.13 ulps of LIFT per row at worst here)
+    assert np.abs(traj.final_state - b).max() <= 2.0 * sys.float_info.epsilon * LIFT * len(traj.times)
