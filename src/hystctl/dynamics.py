@@ -251,6 +251,7 @@ def _affine_rhs(fields, u0, slope, a, n):
     """rhs(t, z) = sum_i (u0_i + slope_i (t - a)) g_i(z) over the fields whose
     control is not zero on the piece."""
     active = [(c, s, g) for c, s, g in zip(u0, slope, fields) if c != 0.0 or s != 0.0]
+    components = range(n)
 
     def rhs(t, z):
         acc = [0.0] * n
@@ -258,7 +259,7 @@ def _affine_rhs(fields, u0, slope, a, n):
         for c, s, g in active:
             ui = c + s * tau
             gz = g(z)
-            for i in range(n):
+            for i in components:
                 acc[i] += ui * gz[i]
         return acc
 
@@ -400,8 +401,9 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     many as the first), driven by the controls, affine on each piece; each
     gives n components, checked at every selection.  The event of relay i on
     axis j is the row (t, i + 1, new, label(j, i)) of events, t being its
-    row's time bit for bit.  An axis that switches more than EVENT_BUDGET *
-    (nominal steps + its relays) times chatters and raises DivergenceError.
+    row's time bit for bit, each label one string per run.  An axis that
+    switches more than EVENT_BUDGET * (nominal steps + its relays) times
+    chatters and raises DivergenceError.
     Only rows and events are kept: log is None without entry, else a list in
     which each event's row and the rows up to the next event's share one
     entry(outs), outs the banks' outputs with the events so far replayed as
@@ -421,6 +423,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     """
     z = _point(z0, n)
     walks = [_Walk(bank, _proj(z, v)) for bank, v in zip(banks, xi)]
+    axes = [*zip(itertools.count(), xi, walks)]  # (j, xi_j, walk_j), read on every row
     fields = _checked(select(walks), z, n)
     if len(controls) != len(fields):
         raise DomainError("one control per field required")
@@ -428,10 +431,11 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     on_grid = [_affine_on(c.affine_view(), grid) for c in controls]
     u0, slope = np.transpose(on_grid, (1, 2, 0)).tolist()  # each piece's controls at a, slopes
     budgets = [EVENT_BUDGET * (sum(piece_steps) + bank.k) for bank in banks]  # events left per axis
-    blocks = []  # (times, states) arrays in row order; the RK4 rows since the last one are in lists
+    blocks = []  # (times, states) arrays in row order; the RK4 rows since the last in flat lists
     breaks = grid.tolist()
-    times, states = [breaks[0]], [z]
+    times, states = [breaks[0]], [*z]
     events = [], [], [], [], []  # the columns time, index, new, operator, and beside them the axis
+    names = {}  # (j, i): label(j, i), formatted at the first event of relay i on axis j
     for a, b, nsteps, c0, sl in zip(breaks, breaks[1:], piece_steps, u0, slope):
         rhs = _affine_rhs(fields, c0, sl, a, n)
         h = (b - a) / nsteps
@@ -457,11 +461,14 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
             k1 = rhs(t, z)
             z_new = _rk4(rhs, t, z, k1, dt)
             hit = None
-            for j, (v, walk) in enumerate(zip(xi, walks)):
-                d = walk.crossed(_proj(z_new, v))
-                if not d:
+            for j, v, walk in axes:
+                p = sum(map(mul, z_new, v))
+                if p > walk.rise:
+                    d, thr = 1, walk.rise
+                elif p < walk.fall:
+                    d, thr = -1, walk.fall
+                else:
                     continue
-                thr = walk.rise if d == 1 else walk.fall
                 if hit is None or d * (_proj(hit[1], v) - thr) > 0.0:  # it can come first
                     s, z_s = _locate_event(rhs, t, z, k1, dt, z_new, v, thr, d)
                     if hit is None or s < hit[0]:
@@ -475,7 +482,8 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
                     z = z_s
                     t = t_end if t_end - (t + s) <= EVENT_TOL else t + s
                 for i in walks[j].switch(d, _proj(z_s, xi[j])):
-                    for column, value in zip(events, (t, i + 1, d, label(j, i), j)):
+                    name = names.get((j, i)) or names.setdefault((j, i), label(j, i))
+                    for column, value in zip(events, (t, i + 1, d, name, j)):
                         column.append(value)
                     budgets[j] -= 1
                 if budgets[j] < 0:
@@ -489,7 +497,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
                     continue
             _check_cap(z)
             times.append(t)
-            states.append(z)
+            states += z
             if t == t_end:
                 q += 1
     blocks.append((np.array(times), np.reshape(states, (-1, n))))

@@ -206,7 +206,9 @@ class _Walk:
     and its next switch each way, moved by a scan past the switched relays
     (one step in a staircase bank): the lowest index at -1 rises at its hi,
     rise, and the highest at +1 falls at its lo, fall (inf and -inf, never
-    passed, if there is none)."""
+    passed, if there is none).  A value z crosses the walk, and some relay
+    must switch, only if strictly past one of them: z > rise (s = 1) or
+    z < fall (s = -1).  Every reader of the walk tests it so, in place."""
 
     def __init__(self, bank: RelayBank, z: float):
         self.outs = list(bank.outs)
@@ -214,7 +216,7 @@ class _Walk:
         self.los = (*map(float, bank.lo), -math.inf)
         self.total = sum(self.outs)
         self._point(0, bank.k - 1)
-        if self.crossed(z):
+        if z > self.rise or z < self.fall:
             raise DomainError(f"relay outputs inconsistent with the start value {z}")
 
     def _point(self, up: int, down: int) -> None:
@@ -225,15 +227,10 @@ class _Walk:
             down -= 1
         self._up, self._down, self.rise, self.fall = up, down, self.his[up], self.los[down]
 
-    def crossed(self, z: float) -> int:
-        """+1 if z is strictly past rise, -1 if strictly past fall, else 0
-        (every relay is consistent with z)."""
-        return 1 if z > self.rise else -1 if z < self.fall else 0
-
     def switch(self, s: int, z: float) -> list:
         """Switch to s every relay at -s that z is strictly past (wiping-out;
-        crossed(z) must be s), and return their indices in the order z meets
-        their thresholds: from the pointer on, stepping by s."""
+        z must cross the walk by s), and return their indices in the order z
+        meets their thresholds: from the pointer on, stepping by s."""
         p = self._up if s == 1 else self._down
         if s == 1:  # the -1s below bisect_left(hi, z)
             stop = bisect_left(self.his, z, p)
@@ -279,12 +276,17 @@ def bank_trace(bank: RelayBank, zeta: PolylineSignal):
     walk, knots = _Walk(bank, zeta.knots[0][1]), zeta.knots
     times, index, new = [], array("i"), array("b")
     for (t0, z0), (t1, z1) in zip(knots, knots[1:]):
-        if s := walk.crossed(z1):
-            hit, thr = walk.switch(s, z1), walk.his if s == 1 else walk.los
-            dz, dt = 0.5 * z1 - 0.5 * z0, t1 - t0
-            times += [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
-            index.fromlist([i + 1 for i in hit])
-            new += array("b", (s,)) * len(hit)
+        if z1 > walk.rise:
+            s, thr = 1, walk.his
+        elif z1 < walk.fall:
+            s, thr = -1, walk.los
+        else:
+            continue
+        hit = walk.switch(s, z1)
+        dz, dt = 0.5 * z1 - 0.5 * z0, t1 - t0
+        times += [t0 + ((0.5 * thr[i] - 0.5 * z0) / dz) * dt for i in hit]
+        index.fromlist([i + 1 for i in hit])
+        new += array("b", (s,)) * len(hit)
     k, T = bank.k, knots[-1][0]
     levels = [(2 * i - k) / k for i in range(k + 1)]  # the output with i relays at +1
     up = bank.outs.count(1)

@@ -1157,6 +1157,24 @@ def test_bank_log_grows_with_its_events_not_with_their_outputs():
     assert size[1] < 2.5 * size[0]
 
 
+def test_relay_core_formats_each_label_once():
+    # the two-axis input of the CI's k = 1024 memory check (axis 2 at 0.9
+    # times axis 1's speed, so the axes switch apart): its 7168 events name
+    # 2048 relays, and hold one label string per relay, formatted at its
+    # first event, not one per event
+    k, sweeps = 1024, 4
+    spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=k,
+                    fields=(lambda w, z: (1.0, 0.0), lambda w, z: (0.0, 0.9)))
+    points = [0.0, *(1.2 + 2.4 * q for q in range(sweeps))]
+    up = [(-1.0) ** q for q in range(sweeps)]
+    bank = RelayBank.staircase(k, k // 2)
+    traj = integrate_bank(spec, (step(points, up), step(points, [-u for u in up])), (0.0, 0.0),
+                          (bank, bank), step=0.01)
+    labels = [e.operator for e in traj.events]
+    assert len(labels) == 7 * k and len(set(labels)) == 2 * k
+    assert len({id(label) for label in labels}) <= 2 * k
+
+
 def test_trajectory_csv_formats_each_axis_state_once(tmp_path, monkeypatch):
     # a bank entry's axes are formatted once per distinct axis state, one
     # tuple each, and the bytes are those of formatting every row anew

@@ -453,7 +453,10 @@ def test_event_location_cost_when_two_axes_cross_in_one_step(first):
     # it is past its threshold at the earliest event located so far.  So the
     # first cut locates one axis when the lower axis leads and two when the
     # higher one does, the second cut one: 17 evaluations per event with the
-    # new fields' checks (26 if every crossing were located with 8 a step)
+    # new fields' checks (26 if every crossing were located with 8 a step).
+    # Every interval is shorter than _EXACT_STEPS, so no closed form is
+    # tested and the count is the row loop's alone, pinned exactly: a change
+    # to how the loop steps must evaluate the same fields at the same states
     calls = [0]
     spec, controls, expected = two_line_system(50, first, calls)
     traj = integrate_switching(spec, controls, (0.5, 0.5), (1, 1), step=0.04)
@@ -461,6 +464,7 @@ def test_event_location_cost_when_two_axes_cross_in_one_step(first):
     assert all(abs(e.time - t) <= TOL for e, (t, _, _) in zip(traj.events, expected))
     stepping = 8 * (len(traj.times) - 1)
     assert (calls[0] - stepping) / len(traj.events) <= 20
+    assert (len(traj.times), len(traj.events), calls[0]) == (851, 100, 8502)
 
 
 @pytest.mark.parametrize("k", [1, 3])
