@@ -73,8 +73,9 @@ def _read_only(arrays):
 
 
 def _built(cls, view=None, **fields):
-    """cls with these fields set without __post_init__, for an operator's output
-    checked on arrays; view, if given, is kept as its affine_view()."""
+    """cls with these __dict__ entries, without __post_init__: bank_trace's eager fields,
+    built from its lists, or an operator output's view (its affine_view()) and a polyline's
+    _knot_values, from which its tuple fields are made at first read (_lazy_fields)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     if view is not None:
@@ -223,15 +224,13 @@ def antiderivative(s: StepSignal, x0: float = 0.0) -> PolylineSignal:
     t, v, _ = s.affine_view()
     with np.errstate(over="ignore", invalid="ignore"):  # cumsum adds left to right, not pairwise
         x = np.cumsum(np.concatenate(([float(x0)], v * (t[1:] - t[:-1]))))
-    return _built(PolylineSignal, _polyline_view(t, x), knots=tuple(zip(s.grid.points, x.tolist())),
-                  times=s.grid.points)
+    return _built(PolylineSignal, _polyline_view(t, x), _knot_values=x)
 
 
 def derivative(p: PolylineSignal) -> StepSignal:
     """Slope staircase; antiderivative(derivative(p), p(0)) == p knot-wise."""
     t, _, slope = p.affine_view()
-    return _built(StepSignal, (t, slope, np.zeros_like(slope)),
-                  grid=_built(TimeGrid, points=p.times), values=tuple(slope.tolist()))
+    return _built(StepSignal, (t, slope, np.zeros_like(slope)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +250,22 @@ class PiecewiseAffine(_Affine):
     def _view(self):
         pieces = np.asarray(self.pieces).reshape(-1, 2)
         return np.asarray(self.breaks), pieces[:, 0], pieces[:, 1]
+
+
+def _lazy_fields(cls, **make):
+    """Bind make[name](self), which makes a field from an operator output's view at first
+    read, as a cached_property of cls: a constructed signal's own fields hide it."""
+    for name, fn in make.items():
+        setattr(cls, name, prop := cached_property(fn))
+        prop.__set_name__(cls, name)
+
+
+_lazy_fields(StepSignal, values=lambda s: tuple(s._arrays[1].tolist()),
+             grid=lambda s: _built(TimeGrid, points=tuple(s._arrays[0].tolist())))
+_lazy_fields(PolylineSignal, times=lambda s: tuple(s._arrays[0].tolist()),
+             knots=lambda s: tuple(zip(s.times, s._knot_values.tolist())))
+_lazy_fields(PiecewiseAffine, breaks=lambda s: tuple(s._arrays[0].tolist()),
+             pieces=lambda s: tuple(zip(s._arrays[1].tolist(), s._arrays[2].tolist())))
 
 
 def merge_times(*time_lists, tol: float = KNOT_TOL) -> np.ndarray:
@@ -289,8 +304,8 @@ def _affine_on(view, grid: np.ndarray):
 def _merged(a, b, ca: float, cb: float):
     """ca*a + cb*b on the merged grid: (times, left, slope).
 
-    times are the exact union of the breaks (an array), so each interval is
-    in one piece of each signal; left and slope are the sum's there (_affine_on).
+    times are the exact union of the breaks (an array, strictly increasing), so
+    each interval is in one piece of each signal; left and slope are the sum's there (_affine_on).
     """
     _check_domain((a, b), "signals must share the horizon")
     views = a.affine_view(), b.affine_view()
@@ -319,17 +334,13 @@ def combine(a, b, ca: float = 1.0, cb: float = 1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         times, left, slope = _merged(a, b, ca, cb)
         right = left + slope * np.diff(times)  # the value at each interval's end
-    points = tuple(times.tolist())  # strictly increasing: merge_times with tol=0
     if isinstance(a, StepSignal) and isinstance(b, StepSignal):
-        return _built(StepSignal, (times, _finite(left, "combine"), np.zeros_like(left)),
-                      grid=_built(TimeGrid, points=points), values=tuple(left.tolist()))
+        return _built(StepSignal, (times, _finite(left, "combine"), np.zeros_like(left)))
     if isinstance(a, PolylineSignal) and isinstance(b, PolylineSignal):
         v = np.append(left, right[-1])
-        return _built(PolylineSignal, _polyline_view(times, v), knots=tuple(zip(points, v.tolist())),
-                      times=points)
+        return _built(PolylineSignal, _polyline_view(times, v), _knot_values=v)
     _finite(right, "combine")
-    return _built(PiecewiseAffine, (times, left, slope), breaks=points,
-                  pieces=tuple(zip(left.tolist(), slope.tolist())))
+    return _built(PiecewiseAffine, (times, left, slope))
 
 
 def l1_distance(a, b) -> float:

@@ -1,8 +1,10 @@
 """Signal arithmetic: evaluation, calculus, merged-grid combination, metrics."""
 
 import bisect
+import copy
 import json
 import math
+import pickle
 import random
 import warnings
 from dataclasses import replace
@@ -21,6 +23,7 @@ from hystctl.signals import (
     PolylineSignal,
     StepSignal,
     TimeGrid,
+    _built,
     antiderivative,
     combine,
     derivative,
@@ -719,7 +722,9 @@ def test_combine_and_metrics_match_exact_rationals():
 
 # ---------------------------------------------------------------------------
 # operator outputs: combine, antiderivative and derivative hand over the view
-# they computed; it must be the view the output's fields give
+# they computed; it must be the view the output's fields give.  The output
+# keeps only that view and makes each tuple field from it at first read; the
+# field must be the one set eagerly from the same arrays
 
 MAGNITUDE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
@@ -749,28 +754,110 @@ def public_twin(s):
     return PiecewiseAffine(s.breaks, s.pieces)
 
 
+TUPLE_FIELDS = {StepSignal: ("grid", "values"), PolylineSignal: ("times", "knots"),
+                PiecewiseAffine: ("breaks", "pieces")}
+
+
+def eager_twin(out):
+    """out with every tuple field set at once from its arrays, as bank_trace sets its output's."""
+    t, left, slope = (x.tolist() for x in out.affine_view())
+    if isinstance(out, StepSignal):
+        return _built(StepSignal, grid=_built(TimeGrid, points=tuple(t)), values=tuple(left))
+    if isinstance(out, PolylineSignal):
+        return _built(PolylineSignal, knots=tuple(zip(t, out._knot_values.tolist())), times=tuple(t))
+    return _built(PiecewiseAffine, breaks=tuple(t), pieces=tuple(zip(left, slope)))
+
+
+def field_hexes(s):
+    times = s.times if isinstance(s, PolylineSignal) else ()
+    return [x.hex() for x in (*float_fields(s), *times)]
+
+
+def operator_thunks(a, b, ca, cb):
+    """combine(a, b, ca, cb), and antiderivative or derivative of each operand."""
+    return [lambda: combine(a, b, ca, cb)] + [
+        lambda s=s: antiderivative(s, ca) if isinstance(s, StepSignal) else derivative(s)
+        for s in (a, b)]
+
+
+def check_lazy_output(op):
+    """op()'s fields, read in any order, equal the eager ones, and so do its copies'."""
+    first, second = TUPLE_FIELDS[type(op())]
+    fresh = [copy.deepcopy(op()), pickle.loads(pickle.dumps(op()))]  # copied before any read
+    for order in (("_arrays", first, second), (first, second), (second, first)):
+        out = op()
+        for name in order:
+            getattr(out, name)
+        eager, twin = eager_twin(out), public_twin(out)
+        assert field_hexes(out) == field_hexes(eager) == field_hexes(twin)
+        assert all(type(x) is float for x in float_fields(out))
+        assert out == twin and hash(out) == hash(twin) and repr(out) == repr(twin)
+        assert replace(out) == out
+        for other in (*fresh, copy.deepcopy(out), pickle.loads(pickle.dumps(out))):
+            assert other == out and field_hexes(other) == field_hexes(out)
+        if not isinstance(out, PiecewiseAffine):
+            assert json.dumps(out.to_json()) == json.dumps(eager.to_json())
+            assert repr(out.csv_rows()) == repr(eager.csv_rows())
+
+
 @settings(PROPERTY, max_examples=150)
 @given(operand_pairs(), MAGNITUDE, MAGNITUDE)
 def test_a_seeded_view_is_the_view(pair, ca, cb):
-    a, b = pair
-    ops = [lambda: combine(a, b, ca, cb)]
-    ops += [lambda s=s: antiderivative(s, ca) if isinstance(s, StepSignal) else derivative(s)
-            for s in pair]
-    for op in ops:
+    for op in operator_thunks(*pair, ca, cb):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 out = op()
             except DomainError:  # the result or an operand's slope leaves the floats
                 continue
-        twin = public_twin(out)
-        assert [x.hex() for x in float_fields(out)] == [x.hex() for x in float_fields(twin)]
-        assert all(type(x) is float for x in float_fields(out))
-        assert out == twin and hash(out) == hash(twin) and repr(out) == repr(twin)
-        if isinstance(out, PolylineSignal):
-            assert out.times == twin.times
+        check_lazy_output(op)  # the fields, their copies, JSON and CSV
         view, rebuilt = out.affine_view(), type(out)._view(out)
         assert len(view) == len(rebuilt) == 3
         for x, y in zip(view, rebuilt):
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
             assert not x.flags.writeable
+
+
+def test_operator_outputs_equal_their_eager_twins_seeded():
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        p, q, s, u = (random_polyline(rng), random_polyline(rng), random_step(rng), random_step(rng))
+        ca, cb = rng.uniform(-3.0, 3.0, 2)
+        for a, b in ((p, q), (s, u), (s, p), (p, s)):
+            for op in operator_thunks(a, b, ca, cb):
+                check_lazy_output(op)
+
+
+def polyline_of(rng, n):
+    pts = np.cumsum(np.concatenate([[0.0], rng.uniform(0.05, 1.0, n - 1)]))
+    return PolylineSignal(tuple(zip(pts * (4.0 / pts[-1]), rng.uniform(-3.0, 3.0, n))))
+
+
+def test_operator_outputs_make_their_fields_at_first_read(monkeypatch):
+    rng = np.random.default_rng(800)
+    a, b = polyline_of(rng, 800), polyline_of(rng, 800)
+    s = step(a.times, rng.uniform(-2.0, 2.0, 799))
+    outs = [combine(a, b, 1.0, -0.5), combine(s, s, 2.0), combine(s, a), antiderivative(s), derivative(a)]
+    assert len(outs[0].affine_view()[0]) > 800
+    for out in outs:
+        assert not set(vars(out)) & {name for names in TUPLE_FIELDS.values() for name in names}
+    calls = []
+    for cls, names in TUPLE_FIELDS.items():
+        for name in names:
+            prop = vars(cls)[name]
+            monkeypatch.setattr(prop, "func", lambda s, f=prop.func, n=name: calls.append(n) or f(s))
+    for out in outs:
+        for name in TUPLE_FIELDS[type(out)]:
+            got = getattr(out, name)
+            assert vars(out)[name] is got and getattr(out, name) is got
+    assert sorted(calls) == sorted(name for out in outs for name in TUPLE_FIELDS[type(out)])
+    # a constructed signal holds its own fields, which hide the descriptors
+    calls.clear()
+    for sig in (a, s, PiecewiseAffine((0.0, 1.0, 2.0), ((1.0, 0.5), (-1.0, 0.0)))):
+        for name in TUPLE_FIELDS[type(sig)]:
+            getattr(sig, name)
+        assert replace(sig) == sig and hash(sig) == hash(public_twin(sig))
+        repr(sig), sig.affine_view(), sig(1.0)
+        if not isinstance(sig, PiecewiseAffine):
+            sig.to_json(), sig.csv_rows()
+    assert calls == []
