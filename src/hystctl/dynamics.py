@@ -249,7 +249,7 @@ def _pieces(step, signals):
 
 def _affine_rhs(fields, u0, slope, a, n):
     """rhs(t, z) = sum_i (u0_i + slope_i (t - a)) g_i(z) over the fields whose
-    control is not zero on the piece."""
+    control is not zero on the piece; a g_i(z) of other than n components raises DomainError."""
     active = [(c, s, g) for c, s, g in zip(u0, slope, fields) if c != 0.0 or s != 0.0]
     components = range(n)
 
@@ -258,20 +258,13 @@ def _affine_rhs(fields, u0, slope, a, n):
         tau = t - a
         for c, s, g in active:
             ui = c + s * tau
-            gz = g(z)
+            if len(gz := g(z)) != n:
+                raise DomainError(f"a field gives {len(gz)} components, the state has {n}")
             for i in components:
                 acc[i] += ui * gz[i]
         return acc
 
     return rhs
-
-
-def _checked(fields, z, n):
-    """The fields, once each gives n components at z."""
-    for g in fields:
-        if (got := len(g(z))) != n:
-            raise DomainError(f"a field gives {got} components, the state has {n}")
-    return fields
 
 
 def _proj(z, xi):
@@ -398,12 +391,13 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
 
     banks[j] is the RelayBank of axis j.  select(walks) maps the banks'
     current outputs to the fields, one per control (every selection has as
-    many as the first), driven by the controls, affine on each piece; each
-    gives n components, checked at every selection.  The event of relay i on
-    axis j is the row (t, i + 1, new, label(j, i)) of events, t being its
-    row's time bit for bit, each label one string per run.  An axis that
-    switches more than EVENT_BUDGET * (nominal steps + its relays) times
-    chatters and raises DivergenceError.
+    many as the first), driven by the controls, affine on each piece; every
+    vector summed is checked for n components (_affine_rhs), a field whose
+    control is zero never.  The event of relay i on axis j is the row (t,
+    i + 1, new, label(j, i)) of events, t being its row's time bit for bit,
+    each label one string per run.  An axis that switches more than
+    EVENT_BUDGET * (nominal steps + its relays) times chatters and raises
+    DivergenceError.
     Only rows and events are kept: log is None without entry, else a list in
     which each event's row and the rows up to the next event's share one
     entry(outs), outs the banks' outputs with the events so far replayed as
@@ -424,7 +418,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
     z = _point(z0, n)
     walks = [_Walk(bank, _proj(z, v)) for bank, v in zip(banks, xi)]
     axes = [*zip(itertools.count(), xi, walks)]  # (j, xi_j, walk_j), read on every row
-    fields = _checked(select(walks), z, n)
+    fields = select(walks)
     if len(controls) != len(fields):
         raise DomainError("one control per field required")
     grid, piece_steps = _pieces(step, controls)
@@ -489,8 +483,7 @@ def _integrate(controls, z0, step, select, n, xi=(), banks=(), label=None, entry
                 if budgets[j] < 0:
                     raise DivergenceError(f"relay on axis {j + 1} chatters: more than "
                                           f"{EVENT_BUDGET} events per nominal step and relay")
-                fields = _checked(select(walks), z, n)
-                rhs = _affine_rhs(fields, c0, sl, a, n)
+                rhs = _affine_rhs(fields := select(walks), c0, sl, a, n)
                 test = stretch >= _EXACT_STEPS
                 stretch = 0
                 if at_row:

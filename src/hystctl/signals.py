@@ -25,7 +25,7 @@ class DomainError(ValueError):
 
 
 def _times_equal(a: float, b: float) -> bool:
-    return abs(a - b) <= KNOT_TOL * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= KNOT_TOL * max(1.0, abs(a), abs(b)) < math.inf  # an inf bound admits nothing
 
 
 def _in_range(t: float, t0: float, T: float) -> bool:

@@ -393,11 +393,14 @@ def test_bank_spec_shape():
             integrate_bank(spec, (c, c), (0.0, 0.0, 0.0), wrong, step=0.25)
 
 
-@pytest.mark.parametrize("case", ["long", "short", "after-switch"])
+@pytest.mark.parametrize("case", ["long", "short", "grows", "shrinks", "after-switch",
+                                  "bank-after-switch"])
 def test_field_vector_length_checked(case):
     # a long vector was cut to n components (the long case ended at (1, 0),
-    # dropping the 5.0) and a short one raised IndexError; the field set
-    # chosen at a switch is checked at the switch
+    # dropping the 5.0) and a short one raised IndexError; a field whose
+    # length changes along the run did the same (grows ended at (1, 0), and
+    # shrinks raised IndexError), so every vector is checked where the relay
+    # core sums it, and so is the field set chosen at a switch once summed
     with pytest.raises(DomainError, match="components"):
         if case == "after-switch":
             table = dict(demo_spec().field_table)
@@ -405,9 +408,26 @@ def test_field_vector_length_checked(case):
             spec = SwitchingSpec(xi=((1.0, 0.0), (0.0, 1.0)), eta=0.3, field_table=table)
             integrate_switching(spec, (const(1.0, -1.0), const(1.0, 0.0)), (0.5, 0.5), (1, 1),
                                 step=0.25)
+        elif case == "bank-after-switch":  # the first event makes w = 1 and the vector long
+            spec = BankSpec(xi=((1.0, 0.0), (0.0, 1.0)), k=2,
+                            fields=(lambda w, z: (1.0, 0.0) if w < 1.0 else (1.0, 0.0, 5.0),
+                                    lambda w, z: (0.0, 1.0)))
+            integrate_bank(spec, (const(2.0, 1.0), const(2.0, 0.0)), (0.0, 0.0),
+                           (RelayBank.staircase(2, 1),) * 2, step=0.25)
         else:
-            n, vec = (2, (1.0, 0.0, 5.0)) if case == "long" else (3, (1.0, 0.0))
-            integrate_plain(FieldSet(n, 1, (lambda z: vec,)), (const(1.0, 1.0),), (0.0,) * n)
+            n, vec = {"long": (2, (1.0, 0.0, 5.0)), "short": (3, (1.0, 0.0)),
+                      "grows": (2, (1.0, 0.0)), "shrinks": (3, (1.0, 0.0, 0.0))}[case]
+            other = {"grows": (1.0, 0.0, 5.0), "shrinks": (1.0, 0.0)}.get(case, vec)
+            field = FieldSet(n, 1, (lambda z: vec if z[0] < 0.5 else other,))
+            integrate_plain(field, (const(1.0, 1.0),), (0.0,) * n)
+
+
+def test_field_with_zero_control_is_never_summed():
+    # the relay core checks a vector where it sums it: a wrong-length field
+    # whose control is zero on every piece is never evaluated, so it raises nothing
+    traj = integrate_plain(FieldSet(2, 2, (lambda z: (1.0, 0.0), lambda z: (1.0, 0.0, 5.0))),
+                           (const(1.0, 1.0), const(1.0, 0.0)), (0.0, 0.0), step=0.25)
+    assert traj.final_state.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("h", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])

@@ -452,8 +452,8 @@ def test_event_location_cost_when_two_axes_cross_in_one_step(first):
     # a locator step costs 6 evaluations, and a crossing is located only if
     # it is past its threshold at the earliest event located so far.  So the
     # first cut locates one axis when the lower axis leads and two when the
-    # higher one does, the second cut one: 17 evaluations per event with the
-    # new fields' checks (26 if every crossing were located with 8 a step).
+    # higher one does, the second cut one: 15 evaluations per event (26 if
+    # every crossing were located with 8 a step).
     # Every interval is shorter than _EXACT_STEPS, so no closed form is
     # tested and the count is the row loop's alone, pinned exactly: a change
     # to how the loop steps must evaluate the same fields at the same states
@@ -464,7 +464,7 @@ def test_event_location_cost_when_two_axes_cross_in_one_step(first):
     assert all(abs(e.time - t) <= TOL for e, (t, _, _) in zip(traj.events, expected))
     stepping = 8 * (len(traj.times) - 1)
     assert (calls[0] - stepping) / len(traj.events) <= 20
-    assert (len(traj.times), len(traj.events), calls[0]) == (851, 100, 8502)
+    assert (len(traj.times), len(traj.events), calls[0]) == (851, 100, 8300)
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hystctl.dynamics import Trajectory
 from hystctl.hysteresis import play_apply
 from hystctl.signals import (
     KNOT_TOL,
@@ -222,6 +223,27 @@ def test_scalar_call_takes_the_sample_rule_for_strays():
                 p(t)
             with pytest.raises(DomainError):
                 sample(p, [t])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e3),
+       st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats())
+def test_infinite_and_nan_times_are_refused_at_every_entry(t0, duration, t):
+    # an infinite time passed the end rule, whose bound KNOT_TOL * |t| was inf:
+    # p(inf) gave inf, a step signal nan with a RuntimeWarning, sample and
+    # Trajectory.sample the end values; a finite time keeps the rule it had
+    T = t0 + duration
+    poly = PolylineSignal(((t0, 0.0), (T, 1.0)))
+    steps = step([t0, t0 + 0.5 * duration, T], [1.0, 2.0])
+    traj = Trajectory(np.array([t0, T]), np.array([[0.0], [1.0]]))
+    entries = (poly, steps, lambda t: sample(poly, [t0, t])[1], lambda t: traj.sample([t])[0, 0])
+    slack = 1e-9 * max(1.0, abs(t0), abs(T), abs(t)) if math.isfinite(t) else 0.0
+    for call in entries:
+        if t0 <= t <= T:
+            assert math.isfinite(call(t))
+        elif not t0 - slack <= t <= T + slack:  # also NaN and +-inf
+            with pytest.raises(DomainError, match="outside"):
+                call(t)
 
 
 def test_time_grid_and_polyline_share_the_break_checks():
